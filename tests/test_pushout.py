@@ -1,6 +1,8 @@
 """Blow-up tables, both built-in bases, and the glued equalizer lattices."""
 
 import itertools
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -10,13 +12,14 @@ from twistor_pushout.pushout import (
     PushoutPair,
     blow_up,
     brute_force_matched_lattice,
+    EqualizerRing,
     builtin_base,
     flag_threefold_base,
     projective_space_base,
     twistor_base_from_json_dict,
 )
 from twistor_pushout.quadric import QuadricClass, canonical_class
-from twistor_pushout.rings import DegreeError, RingMismatchError, kernel_lattice
+from twistor_pushout.rings import DegreeError, GradedMap, RingMismatchError, kernel_lattice
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,18 @@ def test_restriction_is_ring_homomorphism(blown_p3, blown_flag):
 def test_projection_formula_all_pairs(blown_p3, blown_flag):
     blown_p3.check_projection_formula()
     blown_flag.check_projection_formula()
+
+
+def test_projection_formula_rejects_perturbed_pushforward(blown_flag):
+    # w -> f.[line] - j.b gains one f.xy: the first pair to notice is (f.x, w)
+    matrices = {d: [list(row) for row in rows] for d, rows in blown_flag.pushforward_from_quadric.matrices.items()}
+    matrices[1][0][1] += 1
+    bad = replace(
+        blown_flag,
+        pushforward_from_quadric=GradedMap(blown_flag.quadric, blown_flag.ring, 1, matrices),
+    )
+    with pytest.raises(ValueError, match=re.escape("projection formula fails on (f.x, w)")):
+        bad.check_projection_formula()
 
 
 def test_blow_up_rejects_inconsistent_twistor_degrees():
@@ -248,6 +263,21 @@ def test_equalizer_matches_brute_force_flag(flag_pair, degree):
 def test_equalizer_product_closure(p3_pair, flag_pair):
     p3_pair.equalizer().check_product_closure()
     flag_pair.equalizer().check_product_closure()
+
+
+def test_product_closure_rejects_lattice_missing_a_generator(flag_pair):
+    lattices = list(flag_pair.equalizer().lattices)
+    lattices[2] = lattices[2][1:]
+    with pytest.raises(ValueError, match="^product of lattice pairs leaves the lattice in degree 2$"):
+        EqualizerRing(flag_pair, tuple(lattices)).check_product_closure()
+
+
+def test_product_closure_rejects_unmatched_generator(p3_pair):
+    # (f.h, 0) restricts to (b, 0): its product with the unit pair is unmatched
+    lattices = list(p3_pair.equalizer().lattices)
+    lattices[1] = ((1, 0, 0, 0),) + lattices[1]
+    with pytest.raises(ValueError, match="^product of matched pairs is unmatched in degree 1$"):
+        EqualizerRing(p3_pair, tuple(lattices)).check_product_closure()
 
 
 def test_exceptional_pair_membership(p3_pair):

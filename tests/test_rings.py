@@ -1,5 +1,7 @@
 """Table-presented graded rings, their maps, and the JSON interchange format."""
 
+import re
+
 import pytest
 
 from twistor_pushout.pushout import projective_space_base, twistor_base_from_json_dict
@@ -49,13 +51,29 @@ def test_ring_mismatch_raises(quad):
 
 
 def test_construction_rejects_broken_associativity():
-    # b.b = pt but (b.b).b forced inconsistent with b.(b.b) is impossible in
-    # degree range; instead break the unit row.
-    with pytest.raises(ValueError):
+    # A unit row that doubles t is refused while the table is built, before
+    # any associativity triple is checked.
+    with pytest.raises(ValueError, match=re.escape("unit does not act as identity on (0, 0, 1, 0)")):
         GradedRing(
             top_degree=1,
             basis_labels=[["1"], ["t"]],
             products={(0, 0, 1, 0): (2,)},
+        )
+
+
+def test_construction_rejects_non_associative_table():
+    # Symmetric, with a correct unit, but (a.a).b = p.b = q while a.(a.b) = 0.
+    with pytest.raises(ValueError, match=re.escape("associativity fails on (a, a, b)")):
+        GradedRing(
+            top_degree=3,
+            basis_labels=[["1"], ["a", "b"], ["p"], ["q"]],
+            products={
+                (1, 0, 1, 0): (1,),  # a.a = p
+                (1, 0, 1, 1): (0,),  # a.b = 0
+                (1, 1, 1, 1): (0,),  # b.b = 0
+                (1, 0, 2, 0): (1,),  # a.p = q
+                (1, 1, 2, 0): (1,),  # b.p = q
+            },
         )
 
 
@@ -113,8 +131,11 @@ def test_map_apply_ruling_swap(quad):
 
 
 def test_ring_hom_validation_catches_bad_map(quad):
-    with pytest.raises(ValueError):
+    # b -> b, w -> b + w: F(w.w) = 0 but F(w).F(w) = 2 pt
+    with pytest.raises(ValueError, match=re.escape("multiplicativity fails on (w, w)")):
         GradedMap(quad, quad, 0, {0: [[1]], 1: [[1, 1], [0, 1]], 2: [[1]]}, is_ring_hom=True)
+    with pytest.raises(ValueError, match="must preserve the unit"):
+        GradedMap(quad, quad, 0, {0: [[2]], 1: [[1, 0], [0, 1]], 2: [[1]]}, is_ring_hom=True)
     with pytest.raises(ValueError):
         # shifted maps cannot be ring homomorphisms
         GradedMap(quad, quad, 1, {}, is_ring_hom=True)
