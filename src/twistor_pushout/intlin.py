@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -31,10 +32,10 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _pivot(row: Sequence[int]) -> int:
-    for k, a in enumerate(row):
-        if a:
-            return k
-    raise ValueError("zero row has no pivot")
+    first = next(filter(None, row), 0)  # the first nonzero entry
+    if not first:
+        raise ValueError("zero row has no pivot")
+    return row.index(first)
 
 
 def _accumulate(basis: list[list[int]], pivots: list[int], vec: list[int]) -> None:
@@ -121,21 +122,22 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
 
 def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """True iff ``vec`` is an integer combination of the HNF rows ``basis``."""
-    rows = [list(r) for r in basis if any(r)]
+    rows = [r for r in basis if any(r)]
     v = list(vec)
-    if rows and any(len(r) != len(v) for r in rows):
+    if any(len(r) != len(v) for r in rows):
         raise ValueError("dimension mismatch")
     cleared = 0
     for row in rows:
         p = _pivot(row)
-        if any(v[k] for k in range(cleared, min(p, len(v)))):
+        if any(v[cleared:p]):
             return False
         cleared = p
         if v[p]:
-            if v[p] % row[p]:
+            q, rem = divmod(v[p], row[p])
+            if rem:
                 return False
-            q = v[p] // row[p]
-            v = [a - q * b for a, b in zip(v, row)]
+            # entries left of the pivot are zero in an echelon row
+            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
     return not any(v)
 
 
@@ -143,10 +145,15 @@ def lattices_equal(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bo
     return hermite_row_basis(a) == hermite_row_basis(b)
 
 
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Sum of the products of corresponding entries (no length check)."""
+    return sum(map(mul, a, b))
+
+
 def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
     if matrix and len(matrix[0]) != len(vec):
         raise ValueError("dimension mismatch")
-    return tuple(sum(r * x for r, x in zip(row, vec)) for row in matrix)
+    return tuple(dot(row, vec) for row in matrix)
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:

@@ -31,14 +31,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intlin import Vector, hermite_row_basis, kernel_basis, lattice_contains, mat_mul
-from .quadric import QuadricClass, quadric_ring, ruling_swap_map
+from .intlin import Vector, dot, hermite_row_basis, kernel_basis, lattice_contains, mat_mul
+from .quadric import _RING, _SWAP, QuadricClass, ruling_swap_map
 from .rings import (
     DegreeError,
     GradedMap,
     GradedRing,
     RingElement,
     RingMismatchError,
+    coordinate_columns,
     ring_from_json_dict,
 )
 
@@ -216,28 +217,39 @@ class BlownUpChow:
     # -- structural checks --------------------------------------------------------
 
     def check_projection_formula(self) -> None:
-        """j_*(j^*(x) . g) = x . j_*(g) on all basis pairs; raises on failure."""
+        """j_*(j^*(x) . g) = x . j_*(g) on all basis pairs; raises on failure.
+
+        Both sides are sums over the structure constants and the map columns,
+        compared coordinate by coordinate on the pairs in the order d1, i1, d2,
+        i2.  The restriction is a ring homomorphism, so it keeps degrees.
+        """
+        ring, quad = self.ring, self.quadric
         push = self.pushforward_from_quadric
-        restrict = self.restriction_to_quadric_map
-        for d1 in range(self.ring.top_degree + 1):
-            for i1 in range(self.ring.rank(d1)):
-                x = self.ring.basis_element(d1, i1)
-                jx = restrict.apply(x)
-                for d2 in range(self.quadric.top_degree + 1):
-                    for i2 in range(self.quadric.rank(d2)):
-                        g = self.quadric.basis_element(d2, i2)
-                        if push.apply(jx * g) != x * push.apply(g):
+        for d1 in range(ring.top_degree + 1):
+            per_d2 = []
+            for d2 in range(quad.top_degree + 1):
+                d12 = d1 + d2
+                # times_g[i2][k]: coordinate k of e_a . g over a, on the quadric;
+                # x_times[i1][k]: coordinate k of x . e_m over m, upstairs
+                times_g = coordinate_columns(quad.product_table(d2, d1), quad.rank(d12))
+                x_times = coordinate_columns(ring.product_table(d1, d2 + push.shift), ring.rank(d12 + push.shift))
+                per_d2.append((times_g, push.matrix(d12), x_times, push.columns(d2)))
+            for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
+                for d2, (times_g, push_rows, x_times, pushed) in enumerate(per_d2):
+                    for i2, pushed_g in enumerate(pushed):
+                        jx_g = [dot(jx, c) for c in times_g[i2]]
+                        if [dot(row, jx_g) for row in push_rows] != [dot(pushed_g, c) for c in x_times[i1]]:
                             raise ValueError(
                                 f"projection formula fails on "
-                                f"({self.ring.basis_labels[d1][i1]}, "
-                                f"{self.quadric.basis_labels[d2][i2]})"
+                                f"({ring.basis_labels[d1][i1]}, "
+                                f"{quad.basis_labels[d2][i2]})"
                             )
 
 
 def blow_up(base: TwistorChow) -> BlownUpChow:
     """Blow up the base along the chosen twistor line and build the full table."""
     R = base.ring
-    quad = quadric_ring()
+    quad = _RING
     labels = [
         list(R.basis_labels[0]),
         [f"f.{s}" for s in R.basis_labels[1]] + ["Q"],
@@ -396,7 +408,7 @@ class PushoutPair:
         self.branch1 = branch1
         self.branch2 = branch2
         self.quadric = branch1.quadric
-        self.swap = ruling_swap_map(self.quadric)
+        self.swap = _SWAP if self.quadric is _RING else ruling_swap_map(self.quadric)
 
     def pair(self, first: RingElement, second: RingElement) -> ComponentPair:
         if first.ring != self.branch1.ring or second.ring != self.branch2.ring:
@@ -493,17 +505,37 @@ class EqualizerRing:
         return ComponentPair(a.first * b.first, a.second * b.second)
 
     def check_product_closure(self) -> None:
-        """Verify products of lattice basis pairs stay matched and in the lattice."""
+        """Verify products of lattice basis pairs stay matched and in the lattice.
+
+        The componentwise product of two concatenated pair vectors is, branch by
+        branch, a bilinear sum over that branch's structure constants; a product
+        is matched exactly when the matching matrix annihilates it.
+        """
+        rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
         for d1 in range(TWISTOR_TOP + 1):
             for d2 in range(d1, TWISTOR_TOP + 1 - d1):
-                for u in self.basis_pairs(d1):
-                    for v in self.basis_pairs(d2):
-                        uv = self.product(u, v)
-                        if not self.geometry.is_matched(uv):
+                matching = self.geometry.matching_matrix(d1 + d2)
+                lattice = self.lattices[d1 + d2]
+                branches = []  # per branch: its slices of u and v, and columns[b][k] over a
+                start1 = start2 = 0
+                for ring in rings:
+                    r1, r2, r12 = ring.rank(d1), ring.rank(d2), ring.rank(d1 + d2)
+                    columns = coordinate_columns(ring.product_table(d2, d1), r12)
+                    branches.append((slice(start1, start1 + r1), slice(start2, start2 + r2), columns, r12))
+                    start1, start2 = start1 + r1, start2 + r2
+                for u in self.lattices[d1]:
+                    # per branch: row k holds the coefficients of v in coordinate k of u.v
+                    u_times = [
+                        (s2, [tuple(dot(u[s1], col[k]) for col in columns) for k in range(r12)])
+                        for s1, s2, columns, r12 in branches
+                    ]
+                    for v in self.lattices[d2]:
+                        uv = tuple(dot(v[s2], row) for s2, rows in u_times for row in rows)
+                        if any(dot(row, uv) for row in matching):
                             raise ValueError(
                                 f"product of matched pairs is unmatched in degree {d1 + d2}"
                             )
-                        if not self.contains(uv):
+                        if any(uv) and not lattice_contains(lattice, uv):
                             raise ValueError(
                                 f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
                             )

@@ -3,13 +3,22 @@
 Every ring handled here has a small, fixed basis in each degree and an
 explicit multiplication table; a product whose degree exceeds the top degree
 is zero and is simply absent from the table.  This keeps commutativity and
-associativity finitely checkable, and both checks run at construction time.
-Elements carry exact (unbounded) integer coefficients, one vector per degree.
+associativity finitely checkable, and both hold from construction on: the
+table is filled in both argument orders and conflicting entries are refused,
+so it is commutative by construction, and associativity is verified on every
+basis triple.  Elements carry exact (unbounded) integer coefficients, one
+vector per degree.
 
 Graded maps are families of integer matrices, one per source degree, with an
 optional degree shift: pullbacks shift by 0, pushforwards by the codimension.
 A map flagged as a ring homomorphism is verified to be multiplicative on all
 basis pairs and to preserve the unit.
+
+The construction-time checks work on the integer structure constants
+directly: per degree pair the product table ``T[i1][i2]``, and per source
+degree the images of the basis vectors (the matrix columns).  Each identity
+is a bilinear sum over these tables, checked coordinate by coordinate, so no
+element is built inside a check.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -20,7 +29,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .intlin import Vector, kernel_basis, lattice_contains, mat_vec
+from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec
 
 TableKey = tuple[int, int, int, int]
 
@@ -83,6 +92,11 @@ class GradedRing:
             else _as_vec(degree_functional, self.rank(top_degree), "degree_functional")
         )
         self._table = self._build_table(products)
+        self._products = {
+            (d1, d2): self._product_table(d1, d2)
+            for d1 in range(top_degree + 1)
+            for d2 in range(top_degree + 1)
+        }
         self._check_unit()
         self._check_associativity()
 
@@ -113,22 +127,35 @@ class GradedRing:
                         raise ValueError(f"unit does not act as identity on {key}")
         return table
 
+    def _product_table(self, d1: int, d2: int) -> tuple[tuple[Vector, ...], ...]:
+        zero = tuple([0] * self.rank(d1 + d2))  # empty beyond the top degree
+        return tuple(
+            tuple(self._table.get((d1, i1, d2, i2), zero) for i2 in range(self.rank(d2)))
+            for i1 in range(self.rank(d1))
+        )
+
     def _check_unit(self) -> None:
         if self._table[(0, 0, 0, 0)] != (1,):
             raise ValueError("unit square must be the unit")
 
     def _check_associativity(self) -> None:
+        # (x.y).z = sum_m (x.y)[m] z.e_m against x.(y.z) = sum_m (y.z)[m] x.e_m on
+        # every basis triple, in the order d1, d2, d3, i1, i2, i3, one dot product
+        # per output coordinate.  z.e_m = e_m.z because the table is symmetric.
         for d1 in range(self.top_degree + 1):
             for d2 in range(self.top_degree + 1 - d1):
                 for d3 in range(self.top_degree + 1 - d1 - d2):
+                    length = self.rank(d1 + d2 + d3)
+                    xy_table = self._products[d1, d2]
+                    yz_table = self._products[d2, d3]
+                    times_z = coordinate_columns(self._products[d3, d1 + d2], length)
+                    x_times = coordinate_columns(self._products[d1, d2 + d3], length)
                     for i1 in range(self.rank(d1)):
-                        x = self.basis_element(d1, i1)
+                        x_cols = x_times[i1]
                         for i2 in range(self.rank(d2)):
-                            y = self.basis_element(d2, i2)
-                            xy = x * y
-                            for i3 in range(self.rank(d3)):
-                                z = self.basis_element(d3, i3)
-                                if xy * z != x * (y * z):
+                            xy = xy_table[i1][i2]
+                            for i3, yz in enumerate(yz_table[i2]):
+                                if [dot(xy, c) for c in times_z[i3]] != [dot(yz, c) for c in x_cols]:
                                     raise ValueError(
                                         f"associativity fails on "
                                         f"({self.basis_labels[d1][i1]}, "
@@ -142,6 +169,18 @@ class GradedRing:
         if not 0 <= degree <= self.top_degree:
             return 0
         return len(self.basis_labels[degree])
+
+    def product_table(self, d1: int, d2: int) -> tuple[tuple[Vector, ...], ...]:
+        """Structure constants ``T[i1][i2]``: the product of basis elements
+        ``(d1, i1)`` and ``(d2, i2)`` as a degree ``d1 + d2`` vector.
+
+        Products beyond the top degree are empty vectors (the zero group), and
+        a degree outside ``0..top_degree`` has no basis elements.
+        """
+        table = self._products.get((d1, d2))
+        if table is None:
+            return self._product_table(d1, d2)
+        return table
 
     def table_entry(self, d1: int, i1: int, d2: int, i2: int) -> Vector:
         if d1 + d2 > self.top_degree:
@@ -226,13 +265,6 @@ class GradedRing:
             raise RingMismatchError("element lives in a different ring")
         return sum(a * b for a, b in zip(self.degree_functional, x.coeffs[self.top_degree]))
 
-    # -- verification -----------------------------------------------------------
-
-    def check_commutativity(self) -> None:
-        for (d1, i1, d2, i2), vec in self._table.items():
-            if self._table[(d2, i2, d1, i1)] != vec:
-                raise ValueError(f"commutativity fails on {(d1, i1, d2, i2)}")
-
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -251,6 +283,15 @@ class GradedRing:
         if self.name:
             doc["name"] = self.name
         return doc
+
+
+def coordinate_columns(table: Sequence[Sequence[Vector]], length: int) -> list[list[Vector]]:
+    """``out[i][k]`` is the tuple of ``table[i][m][k]`` over ``m``.
+
+    Coordinate ``k`` of ``sum_m c[m] table[i][m]`` is then ``dot(c, out[i][k])``;
+    ``length`` is the length of the vectors ``table[i][m]``.
+    """
+    return [[tuple(vec[k] for vec in row) for k in range(length)] for row in table]
 
 
 def ring_from_json_dict(doc: Mapping) -> GradedRing:
@@ -395,6 +436,10 @@ class GradedMap:
                 raise ValueError(f"matrix[{d}] must have {target.rank(td)} rows")
             mats[d] = rows
         self.matrices = mats
+        self._columns = {
+            d: tuple(tuple(row[j] for row in self.matrix(d)) for j in range(source.rank(d)))
+            for d in range(source.top_degree + 1)
+        }
         self.is_ring_hom = bool(is_ring_hom)
         if self.is_ring_hom:
             self._check_ring_hom()
@@ -405,6 +450,11 @@ class GradedMap:
             return self.matrices[degree]
         rows = self.target.rank(td) if 0 <= td <= self.target.top_degree else 0
         return tuple(tuple([0] * self.source.rank(degree)) for _ in range(rows))
+
+    def columns(self, degree: int) -> tuple[Vector, ...]:
+        """Images of the degree-``degree`` basis elements, as degree ``degree + shift``
+        vectors (empty when that degree is outside the target)."""
+        return self._columns[degree]
 
     def apply(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
@@ -426,16 +476,22 @@ class GradedMap:
     def _check_ring_hom(self) -> None:
         if self.shift != 0:
             raise ValueError("a ring homomorphism cannot shift degrees")
-        if self.apply(self.source.one()) != self.target.one():
+        if self.matrix(0) != ((1,),):  # the image of the unit is the unit
             raise ValueError("ring homomorphism must preserve the unit")
-        for d1 in range(self.source.top_degree + 1):
-            for i1 in range(self.source.rank(d1)):
-                x = self.source.basis_element(d1, i1)
-                fx = self.apply(x)
-                for d2 in range(d1, self.source.top_degree + 1):
-                    for i2 in range(self.source.rank(d2)):
-                        y = self.source.basis_element(d2, i2)
-                        if self.apply(x * y) != fx * self.apply(y):
+        # F(x.y) = F T(i1, i2) against F(x).F(y) = sum_ab F[a][i1] F[b][i2] T'(a, b)
+        # on basis pairs in the order d1, i1, d2 >= d1, i2, coordinate by coordinate.
+        source, target = self.source, self.target
+        for d1 in range(source.top_degree + 1):
+            for i1, fx in enumerate(self._columns[d1]):
+                for d2 in range(d1, source.top_degree + 1):
+                    rows = self.matrix(d1 + d2)
+                    xy_row = source.product_table(d1, d2)[i1]
+                    # fx_times[k]: coordinate k of F(x).e'_b, over b
+                    length = target.rank(d1 + d2)
+                    columns = coordinate_columns(target.product_table(d2, d1), length)
+                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(length)]
+                    for i2, fy in enumerate(self._columns[d2]):
+                        if [dot(row, xy_row[i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
                             raise ValueError(
                                 f"multiplicativity fails on "
                                 f"({self.source.basis_labels[d1][i1]}, "

@@ -71,7 +71,7 @@ def _unimodular(draw, n: int):
 def monomial_rings(draw):
     """(top, labels, standard products, dense products, basis changes by degree)."""
     n = draw(st.integers(1, 3))
-    top = draw(st.integers(2, 3))
+    top = draw(st.integers(2, 4))
     surviving = [[(0,) * n], _monomials(n, 1)]
     killed = []
     for d in range(2, top + 1):
