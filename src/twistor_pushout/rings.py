@@ -482,16 +482,22 @@ class GradedMap:
         # on basis pairs in the order d1, i1, d2 >= d1, i2, coordinate by coordinate.
         source, target = self.source, self.target
         for d1 in range(source.top_degree + 1):
+            per_d2 = [
+                (
+                    d2,
+                    self.matrix(d1 + d2),
+                    source.product_table(d1, d2),
+                    # columns[b][k]: coordinate k of e'_a . e'_b, over a
+                    coordinate_columns(target.product_table(d2, d1), target.rank(d1 + d2)),
+                )
+                for d2 in range(d1, source.top_degree + 1)
+            ]
             for i1, fx in enumerate(self._columns[d1]):
-                for d2 in range(d1, source.top_degree + 1):
-                    rows = self.matrix(d1 + d2)
-                    xy_row = source.product_table(d1, d2)[i1]
+                for d2, rows, xy_table, columns in per_d2:
                     # fx_times[k]: coordinate k of F(x).e'_b, over b
-                    length = target.rank(d1 + d2)
-                    columns = coordinate_columns(target.product_table(d2, d1), length)
-                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(length)]
+                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(target.rank(d1 + d2))]
                     for i2, fy in enumerate(self._columns[d2]):
-                        if [dot(row, xy_row[i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
+                        if [dot(row, xy_table[i1][i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
                             raise ValueError(
                                 f"multiplicativity fails on "
                                 f"({self.source.basis_labels[d1][i1]}, "
