@@ -228,12 +228,12 @@ class BlownUpChow:
         for d1 in range(ring.top_degree + 1):
             per_d2 = []
             for d2 in range(quad.top_degree + 1):
-                d12 = d1 + d2
+                up = d2 + push.shift  # degree of j_*(g)
                 # times_g[i2][k]: coordinate k of e_a . g over a, on the quadric;
                 # x_times[i1][k]: coordinate k of x . e_m over m, upstairs
-                times_g = coordinate_columns(quad.product_table(d2, d1), quad.rank(d12))
-                x_times = coordinate_columns(ring.product_table(d1, d2 + push.shift), ring.rank(d12 + push.shift))
-                per_d2.append((times_g, push.matrix(d12), x_times, push.columns(d2)))
+                times_g = coordinate_columns(quad.product_table(d2, d1), quad.rank(d1 + d2))
+                x_times = coordinate_columns(ring.product_table(d1, up), ring.rank(d1 + up))
+                per_d2.append((times_g, push.matrix(d1 + d2), x_times, push.columns(d2)))
             for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
                 for d2, (times_g, push_rows, x_times, pushed) in enumerate(per_d2):
                     for i2, pushed_g in enumerate(pushed):

@@ -495,7 +495,8 @@ class GradedMap:
             for i1, fx in enumerate(self._columns[d1]):
                 for d2, rows, xy_table, columns in per_d2:
                     # fx_times[k]: coordinate k of F(x).e'_b, over b
-                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(target.rank(d1 + d2))]
+                    length = target.rank(d1 + d2)
+                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(length)]
                     for i2, fy in enumerate(self._columns[d2]):
                         if [dot(row, xy_table[i1][i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
                             raise ValueError(

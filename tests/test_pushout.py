@@ -9,10 +9,10 @@ import pytest
 from twistor_pushout.intlin import hermite_row_basis
 from twistor_pushout.pushout import (
     ComponentPair,
+    EqualizerRing,
     PushoutPair,
     blow_up,
     brute_force_matched_lattice,
-    EqualizerRing,
     builtin_base,
     flag_threefold_base,
     projective_space_base,
@@ -121,7 +121,8 @@ def test_projection_formula_all_pairs(blown_p3, blown_flag):
 
 def test_projection_formula_rejects_perturbed_pushforward(blown_flag):
     # w -> f.[line] - j.b gains one f.xy: the first pair to notice is (f.x, w)
-    matrices = {d: [list(row) for row in rows] for d, rows in blown_flag.pushforward_from_quadric.matrices.items()}
+    push = blown_flag.pushforward_from_quadric
+    matrices = {d: [list(row) for row in rows] for d, rows in push.matrices.items()}
     matrices[1][0][1] += 1
     bad = replace(
         blown_flag,
