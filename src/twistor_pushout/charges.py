@@ -102,6 +102,8 @@ class GluedBundleData:
         for degree, pair, what in ((1, self.c1_pair, "c1"), (2, self.c2_pair, "c2")):
             if pair.codimension() not in (degree, None):
                 raise ValueError(f"{what} pair must have codimension {degree}")
+        if len(self.h2_end_dims) != 2:
+            raise ValueError("h2_end needs one obstruction dimension per branch")
         if any(d < 0 for d in self.h2_end_dims):
             raise ValueError("obstruction dimensions are non-negative")
         if self.restriction_to_quadric_trivial:

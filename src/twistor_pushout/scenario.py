@@ -2,18 +2,21 @@
 
 A scenario names the two branches (built-in bases or inline ring documents),
 and may carry bundle blocks, a polarization pair, a surface list, a phase
-decoration request, and the deformation-assumption flag that decides whether
-charge outputs may be labelled as smooth-fibre charges.
+decoration, and the deformation-assumption flag that decides whether
+charge outputs may be labelled as smooth-fibre charges.  This module also
+decodes the CLI's ``--member`` and ``--decorate`` files; it reads every input.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 
 from .charges import GluedBundleData
 from .gaussian import GaussianScalar
+from .neck import PhaseDecoration, phase_decoration
 from .pushout import (
     BlownUpChow,
     ComponentPair,
@@ -26,21 +29,13 @@ from .surfaces import SurfaceData
 
 
 @dataclass(frozen=True)
-class DecorationRequest:
-    theta_unit: GaussianScalar
-    point_ids: tuple[str, ...]
-    eta_choices: tuple[GaussianScalar, ...]
-
-
-@dataclass(frozen=True)
 class Scenario:
     geometry: PushoutPair
     bundles: tuple[GluedBundleData, ...] = ()
     polarization: ComponentPair | None = None
     surfaces: tuple[SurfaceData, ...] = ()
-    decoration: DecorationRequest | None = None
+    decoration: PhaseDecoration | None = None
     assumption_def: bool = False
-    source: dict = field(default_factory=dict)
 
 
 def _load_branch(doc) -> BlownUpChow:
@@ -60,7 +55,27 @@ def _element_pair(geometry: PushoutPair, doc, degree: int) -> ComponentPair:
     )
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
+def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
+    """A membership query ``{"degree", "branch1", "branch2"}``: its degree and pair."""
+    if not isinstance(doc, dict) or "degree" not in doc:
+        raise ValueError("a member query needs a degree and branch1/branch2 vectors")
+    degree = int(doc["degree"])
+    return degree, _element_pair(geometry, doc, degree)
+
+
+def decoration_from_dict(doc) -> PhaseDecoration:
+    """A phase decoration ``{"theta", "points": [{"id", "eta"}]}``, solved point by point."""
+    points = doc.get("points", [])
+    return phase_decoration(
+        [str(p["id"]) for p in points],
+        GaussianScalar.from_json_dict(doc["theta"]),
+        [GaussianScalar.from_json_dict(p["eta"]) for p in points],
+    )
+
+
+def scenario_from_dict(doc) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ValueError("scenario document must be a JSON object")
     for key in ("branch1", "branch2"):
         if key not in doc:
             raise ValueError(f"scenario is missing field {key!r}")
@@ -88,39 +103,32 @@ def scenario_from_dict(doc: dict) -> Scenario:
         for s in doc.get("surfaces", [])
     )
 
-    decoration = None
-    if "decoration" in doc:
-        dec = doc["decoration"]
-        decoration = DecorationRequest(
-            theta_unit=GaussianScalar.from_json_dict(dec["theta"]),
-            point_ids=tuple(str(p["id"]) for p in dec.get("points", [])),
-            eta_choices=tuple(
-                GaussianScalar.from_json_dict(p["eta"]) for p in dec.get("points", [])
-            ),
-        )
-
     return Scenario(
         geometry=geometry,
         bundles=tuple(bundles),
         polarization=polarization,
         surfaces=surfaces,
-        decoration=decoration,
+        decoration=decoration_from_dict(doc["decoration"]) if "decoration" in doc else None,
         assumption_def=bool(doc.get("assumption_DEF", False)),
-        source=doc,
     )
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text(encoding="utf-8")
+def read_json(path: str | Path, decode: Callable):
+    """Decode the JSON file at ``path``; a bad document raises a ``ValueError`` naming it."""
     try:
-        doc = json.loads(text)
+        return decode(json.loads(Path(path).read_text(encoding="utf-8")))
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: scenario document must be a JSON object")
-    return scenario_from_dict(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (ValueError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return read_json(path, scenario_from_dict)
 
 
 def default_scenario() -> Scenario:

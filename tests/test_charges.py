@@ -185,6 +185,13 @@ def _bundle(geometry, c2_first, c2_second, trivial=False, h2=(0, 0)):
     )
 
 
+@pytest.mark.parametrize("h2", [(), (0,), (0, 0, 0)])
+def test_h2_end_needs_one_dimension_per_branch(geometry, h2):
+    zero1, zero2 = geometry.branch1.ring.zero(), geometry.branch2.ring.zero()
+    with pytest.raises(ValueError, match="h2_end needs one obstruction dimension per branch"):
+        _bundle(geometry, zero1, zero2, trivial=True, h2=h2)
+
+
 def test_worked_example_charge_is_one(geometry):
     # c2 = f.h2 + j.b on the first branch, zero bundle data on the second;
     # polarization f.h completed on the second branch to a matched pair

@@ -167,3 +167,23 @@ def test_inline_ring_branch(tmp_path):
     code, out = run(["--json", "--scenario", str(path), "equalizer"])
     assert code == 0
     assert json.loads(out)["results"]["ranks"] == [1, 2, 3, 2]
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["surfaces", "--dmax", "201"], "--dmax must lie in 1..200"),
+        (["surfaces", "--dmax", "-1"], "--dmax must lie in 1..200"),
+        (["real", "--samples", "10001"], "--samples must lie in 0..10000"),
+        (["real", "--samples", "-1"], "--samples must lie in 0..10000"),
+    ],
+    ids=["dmax-above", "dmax-negative", "samples-above", "samples-negative"],
+)
+def test_work_flags_out_of_bounds_are_refused_before_any_work(argv, bound, monkeypatch):
+    def no_work():
+        raise AssertionError("an out-of-range flag reached the scenario build")
+
+    monkeypatch.setattr("twistor_pushout.cli.default_scenario", no_work)
+    code, out = run(argv)
+    assert code == 2
+    assert out.startswith(f"error: {bound}, got {argv[-1]}")
