@@ -464,7 +464,8 @@ def cmd_real(scenario: Scenario, args) -> Report:
 # -- entry point ------------------------------------------------------------------
 
 
-# flags that buy work are bounded: surfaces does 4 * dmax**2 glue checks
+# flags that buy work are bounded: surfaces compares 4 * dmax**2 pairs of traces,
+# and real needs at least one sample for its sampled identities to mean anything
 DMAX_BOUND, SAMPLES_BOUND = 200, 10_000
 
 
@@ -525,7 +526,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, execute one command, and return (exit code, output)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, low, high in (("dmax", 1, DMAX_BOUND), ("samples", 0, SAMPLES_BOUND)):
+    for flag, low, high in (("dmax", 1, DMAX_BOUND), ("samples", 1, SAMPLES_BOUND)):
         if not low <= getattr(args, flag, low) <= high:
             return 2, f"error: --{flag} must lie in {low}..{high}, got {getattr(args, flag)}"
     path = args.scenario or args.scenario_path

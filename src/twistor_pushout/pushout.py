@@ -545,17 +545,49 @@ def brute_force_matched_lattice(
     geometry: PushoutPair, degree: int, bound: int = 3
 ) -> list[Vector]:
     """Canonical basis of the lattice generated by all matched pairs with
-    coefficients in [-bound, bound]; an independent oracle for the kernel."""
+    coefficients in [-bound, bound]; an independent oracle for the kernel.
+
+    It reads only the matching matrix, never the equalizer's kernel lattices.
+    """
+    n = geometry.branch1.ring.rank(degree) + geometry.branch2.ring.rank(degree)
+    return _matched_lattice_in_box(geometry.matching_matrix(degree), n, bound)
+
+
+def _matched_lattice_in_box(matrix: list[list[int]], n: int, bound: int) -> list[Vector]:
+    """Hermite basis of the lattice spanned by the solutions of ``matrix @ v = 0``
+    in the box [-bound, bound]^n, found by meet in the middle.
+
+    Split v = (x, y) into a left and a right half and bucket x by A_L x and y by
+    -A_R y.  A bucket with left set L and right set R holds exactly the
+    solutions L x R, and with x0 in L, y0 in R,
+
+        (x, y) = (x0, y0) + (x - x0, 0) + (0, y - y0),
+        (x - x0, 0) = (x, y0) - (x0, y0),  (0, y - y0) = (x0, y) - (x0, y0),
+
+    so the |L| + |R| - 1 rows (x0, y0), (x - x0, 0) and (0, y - y0) span the same
+    lattice as the |L| |R| solutions.  The Hermite form is canonical, so the
+    result is the basis of the span of every solution in the box.
+    """
     from itertools import product as iter_product
 
-    n1 = geometry.branch1.ring.rank(degree)
-    n2 = geometry.branch2.ring.rank(degree)
-    matrix = geometry.matching_matrix(degree)
-    solutions = []
-    for coeffs in iter_product(range(-bound, bound + 1), repeat=n1 + n2):
-        if not matrix:
-            solutions.append(coeffs)
+    half = n // 2
+    box = range(-bound, bound + 1)
+    left_rows = [row[:half] for row in matrix]
+    right_rows = [row[half:] for row in matrix]
+    lefts: dict[Vector, list[Vector]] = {}
+    for x in iter_product(box, repeat=half):
+        lefts.setdefault(tuple(dot(row, x) for row in left_rows), []).append(x)
+    rights: dict[Vector, list[Vector]] = {}
+    for y in iter_product(box, repeat=n - half):
+        rights.setdefault(tuple(-dot(row, y) for row in right_rows), []).append(y)
+    zero_x, zero_y = (0,) * half, (0,) * (n - half)
+    generators = []
+    for value, xs in lefts.items():
+        ys = rights.get(value)
+        if ys is None:
             continue
-        if all(sum(r * c for r, c in zip(row, coeffs)) == 0 for row in matrix):
-            solutions.append(coeffs)
-    return hermite_row_basis(solutions)
+        x0, y0 = xs[0], ys[0]
+        generators.append(x0 + y0)
+        generators.extend(tuple(a - b for a, b in zip(x, x0)) + zero_y for x in xs[1:])
+        generators.extend(zero_x + tuple(a - b for a, b in zip(y, y0)) for y in ys[1:])
+    return hermite_row_basis(generators)

@@ -46,12 +46,25 @@ def _load_branch(doc) -> BlownUpChow:
     return blow_up(twistor_base_from_json_dict(doc))
 
 
+def _integer(value, what: str) -> int:
+    # a float or a boolean is refused, not truncated or read as 0/1
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _integers(values, what: str) -> list[int]:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{what} must be a list of integers, got {json.dumps(values)}")
+    return values
+
+
 def _element_pair(geometry: PushoutPair, doc, degree: int) -> ComponentPair:
     if not isinstance(doc, dict) or "branch1" not in doc or "branch2" not in doc:
         raise ValueError("a class pair needs branch1 and branch2 coefficient vectors")
     return ComponentPair(
-        geometry.branch1.ring.homogeneous(degree, doc["branch1"]),
-        geometry.branch2.ring.homogeneous(degree, doc["branch2"]),
+        geometry.branch1.ring.homogeneous(degree, _integers(doc["branch1"], "branch1")),
+        geometry.branch2.ring.homogeneous(degree, _integers(doc["branch2"], "branch2")),
     )
 
 
@@ -59,7 +72,7 @@ def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
     """A membership query ``{"degree", "branch1", "branch2"}``: its degree and pair."""
     if not isinstance(doc, dict) or "degree" not in doc:
         raise ValueError("a member query needs a degree and branch1/branch2 vectors")
-    degree = int(doc["degree"])
+    degree = _integer(doc["degree"], "member degree")
     return degree, _element_pair(geometry, doc, degree)
 
 
@@ -86,11 +99,11 @@ def scenario_from_dict(doc) -> Scenario:
         bundles.append(
             GluedBundleData(
                 geometry=geometry,
-                rank=int(block.get("rank", 2)),
+                rank=_integer(block.get("rank", 2), "bundle rank"),
                 c1_pair=_element_pair(geometry, block["c1"], 1),
                 c2_pair=_element_pair(geometry, block["c2"], 2),
                 restriction_to_quadric_trivial=bool(block.get("trivial_on_Q", False)),
-                h2_end_dims=tuple(int(d) for d in block.get("h2_end", (0, 0))),
+                h2_end_dims=tuple(_integers(block.get("h2_end", [0, 0]), "bundle h2_end")),
             )
         )
 
@@ -99,7 +112,7 @@ def scenario_from_dict(doc) -> Scenario:
         polarization = _element_pair(geometry, doc["polarization"], 1)
 
     surfaces = tuple(
-        SurfaceData(int(s["degree"]), bool(s["contains_line"]))
+        SurfaceData(_integer(s["degree"], "surface degree"), bool(s["contains_line"]))
         for s in doc.get("surfaces", [])
     )
 

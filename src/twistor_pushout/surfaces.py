@@ -55,17 +55,26 @@ Configuration = tuple[int, str, int, str]
 
 
 def classify_all(d_max: int) -> list[Configuration]:
-    """All (d1, flag1, d2, flag2) with 1 <= d <= d_max passing the glue check."""
+    """All (d1, flag1, d2, flag2) with 1 <= d <= d_max passing the glue check.
+
+    Each of the 2 * d_max traces is built and swapped once; a pair glues exactly
+    when the swapped first trace has the coefficients of the second, as in
+    :func:`glue_check`.  Pairs come in (d1, flag1, d2, flag2) order.
+    """
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    configs = []
-    for d1 in range(1, d_max + 1):
-        for f1 in (True, False):
-            for d2 in range(1, d_max + 1):
-                for f2 in (True, False):
-                    if glue_check(SurfaceData(d1, f1), SurfaceData(d2, f2)):
-                        configs.append((d1, "in" if f1 else "out", d2, "in" if f2 else "out"))
-    return configs
+    rows = []
+    for d in range(1, d_max + 1):
+        for flag in (True, False):
+            trace = trace_class(SurfaceData(d, flag))
+            swapped = ruling_swap_pushforward(trace)
+            rows.append((d, "in" if flag else "out", trace.element.coeffs, swapped.element.coeffs))
+    return [
+        (d1, f1, d2, f2)
+        for d1, f1, _, swapped in rows
+        for d2, f2, trace, _ in rows
+        if swapped == trace
+    ]
 
 
 def section_degree_over_ruling(surface: SurfaceData) -> int:

@@ -174,10 +174,11 @@ def test_inline_ring_branch(tmp_path):
     [
         (["surfaces", "--dmax", "201"], "--dmax must lie in 1..200"),
         (["surfaces", "--dmax", "-1"], "--dmax must lie in 1..200"),
-        (["real", "--samples", "10001"], "--samples must lie in 0..10000"),
-        (["real", "--samples", "-1"], "--samples must lie in 0..10000"),
+        (["real", "--samples", "10001"], "--samples must lie in 1..10000"),
+        (["real", "--samples", "-1"], "--samples must lie in 1..10000"),
+        (["real", "--samples", "0"], "--samples must lie in 1..10000"),
     ],
-    ids=["dmax-above", "dmax-negative", "samples-above", "samples-negative"],
+    ids=["dmax-above", "dmax-negative", "samples-above", "samples-negative", "samples-zero"],
 )
 def test_work_flags_out_of_bounds_are_refused_before_any_work(argv, bound, monkeypatch):
     def no_work():
@@ -187,3 +188,30 @@ def test_work_flags_out_of_bounds_are_refused_before_any_work(argv, bound, monke
     code, out = run(argv)
     assert code == 2
     assert out.startswith(f"error: {bound}, got {argv[-1]}")
+
+
+def test_inline_ring_above_rank_cap_is_refused_before_any_work(tmp_path, monkeypatch):
+    from twistor_pushout.rings import MAX_DOCUMENT_RANK
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an over-rank ring document reached the table checks")
+
+    rank = MAX_DOCUMENT_RANK + 1
+    doc = {
+        "top_degree": 3,
+        "basis": [["1"], [f"a{i}" for i in range(rank)], ["l"], ["p"]],
+        "mult": [],
+        "degree_functional": [1],
+        "line_class": [1],
+        "twistor_degrees": [0] * rank,
+        "point_class": [1],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"branch1": doc, "branch2": {"builtin": "p3"}}), encoding="utf-8")
+    monkeypatch.setattr("twistor_pushout.rings.GradedRing", no_work)
+    code, out = run(["--scenario", str(path), "equalizer"])
+    assert code == 2
+    assert out == (
+        f"error: {path}: ring document has rank {rank} in degree 1; "
+        f"at most {MAX_DOCUMENT_RANK} is accepted"
+    )

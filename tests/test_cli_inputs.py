@@ -106,6 +106,23 @@ NAMED = {
         MEMBER_ARGV,
     ),
     "member-that-is-a-list": ([1, [0, 1], [0, -1]], MEMBER_ARGV),
+    "member-degree-float": ({"degree": 1.5, "branch1": [0, 1], "branch2": [0, -1]}, MEMBER_ARGV),
+    "member-vector-float-and-bool": (
+        {"degree": 1, "branch1": [0.7, True], "branch2": [0, -1]},
+        MEMBER_ARGV,
+    ),
+    "bundle-rank-float": (
+        mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "rank"), 1.5),
+        ["--scenario", "{}", "charge"],
+    ),
+    "bundle-h2-end-bool": (
+        mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "h2_end"), [True, 0]),
+        ["--scenario", "{}", "charge"],
+    ),
+    "surface-degree-bool": (
+        mutated(_load("scenarios/p3_p3.json"), ("surfaces", 0, "degree"), True),
+        ["--scenario", "{}", "surfaces"],
+    ),
     "decoration-without-theta": (
         mutated(DECORATION, ("theta",), DELETE),
         ["neck", "--decorate", "{}"],

@@ -5,12 +5,15 @@ import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor_pushout.intlin import hermite_row_basis
 from twistor_pushout.pushout import (
     ComponentPair,
     EqualizerRing,
     PushoutPair,
+    _matched_lattice_in_box,
     blow_up,
     brute_force_matched_lattice,
     builtin_base,
@@ -259,6 +262,39 @@ def test_equalizer_matches_brute_force_p3(p3_pair, degree):
 def test_equalizer_matches_brute_force_flag(flag_pair, degree):
     equalizer = flag_pair.equalizer()
     assert brute_force_matched_lattice(flag_pair, degree) == list(equalizer.lattices[degree])
+
+
+def full_box_reference(matrix, n, bound):
+    """Hermite basis of every solution in the box, enumerated point by point."""
+    return hermite_row_basis(
+        v
+        for v in itertools.product(range(-bound, bound + 1), repeat=n)
+        if all(sum(a * b for a, b in zip(row, v)) == 0 for row in matrix)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=2),
+            st.integers(0, 3),
+        )
+    )
+)
+def test_meet_in_the_middle_oracle_matches_full_box(case):
+    n, matrix, bound = case
+    assert _matched_lattice_in_box(matrix, n, bound) == full_box_reference(matrix, n, bound)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", ["p3_pair", "flag_pair"])
+def test_oracle_matches_full_box_on_shipped_geometries(name, degree, request):
+    geometry = request.getfixturevalue(name)
+    n = geometry.branch1.ring.rank(degree) + geometry.branch2.ring.rank(degree)
+    reference = full_box_reference(geometry.matching_matrix(degree), n, 3)
+    assert brute_force_matched_lattice(geometry, degree) == reference
 
 
 def test_equalizer_product_closure(p3_pair, flag_pair):

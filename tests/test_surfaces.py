@@ -51,6 +51,23 @@ def test_classification_independent_of_bound():
         assert set(classify_all(bound)) == reference
 
 
+def test_classification_equals_pairwise_glue_checks():
+    surfaces = [SurfaceData(d, flag) for d in range(1, 61) for flag in (True, False)]
+    glues = {(s1, s2): glue_check(s1, s2) for s1 in surfaces for s2 in surfaces}
+
+    def label(s):
+        return "in" if s.contains_line else "out"
+
+    for d_max in range(1, 61):
+        first = surfaces[: 2 * d_max]
+        assert classify_all(d_max) == [
+            (s1.twistor_degree, label(s1), s2.twistor_degree, label(s2))
+            for s1 in first
+            for s2 in first
+            if glues[s1, s2]
+        ]
+
+
 def test_no_double_out_configuration():
     assert not [row for row in classify_all(30) if row[1] == "out" and row[3] == "out"]
 
