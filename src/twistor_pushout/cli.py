@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -230,9 +231,10 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
     report = Report("surfaces", {"dmax": args.dmax, "pair": args.pair})
     if args.pair:
         d1, f1, d2, f2 = args.pair
-        for flag in (f1, f2):
-            if flag not in ("in", "out"):
-                raise ValueError(f"containment flag must be 'in' or 'out', got {flag!r}")
+        integers = all(d.removeprefix("-").isdecimal() for d in (d1, d2))
+        if not integers or not {f1, f2} <= {"in", "out"}:
+            shape = "D1 IN1 D2 IN2, an integer degree then in or out for each surface"
+            raise ValueError(f"--pair takes {shape}, got {' '.join(args.pair)!r}")
         s1 = SurfaceData(int(d1), f1 == "in")
         s2 = SurfaceData(int(d2), f2 == "in")
         ok = glue_check(s1, s2)
@@ -541,7 +543,11 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def main() -> None:
     code, output = run(sys.argv[1:])
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe: devnull keeps the flush at exit from raising (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(code)
 
 

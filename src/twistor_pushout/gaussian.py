@@ -130,21 +130,9 @@ class GaussianScalar:
             "im_den": self.im.denominator,
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "GaussianScalar":
-        return cls(
-            Fraction(int(doc["re_num"]), int(doc["re_den"])),
-            Fraction(int(doc["im_num"]), int(doc["im_den"])),
-        )
-
     def to_string_pairs(self) -> list[list[str]]:
         """[[re_num, re_den], [im_num, im_den]] as strings, for exact interchange."""
         return [
             [str(self.re.numerator), str(self.re.denominator)],
             [str(self.im.numerator), str(self.im.denominator)],
         ]
-
-    @classmethod
-    def from_string_pairs(cls, doc) -> "GaussianScalar":
-        (rn, rd), (im_n, im_d) = doc
-        return cls(Fraction(int(rn), int(rd)), Fraction(int(im_n), int(im_d)))

@@ -206,10 +206,10 @@ def phase_decoration(
     eta_choices: list[GaussianScalar],
 ) -> PhaseDecoration:
     """Decorate each listed point with the phase pair solved from its eta."""
-    if len(point_ids) != len(eta_choices):
-        raise ValueError("need exactly one eta per point")
+    if not theta_unit.is_unit() or len(point_ids) != len(eta_choices):
+        raise ValueError("need a unit theta and exactly one eta per point")
     pairs = tuple(
-        (str(point_id), phase_solve(theta_unit, eta))
+        (point_id, phase_solve(theta_unit, eta))
         for point_id, eta in zip(point_ids, eta_choices)
     )
     return PhaseDecoration(theta_unit, pairs)

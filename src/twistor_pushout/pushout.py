@@ -40,7 +40,6 @@ from .rings import (
     RingElement,
     RingMismatchError,
     coordinate_columns,
-    ring_from_json_dict,
 )
 
 TWISTOR_TOP = 3
@@ -90,19 +89,6 @@ class TwistorChow:
         doc["twistor_degrees"] = list(self.twistor_degrees)
         doc["point_class"] = list(self.point_class.degree_part(TWISTOR_TOP))
         return doc
-
-
-def twistor_base_from_json_dict(doc: dict) -> TwistorChow:
-    ring = ring_from_json_dict(doc)
-    for key in ("line_class", "twistor_degrees", "point_class"):
-        if key not in doc:
-            raise ValueError(f"twistor base document is missing field {key!r}")
-    return TwistorChow(
-        ring=ring,
-        line_class=ring.homogeneous(2, doc["line_class"]),
-        twistor_degrees=tuple(int(d) for d in doc["twistor_degrees"]),
-        point_class=ring.homogeneous(TWISTOR_TOP, doc["point_class"]),
-    )
 
 
 def projective_space_base() -> TwistorChow:

@@ -61,14 +61,6 @@ class QuadricPoint:
             [c.to_string_pairs() for c in self.w],
         ]
 
-    @classmethod
-    def from_json(cls, doc) -> "QuadricPoint":
-        (z0, z1), (w0, w1) = doc
-        return cls(
-            (GaussianScalar.from_string_pairs(z0), GaussianScalar.from_string_pairs(z1)),
-            (GaussianScalar.from_string_pairs(w0), GaussianScalar.from_string_pairs(w1)),
-        )
-
 
 def point(z0, z1, w0, w1) -> QuadricPoint:
     """Convenience constructor taking anything GaussianScalar.of accepts."""
@@ -114,10 +106,6 @@ class Section11:
 
     def to_json(self) -> list:
         return [c.to_string_pairs() for c in self.coefficients()]
-
-    @classmethod
-    def from_json(cls, doc) -> "Section11":
-        return cls(*(GaussianScalar.from_string_pairs(c) for c in doc))
 
 
 def section(a, b, c, d) -> Section11:

@@ -82,7 +82,7 @@ class GradedRing:
         if len(basis_labels) != top_degree + 1:
             raise ValueError("need one label list per degree 0..top_degree")
         self.top_degree = top_degree
-        self.basis_labels = tuple(tuple(str(s) for s in labels) for labels in basis_labels)
+        self.basis_labels = tuple(tuple(labels) for labels in basis_labels)
         if len(self.basis_labels[0]) != 1:
             raise ValueError("degree 0 must have rank one (the unit)")
         self.name = name
@@ -294,39 +294,6 @@ def coordinate_columns(table: Sequence[Sequence[Vector]], length: int) -> list[l
     return [[tuple(vec[k] for vec in row) for k in range(length)] for row in table]
 
 
-# A document buys work at least cubic in its rank.  The synthetic benchmark
-# family peaks at rank 19; from a rank-40 pair, ring-show takes about 5 s and
-# equalizer about 9 s on a 2-vCPU VM (rank 64: 36 s and 67 s).
-MAX_DOCUMENT_RANK = 40
-
-
-def ring_from_json_dict(doc: Mapping) -> GradedRing:
-    """Decode a ring document, refusing a rank above ``MAX_DOCUMENT_RANK`` before any check."""
-    try:
-        top = int(doc["top_degree"])
-        basis = doc["basis"]
-        mult = doc.get("mult", [])
-    except KeyError as exc:
-        raise ValueError(f"ring document is missing field {exc}") from exc
-    for degree, labels in enumerate(basis):
-        if len(labels) > MAX_DOCUMENT_RANK:
-            raise ValueError(
-                f"ring document has rank {len(labels)} in degree {degree}; "
-                f"at most {MAX_DOCUMENT_RANK} is accepted"
-            )
-    products: dict[TableKey, Sequence[int]] = {}
-    for entry in mult:
-        key = (int(entry["d1"]), int(entry["i1"]), int(entry["d2"]), int(entry["i2"]))
-        products[key] = entry["out"]
-    return GradedRing(
-        top,
-        basis,
-        products,
-        degree_functional=doc.get("degree_functional"),
-        name=str(doc.get("name", "")),
-    )
-
-
 @dataclass(frozen=True)
 class RingElement:
     """An element of a :class:`GradedRing`, one integer vector per degree."""
@@ -525,18 +492,6 @@ class GradedMap:
             "is_ring_hom": self.is_ring_hom,
             "name": self.name,
         }
-
-
-def map_from_json_dict(source: GradedRing, target: GradedRing, doc: Mapping) -> GradedMap:
-    matrices = {int(d): rows for d, rows in doc.get("matrices", {}).items()}
-    return GradedMap(
-        source,
-        target,
-        int(doc.get("shift", 0)),
-        matrices,
-        is_ring_hom=bool(doc.get("is_ring_hom", False)),
-        name=str(doc.get("name", "")),
-    )
 
 
 def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:

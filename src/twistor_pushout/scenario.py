@@ -5,6 +5,10 @@ and may carry bundle blocks, a polarization pair, a surface list, a phase
 decoration, and the deformation-assumption flag that decides whether
 charge outputs may be labelled as smooth-fibre charges.  This module also
 decodes the CLI's ``--member`` and ``--decorate`` files; it reads every input.
+
+Decoding is strict: an integer is a JSON integer (not a float, string or ``true``), a
+flag a boolean, a label, id or name a string, and a vector has its declared length.
+A refusal names the JSON path: ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 """
 
 from __future__ import annotations
@@ -12,20 +16,28 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from .charges import GluedBundleData
 from .gaussian import GaussianScalar
 from .neck import PhaseDecoration, phase_decoration
 from .pushout import (
-    BlownUpChow,
+    TWISTOR_TOP,
     ComponentPair,
     PushoutPair,
+    TwistorChow,
     blow_up,
     builtin_base,
-    twistor_base_from_json_dict,
 )
+from .rings import GradedRing
 from .surfaces import SurfaceData
+
+# A document buys work at least cubic in its rank.  The synthetic benchmark
+# family peaks at rank 19; from a rank-40 pair, ring-show takes about 5 s and
+# equalizer about 9 s on a 2-vCPU VM (rank 64: 36 s and 67 s).
+MAX_DOCUMENT_RANK = 40
 
 
 @dataclass(frozen=True)
@@ -38,91 +50,156 @@ class Scenario:
     assumption_def: bool = False
 
 
-def _load_branch(doc) -> BlownUpChow:
-    if not isinstance(doc, dict):
-        raise ValueError("branch specification must be an object")
-    if "builtin" in doc:
-        return blow_up(builtin_base(str(doc["builtin"])))
-    return blow_up(twistor_base_from_json_dict(doc))
+_KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
 
 
-def _integer(value, what: str) -> int:
-    # a float or a boolean is refused, not truncated or read as 0/1
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
-    return value
+class _Json:
+    """A value in a JSON document and its path there, such as ``branch1.mult[3].out[1]``."""
+
+    def __init__(self, value, path: str = "") -> None:
+        self.value, self.path = value, path
+
+    @classmethod
+    def of(cls, doc) -> "_Json":
+        return doc if isinstance(doc, cls) else cls(doc)
+
+    def refuse(self, expected: str) -> NoReturn:
+        got = json.dumps(self.value)
+        got = got if len(got) <= 40 else got[:36] + " ..."
+        raise ValueError(f"{self.path or 'the document'} must be {expected}, got {got}")
+
+    def read(self, kind: type, span: range | None = None):
+        """The value, if its type is exactly ``kind`` (a bool is no int) and it lies in ``span``."""
+        if type(self.value) is not kind:
+            self.refuse(_KINDS[kind])
+        if span is not None and self.value not in span:
+            self.refuse(f"an integer in {span[0]}..{span[-1]}" if len(span) > 1 else f"{span[0]}")
+        return self.value
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.read(dict)
+
+    def __getitem__(self, key: str) -> "_Json":
+        if key not in self:
+            raise ValueError(f"{self.path or 'the document'} is missing field {key!r}")
+        return _Json(self.value[key], f"{self.path}.{key}" if self.path else key)
+
+    def get(self, key: str, default) -> "_Json":
+        return self[key] if key in self else _Json(default)
+
+    def items(self, length: int | None = None) -> list["_Json"]:
+        values = self.read(list)
+        if length is not None and len(values) != length:
+            self.refuse(f"a list of length {length}")
+        return [_Json(value, f"{self.path}[{i}]") for i, value in enumerate(values)]
+
+    def integers(self, length: int | None) -> list[int]:
+        return [item.read(int) for item in self.items(length)]
 
 
-def _integers(values, what: str) -> list[int]:
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
-        raise ValueError(f"{what} must be a list of integers, got {json.dumps(values)}")
-    return values
+def ring_from_dict(doc) -> GradedRing:
+    """A ring document: ``top_degree``, one ``basis`` label list per degree, ``mult``
+    entries ``{"d1", "i1", "d2", "i2", "out"}``, optional ``degree_functional`` and
+    ``name``.  A rank above ``MAX_DOCUMENT_RANK`` is refused before any table is built."""
+    doc = _Json.of(doc)
+    top = doc["top_degree"].read(int)
+    basis = []
+    for degree, degree_labels in enumerate(doc["basis"].items(top + 1)):
+        labels = degree_labels.items()
+        if len(labels) > MAX_DOCUMENT_RANK:
+            raise ValueError(
+                f"ring document has rank {len(labels)} in degree {degree}; "
+                f"at most {MAX_DOCUMENT_RANK} is accepted"
+            )
+        basis.append([label.read(str) for label in labels])
+    products = {}
+    for entry in doc.get("mult", []).items():
+        key = tuple(entry[k].read(int) for k in ("d1", "i1", "d2", "i2"))
+        if key in products:
+            raise ValueError(f"{entry.path} repeats the product {key}")
+        d = key[0] + key[2]  # above the top degree, GradedRing checks that the product is zero
+        products[key] = entry["out"].integers(len(basis[d]) if 0 <= d <= top else None)
+    functional = None
+    if "degree_functional" in doc:
+        functional = doc["degree_functional"].integers(len(basis[top]))
+    return GradedRing(top, basis, products, functional, name=doc.get("name", "").read(str))
 
 
-def _element_pair(geometry: PushoutPair, doc, degree: int) -> ComponentPair:
-    if not isinstance(doc, dict) or "branch1" not in doc or "branch2" not in doc:
-        raise ValueError("a class pair needs branch1 and branch2 coefficient vectors")
-    return ComponentPair(
-        geometry.branch1.ring.homogeneous(degree, _integers(doc["branch1"], "branch1")),
-        geometry.branch2.ring.homogeneous(degree, _integers(doc["branch2"], "branch2")),
+def twistor_base_from_dict(doc) -> TwistorChow:
+    """A top-degree-3 ring document plus ``line_class``, ``twistor_degrees`` and ``point_class``."""
+    doc = _Json.of(doc)
+    top = doc["top_degree"].read(int, range(TWISTOR_TOP, TWISTOR_TOP + 1))  # before any cubic check
+    ring = ring_from_dict(doc)
+    return TwistorChow(
+        ring=ring,
+        line_class=ring.homogeneous(2, doc["line_class"].integers(ring.rank(2))),
+        twistor_degrees=tuple(doc["twistor_degrees"].integers(ring.rank(1))),
+        point_class=ring.homogeneous(top, doc["point_class"].integers(ring.rank(top))),
     )
+
+
+def _pair(geometry: PushoutPair, doc: _Json, degree: int) -> ComponentPair:
+    return ComponentPair(*(
+        blown.ring.homogeneous(degree, doc[key].integers(blown.ring.rank(degree)))
+        for key, blown in (("branch1", geometry.branch1), ("branch2", geometry.branch2))
+    ))
 
 
 def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
     """A membership query ``{"degree", "branch1", "branch2"}``: its degree and pair."""
-    if not isinstance(doc, dict) or "degree" not in doc:
-        raise ValueError("a member query needs a degree and branch1/branch2 vectors")
-    degree = _integer(doc["degree"], "member degree")
-    return degree, _element_pair(geometry, doc, degree)
+    doc = _Json.of(doc)
+    degree = doc["degree"].read(int, range(TWISTOR_TOP + 1))
+    return degree, _pair(geometry, doc, degree)
+
+
+def scalar_from_dict(doc) -> GaussianScalar:
+    """A Gaussian rational ``{"re_num", "re_den", "im_num", "im_den"}``."""
+    doc = _Json.of(doc)
+    for denominator in (doc["re_den"], doc["im_den"]):
+        if denominator.read(int) == 0:
+            denominator.refuse("a nonzero integer")
+    re, im = (Fraction(doc[f"{p}_num"].read(int), doc[f"{p}_den"].value) for p in ("re", "im"))
+    return GaussianScalar(re, im)
 
 
 def decoration_from_dict(doc) -> PhaseDecoration:
     """A phase decoration ``{"theta", "points": [{"id", "eta"}]}``, solved point by point."""
-    points = doc.get("points", [])
+    doc = _Json.of(doc)
+    points = doc.get("points", []).items()
     return phase_decoration(
-        [str(p["id"]) for p in points],
-        GaussianScalar.from_json_dict(doc["theta"]),
-        [GaussianScalar.from_json_dict(p["eta"]) for p in points],
+        [p["id"].read(str) for p in points],
+        scalar_from_dict(doc["theta"]),
+        [scalar_from_dict(p["eta"]) for p in points],
     )
 
 
 def scenario_from_dict(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ValueError("scenario document must be a JSON object")
-    for key in ("branch1", "branch2"):
-        if key not in doc:
-            raise ValueError(f"scenario is missing field {key!r}")
-    geometry = PushoutPair(_load_branch(doc["branch1"]), _load_branch(doc["branch2"]))
-
-    bundles = []
-    for block in doc.get("bundles", []):
-        bundles.append(
-            GluedBundleData(
-                geometry=geometry,
-                rank=_integer(block.get("rank", 2), "bundle rank"),
-                c1_pair=_element_pair(geometry, block["c1"], 1),
-                c2_pair=_element_pair(geometry, block["c2"], 2),
-                restriction_to_quadric_trivial=bool(block.get("trivial_on_Q", False)),
-                h2_end_dims=tuple(_integers(block.get("h2_end", [0, 0]), "bundle h2_end")),
-            )
-        )
-
-    polarization = None
-    if "polarization" in doc:
-        polarization = _element_pair(geometry, doc["polarization"], 1)
-
-    surfaces = tuple(
-        SurfaceData(_integer(s["degree"], "surface degree"), bool(s["contains_line"]))
-        for s in doc.get("surfaces", [])
-    )
-
+    doc = _Json.of(doc)
+    bases = [
+        builtin_base(b["builtin"].read(str)) if "builtin" in b else twistor_base_from_dict(b)
+        for b in (doc["branch1"], doc["branch2"])
+    ]
+    geometry = PushoutPair(*map(blow_up, bases))
     return Scenario(
         geometry=geometry,
-        bundles=tuple(bundles),
-        polarization=polarization,
-        surfaces=surfaces,
+        bundles=tuple(
+            GluedBundleData(
+                geometry=geometry,
+                rank=block.get("rank", 2).read(int),
+                c1_pair=_pair(geometry, block["c1"], 1),
+                c2_pair=_pair(geometry, block["c2"], 2),
+                restriction_to_quadric_trivial=block.get("trivial_on_Q", False).read(bool),
+                h2_end_dims=tuple(block.get("h2_end", [0, 0]).integers(2)),
+            )
+            for block in doc.get("bundles", []).items()
+        ),
+        polarization=_pair(geometry, doc["polarization"], 1) if "polarization" in doc else None,
+        surfaces=tuple(
+            SurfaceData(s["degree"].read(int), s["contains_line"].read(bool))
+            for s in doc.get("surfaces", []).items()
+        ),
         decoration=decoration_from_dict(doc["decoration"]) if "decoration" in doc else None,
-        assumption_def=bool(doc.get("assumption_DEF", False)),
+        assumption_def=doc.get("assumption_DEF", False).read(bool),
     )
 
 
@@ -134,9 +211,7 @@ def read_json(path: str | Path, decode: Callable):
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
-    except (ValueError, TypeError, IndexError, AttributeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

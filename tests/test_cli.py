@@ -1,6 +1,9 @@
 """Command-line behaviour: determinism, exit codes, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,6 +126,16 @@ def test_surfaces_pair_mode():
     assert "swapped_trace1" in doc["results"]["pair"]
 
 
+@pytest.mark.parametrize("pair", [["1.5", "in", "1", "out"], ["1", "in", "1", "maybe"]])
+def test_surfaces_pair_refusal_names_the_flag_and_its_shape(pair):
+    code, out = run(["surfaces", "--pair", *pair])
+    assert code == 2
+    assert out == (
+        "error: --pair takes D1 IN1 D2 IN2, an integer degree then in or out for each "
+        f"surface, got {' '.join(pair)!r}"
+    )
+
+
 def test_neck_character_flag():
     code, out = run(["--json", "neck", "--character", "1", "-1"])
     assert code == 0
@@ -191,7 +204,7 @@ def test_work_flags_out_of_bounds_are_refused_before_any_work(argv, bound, monke
 
 
 def test_inline_ring_above_rank_cap_is_refused_before_any_work(tmp_path, monkeypatch):
-    from twistor_pushout.rings import MAX_DOCUMENT_RANK
+    from twistor_pushout.scenario import MAX_DOCUMENT_RANK
 
     def no_work(*args, **kwargs):
         raise AssertionError("an over-rank ring document reached the table checks")
@@ -208,10 +221,27 @@ def test_inline_ring_above_rank_cap_is_refused_before_any_work(tmp_path, monkeyp
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"branch1": doc, "branch2": {"builtin": "p3"}}), encoding="utf-8")
-    monkeypatch.setattr("twistor_pushout.rings.GradedRing", no_work)
+    monkeypatch.setattr("twistor_pushout.scenario.GradedRing", no_work)
     code, out = run(["--scenario", str(path), "equalizer"])
     assert code == 2
     assert out == (
         f"error: {path}: ring document has rank {rank} in degree 1; "
         f"at most {MAX_DOCUMENT_RANK} is accepted"
     )
+
+
+def test_closed_stdout_ends_with_the_verdict_and_no_traceback():
+    # the reader goes away before the report is written, as with `| head -c 10`
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "twistor_pushout", "--json", "real"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in stderr, stderr.decode()

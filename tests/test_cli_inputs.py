@@ -5,6 +5,10 @@ or replaced with ``null``, ``"x"``, ``[]``, ``{}`` or ``0``.  To keep the run
 short, only the first element of each list is mutated (the others have the
 same shape), and the dense synthetic scenario gets the deletion plus one
 replacement per value, cycling through the replacements.
+
+On the same paths, every integer, boolean or string value replaced by one of
+the wrong JSON type exits 2 with an error naming the file and that path, and
+named malformed inputs exit 2 with their exact error line.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from twistor_pushout.cli import run
+from twistor_pushout.pushout import projective_space_base
 
 ROOT = Path(__file__).resolve().parent.parent
 P3_P3 = ROOT / "scenarios" / "p3_p3.json"
@@ -95,46 +100,167 @@ def test_mutated_input_never_raises(name, tmp_path):
 
 
 MEMBER_ARGV = ["--scenario", str(P3_P3), "equalizer", "--member", "{}"]
-# case -> (document, argv running it at {})
+SCENARIO_ARGV = ["--scenario", "{}", "charge"]
+# p3_p3.json with branch1 written out as an inline ring document
+INLINE_P3 = {**_load("scenarios/p3_p3.json"), "branch1": projective_space_base().to_json_dict()}
+# case -> (document, argv running it at {}, the error after "error: <file>: ")
 NAMED = {
     "bundle-without-c1": (
         mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "c1"), DELETE),
-        ["--scenario", "{}", "charge"],
+        SCENARIO_ARGV,
+        "bundles[0] is missing field 'c1'",
     ),
     "member-without-branch1": (
         mutated(_load("tests/data/member_p3.json"), ("branch1",), DELETE),
         MEMBER_ARGV,
+        "the document is missing field 'branch1'",
     ),
-    "member-that-is-a-list": ([1, [0, 1], [0, -1]], MEMBER_ARGV),
-    "member-degree-float": ({"degree": 1.5, "branch1": [0, 1], "branch2": [0, -1]}, MEMBER_ARGV),
+    "member-that-is-a-list": (
+        [1, [0, 1], [0, -1]],
+        MEMBER_ARGV,
+        "the document must be an object, got [1, [0, 1], [0, -1]]",
+    ),
+    "member-degree-float": (
+        {"degree": 1.5, "branch1": [0, 1], "branch2": [0, -1]},
+        MEMBER_ARGV,
+        "degree must be an integer, got 1.5",
+    ),
+    "member-degree-above-top": (
+        {"degree": 7, "branch1": [], "branch2": []},
+        MEMBER_ARGV,
+        "degree must be an integer in 0..3, got 7",
+    ),
     "member-vector-float-and-bool": (
         {"degree": 1, "branch1": [0.7, True], "branch2": [0, -1]},
         MEMBER_ARGV,
+        "branch1[0] must be an integer, got 0.7",
+    ),
+    "member-vector-too-short": (
+        {"degree": 1, "branch1": [0], "branch2": [0, -1]},
+        MEMBER_ARGV,
+        "branch1 must be a list of length 2, got [0]",
     ),
     "bundle-rank-float": (
         mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "rank"), 1.5),
-        ["--scenario", "{}", "charge"],
+        SCENARIO_ARGV,
+        "bundles[0].rank must be an integer, got 1.5",
     ),
     "bundle-h2-end-bool": (
         mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "h2_end"), [True, 0]),
-        ["--scenario", "{}", "charge"],
+        SCENARIO_ARGV,
+        "bundles[0].h2_end[0] must be an integer, got true",
     ),
     "surface-degree-bool": (
         mutated(_load("scenarios/p3_p3.json"), ("surfaces", 0, "degree"), True),
         ["--scenario", "{}", "surfaces"],
+        "surfaces[0].degree must be an integer, got true",
+    ),
+    "assumption-def-string": (
+        mutated(_load("scenarios/flag_flag.json"), ("assumption_DEF",), "false"),
+        SCENARIO_ARGV,
+        'assumption_DEF must be a boolean, got "false"',
+    ),
+    "inline-twistor-degrees-and-line-class-float": (
+        mutated(mutated(INLINE_P3, ("branch1", "twistor_degrees"), [1.5]), ("branch1", "line_class"), [1.9]),
+        ["--scenario", "{}", "equalizer"],
+        "branch1.line_class[0] must be an integer, got 1.9",
+    ),
+    "inline-top-degree-float": (
+        mutated(INLINE_P3, ("branch1", "top_degree"), 3.7),
+        SCENARIO_ARGV,
+        "branch1.top_degree must be an integer, got 3.7",
+    ),
+    "inline-top-degree-not-3": (
+        mutated(INLINE_P3, ("branch1", "top_degree"), 120),
+        SCENARIO_ARGV,
+        "branch1.top_degree must be 3, got 120",
+    ),
+    "inline-basis-label-integer": (
+        mutated(INLINE_P3, ("branch1", "basis", 1, 0), 7),
+        SCENARIO_ARGV,
+        "branch1.basis[1][0] must be a string, got 7",
+    ),
+    "inline-mult-output-bool": (
+        mutated(INLINE_P3, ("branch1", "mult", 0, "out", 0), True),
+        SCENARIO_ARGV,
+        "branch1.mult[0].out[0] must be an integer, got true",
+    ),
+    "inline-mult-entry-repeated": (
+        mutated(
+            INLINE_P3,
+            ("branch1", "mult", 1),
+            {"d1": 1, "i1": 0, "d2": 1, "i2": 0, "out": [2]},
+        ),
+        SCENARIO_ARGV,
+        "branch1.mult[1] repeats the product (1, 0, 1, 0)",
     ),
     "decoration-without-theta": (
         mutated(DECORATION, ("theta",), DELETE),
         ["neck", "--decorate", "{}"],
+        "the document is missing field 'theta'",
+    ),
+    "decoration-re-num-float": (
+        mutated(DECORATION, ("theta", "re_num"), 3.9),
+        ["neck", "--decorate", "{}"],
+        "theta.re_num must be an integer, got 3.9",
+    ),
+    "decoration-theta-not-unit-without-points": (
+        {"theta": {"re_num": 1, "re_den": 2, "im_num": 0, "im_den": 1}, "points": []},
+        ["neck", "--decorate", "{}"],
+        "need a unit theta and exactly one eta per point",
+    ),
+    "decoration-zero-denominator": (
+        mutated(DECORATION, ("points", 0, "eta", "im_den"), 0),
+        ["neck", "--decorate", "{}"],
+        "points[0].eta.im_den must be a nonzero integer, got 0",
     ),
 }
 
 
+def _run_at(argv, target):
+    return run([str(target) if arg == "{}" else arg for arg in argv])
+
+
 @pytest.mark.parametrize("case", sorted(NAMED))
 def test_malformed_input_exits_2_naming_the_file(case, tmp_path):
-    doc, argv = NAMED[case]
+    doc, argv, message = NAMED[case]
     target = tmp_path / "input.json"
     target.write_text(json.dumps(doc), encoding="utf-8")
-    code, out = run([str(target) if arg == "{}" else arg for arg in argv])
+    code, out = _run_at(argv, target)
     assert code == 2
-    assert out.startswith(f"error: {target}: "), out
+    assert out == f"error: {target}: {message}"
+
+
+def dotted(path) -> str:
+    """A path as the decoders print it, such as ``branch1.mult[0].out[0]``."""
+    out = ""
+    for key in path:
+        out += f"[{key}]" if isinstance(key, int) else f".{key}" if out else key
+    return out
+
+
+# a leaf's type -> values of a wrong JSON type for it (bool is tested before int)
+WRONG_TYPES = {bool: (0,), int: (1.5, True, "1"), str: (0,)}
+# input name -> (document, argv running it at {})
+TYPED = {
+    "p3_p3-inline": (INLINE_P3, SCENARIO_ARGV),
+    "synthetic_r7": (INPUTS["synthetic_r7"][0], ["--scenario", "{}", "equalizer"]),
+    "decoration": (DECORATION, ["neck", "--decorate", "{}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED))
+def test_wrong_json_type_exits_2_naming_its_path(name, tmp_path):
+    doc, argv = TYPED[name]
+    target = tmp_path / "input.json"
+    bad = []
+    for path in json_paths(doc):
+        leaf = doc
+        for key in path:
+            leaf = leaf[key]
+        for wrong in WRONG_TYPES.get(type(leaf), ()):
+            target.write_text(json.dumps(mutated(doc, path, wrong)), encoding="utf-8")
+            code, out = _run_at(argv, target)
+            if code != 2 or not out.startswith(f"error: {target}: {dotted(path)} "):
+                bad.append(f"{dotted(path)} set to {wrong!r}: exit {code}: {out[:120]!r}")
+    assert not bad, "\n".join(bad)

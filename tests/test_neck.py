@@ -26,6 +26,7 @@ from twistor_pushout.quadric import (
     class_z,
     intersection_number,
 )
+from twistor_pushout.scenario import scalar_from_dict
 
 
 def test_fixed_phase_class():
@@ -187,7 +188,7 @@ def test_decoration_serialization():
     doc = decoration.to_json_dict()
     assert doc["theta"] == {"re_num": 3, "re_den": 5, "im_num": 4, "im_den": 5}
     assert doc["points"][0]["id"] == "p1"
-    assert GaussianScalar.from_json_dict(doc["points"][0]["rho1"]) == theta
+    assert scalar_from_dict(doc["points"][0]["rho1"]) == theta
 
 
 def test_bundle_class_validation():

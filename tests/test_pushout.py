@@ -19,10 +19,10 @@ from twistor_pushout.pushout import (
     builtin_base,
     flag_threefold_base,
     projective_space_base,
-    twistor_base_from_json_dict,
 )
 from twistor_pushout.quadric import QuadricClass, canonical_class
 from twistor_pushout.rings import DegreeError, GradedMap, RingMismatchError, kernel_lattice
+from twistor_pushout.scenario import twistor_base_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +140,7 @@ def test_blow_up_rejects_inconsistent_twistor_degrees():
     doc = base.to_json_dict()
     doc["twistor_degrees"] = [2]
     with pytest.raises(ValueError):
-        twistor_base_from_json_dict(doc)
+        twistor_base_from_dict(doc)
 
 
 def test_builtin_lookup():

@@ -241,8 +241,14 @@ def test_base_locus():
 def test_point_validation_and_json():
     with pytest.raises(ValueError):
         point(0, 0, 1, 0)
-    p = point(1, I, Fraction(1, 2), -1)
-    again = QuadricPoint.from_json(p.to_json())
-    assert again.projectively_equal(p)
-    s = section(1, I, 0, Fraction(2, 3))
-    assert Section11.from_json(s.to_json()) == s
+    # exact [numerator, denominator] string pairs, real part then imaginary part
+    assert point(1, I, Fraction(1, 2), -1).to_json() == [
+        [[["1", "1"], ["0", "1"]], [["0", "1"], ["1", "1"]]],
+        [[["1", "2"], ["0", "1"]], [["-1", "1"], ["0", "1"]]],
+    ]
+    assert section(1, I, 0, Fraction(2, 3)).to_json() == [
+        [["1", "1"], ["0", "1"]],
+        [["0", "1"], ["1", "1"]],
+        [["0", "1"], ["0", "1"]],
+        [["2", "3"], ["0", "1"]],
+    ]

@@ -11,17 +11,21 @@ The checks must accept these rings and the basis change, which is a ring
 isomorphism from the monomial presentation.  After one table entry or one
 matrix entry is perturbed they must report the same first failing triple or
 pair as an oracle that walks the documented order with ``RingElement``
-arithmetic, or accept exactly when the oracle finds no failure.
+arithmetic, or accept exactly when the oracle finds no failure.  Written out
+with ``to_json_dict`` and read back by the scenario decoder, each ring is
+the same ring again.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import combinations_with_replacement
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistor_pushout.rings import GradedMap, GradedRing
+from twistor_pushout.scenario import ring_from_dict
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -201,3 +205,16 @@ def test_ring_hom_check_agrees_with_element_oracle(ring_data, data):
     perturbed[d][row][col] += delta
     expected = _ring_hom_oracle(GradedMap(source, target, 0, perturbed))
     assert _error(lambda: GradedMap(source, target, 0, perturbed, is_ring_hom=True)) == expected
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
+def test_ring_document_decodes_to_the_same_ring(ring_data, data):
+    top, labels, _, dense, _ = ring_data
+    rank = len(labels[top])
+    functional = data.draw(st.none() | st.lists(st.integers(-3, 3), min_size=rank, max_size=rank))
+    ring = GradedRing(top, labels, dense, degree_functional=functional, name=data.draw(st.text(max_size=6)))
+    doc = json.loads(json.dumps(ring.to_json_dict()))
+    again = ring_from_dict(doc)
+    assert again == ring and again.name == ring.name
+    assert again.to_json_dict() == doc

@@ -1,10 +1,10 @@
-"""Table-presented graded rings, their maps, and the JSON interchange format."""
+"""Table-presented graded rings, their maps, and the twistor base JSON document."""
 
 import re
 
 import pytest
 
-from twistor_pushout.pushout import projective_space_base, twistor_base_from_json_dict
+from twistor_pushout.pushout import projective_space_base
 from twistor_pushout.quadric import quadric_ring, ruling_swap_map
 from twistor_pushout.rings import (
     DegreeError,
@@ -13,9 +13,8 @@ from twistor_pushout.rings import (
     RingMismatchError,
     kernel_lattice,
     lattice_membership,
-    map_from_json_dict,
-    ring_from_json_dict,
 )
+from twistor_pushout.scenario import twistor_base_from_dict
 
 
 @pytest.fixture
@@ -94,17 +93,10 @@ def test_degree_functional(quad):
         bare.zero_cycle_degree(bare.one())
 
 
-def test_ring_json_round_trip(quad):
-    doc = quad.to_json_dict()
-    again = ring_from_json_dict(doc)
-    assert again == quad
-    assert again.to_json_dict() == doc
-
-
 def test_twistor_base_json_round_trip():
     base = projective_space_base()
     doc = base.to_json_dict()
-    again = twistor_base_from_json_dict(doc)
+    again = twistor_base_from_dict(doc)
     assert again.ring == base.ring
     assert again.line_class == base.line_class
     assert again.twistor_degrees == base.twistor_degrees
@@ -151,13 +143,6 @@ def test_map_out_of_range_degrees_drop(quad):
     # degree-2 input has nowhere to go; it maps into the zero group
     assert shift.apply(quad.basis_element(2, 0)).is_zero()
     assert shift.apply(quad.basis_element(1, 0)) == quad.basis_element(2, 0)
-
-
-def test_map_json_round_trip(quad):
-    swap = ruling_swap_map(quad)
-    doc = swap.to_json_dict()
-    again = map_from_json_dict(quad, quad, doc)
-    assert again.apply(quad.basis_element(1, 0)) == quad.basis_element(1, 1)
 
 
 def test_kernel_lattice_of_sum_map(quad):
