@@ -161,11 +161,9 @@ def cmd_ring_show(scenario: Scenario, args) -> Report:
                 for i2 in range(ring.rank(d2)):
                     if d1 == d2 and i2 < i1:
                         continue
-                    x = ring.basis_element(d1, i1)
-                    y = ring.basis_element(d2, i2)
+                    product = ring.homogeneous(d1 + d2, ring.table_entry(d1, i1, d2, i2))
                     table.append(
-                        f"{ring.basis_labels[d1][i1]} . {ring.basis_labels[d2][i2]} "
-                        f"= {x * y}"
+                        f"{ring.basis_labels[d1][i1]} . {ring.basis_labels[d2][i2]} = {product}"
                     )
     report.results["products"] = table
 

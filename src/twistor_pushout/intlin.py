@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from operator import mul
 
 Vector = tuple[int, ...]
@@ -29,6 +30,14 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+Support = tuple[Vector, Vector]
+
+
+def support(vec: Sequence[int]) -> Support:
+    """The positions of the nonzero entries of ``vec``, and those entries."""
+    return tuple(compress(range(len(vec)), vec)), tuple(filter(None, vec))
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -120,24 +129,49 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
     return hermite_row_basis(kernel)
 
 
-def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """True iff ``vec`` is an integer combination of the HNF rows ``basis``."""
-    rows = [r for r in basis if any(r)]
-    v = list(vec)
-    if any(len(r) != len(v) for r in rows):
+class SparseLattice:
+    """The nonzero rows of an echelon lattice basis, kept by their nonzero entries.
+
+    Each row is ``(pivot column, pivot value, positions, values)``, where the
+    positions are those of the row's nonzero entries, the pivot included, read
+    from the row itself.  Rows whose pivots do not strictly increase are first
+    brought to Hermite form, so any spanning set gives its own lattice.  Build
+    one per lattice and pass it to :func:`lattice_contains` for every query.
+    """
+
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, basis: Sequence[Sequence[int]]) -> None:
+        rows = [r for r in basis if any(r)]
+        if len({len(r) for r in rows}) > 1:
+            raise ValueError("dimension mismatch")
+        pivots = [_pivot(r) for r in rows]
+        if any(a >= b for a, b in zip(pivots, pivots[1:])):
+            rows = hermite_row_basis(rows)
+            pivots = [_pivot(r) for r in rows]
+        self.ncols = len(rows[0]) if rows else None
+        self.rows = tuple((p, r[p], *support(r)) for p, r in zip(pivots, rows))
+
+
+def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+    """True iff ``vec`` is an integer combination of the rows of ``basis``.
+
+    ``basis`` is a :class:`SparseLattice`, or rows from which one is built on
+    the spot.  Each row is subtracted over its nonzero entries only; in
+    echelon order a pivot entry, once cleared, stays cleared, so ``vec`` is a
+    member exactly when every pivot divides and nothing is left.
+    """
+    lattice = basis if isinstance(basis, SparseLattice) else SparseLattice(basis)
+    if lattice.ncols is not None and len(vec) != lattice.ncols:
         raise ValueError("dimension mismatch")
-    cleared = 0
-    for row in rows:
-        p = _pivot(row)
-        if any(v[cleared:p]):
-            return False
-        cleared = p
+    v = list(vec)
+    for p, piv, positions, values in lattice.rows:
         if v[p]:
-            q, rem = divmod(v[p], row[p])
+            q, rem = divmod(v[p], piv)
             if rem:
                 return False
-            # entries left of the pivot are zero in an echelon row
-            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
+            for k, b in zip(positions, values):
+                v[k] -= q * b
     return not any(v)
 
 

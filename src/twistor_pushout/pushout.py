@@ -24,14 +24,28 @@ products; the (-(b+w)) convention breaks all three.
 Two blown-up branches glue along their quadrics through the ruling swap, and
 the operational classes of the glued space are the pairs whose restrictions
 match; they form, degree by degree, a saturated integer lattice computed by
-an exact kernel, with componentwise product.
+an exact kernel, with componentwise product.  Its product closure is summed
+over the supports of the lattice vectors (the positions of their nonzero
+entries, read from each vector, so nothing is assumed about where they sit),
+and lattice membership walks only the nonzero entries of the Hermite rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
-from .intlin import Vector, dot, hermite_row_basis, kernel_basis, lattice_contains, mat_mul
+from .intlin import (
+    SparseLattice,
+    Support,
+    Vector,
+    dot,
+    hermite_row_basis,
+    kernel_basis,
+    lattice_contains,
+    mat_mul,
+    support,
+)
 from .quadric import _RING, _SWAP, QuadricClass, ruling_swap_map
 from .rings import (
     DegreeError,
@@ -456,11 +470,16 @@ class EqualizerRing:
     Pairs are stored as concatenated coefficient vectors (branch 1 followed by
     branch 2).  The lattices are saturated integer kernels, so membership is
     exact lattice membership, and closure under the componentwise product is a
-    checkable theorem rather than an assumption.
+    checkable theorem rather than an assumption.  Each lattice is also kept as
+    a :class:`SparseLattice`, built once here, for every membership query.
     """
 
     geometry: PushoutPair
     lattices: tuple[tuple[Vector, ...], ...]
+    _members: tuple[SparseLattice, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_members", tuple(SparseLattice(basis) for basis in self.lattices))
 
     def rank(self, degree: int) -> int:
         return len(self.lattices[degree])
@@ -478,12 +497,17 @@ class EqualizerRing:
     def _concat(self, degree: int, pair: ComponentPair) -> Vector:
         return tuple(pair.first.degree_part(degree)) + tuple(pair.second.degree_part(degree))
 
+    def _branch_supports(self, degree: int) -> list[tuple[Support, Support]]:
+        """Per lattice vector, the supports of its branch 1 and branch 2 parts."""
+        n1 = self.geometry.branch1.ring.rank(degree)
+        return [(support(vec[:n1]), support(vec[n1:])) for vec in self.lattices[degree]]
+
     def basis_pairs(self, degree: int) -> list[ComponentPair]:
         return [self._split(degree, vec) for vec in self.lattices[degree]]
 
     def contains(self, pair: ComponentPair) -> bool:
         return all(
-            lattice_contains(self.lattices[degree], self._concat(degree, pair))
+            lattice_contains(self._members[degree], self._concat(degree, pair))
             for degree in pair.supported_degrees()
         )
 
@@ -493,30 +517,31 @@ class EqualizerRing:
     def check_product_closure(self) -> None:
         """Verify products of lattice basis pairs stay matched and in the lattice.
 
-        The componentwise product of two concatenated pair vectors is, branch by
-        branch, a bilinear sum over that branch's structure constants; a product
-        is matched exactly when the matching matrix annihilates it.
+        The componentwise product of two concatenated pair vectors u, v is,
+        branch by branch, ``sum_ab u[a] v[b] T[a][b]`` over that branch's
+        structure constants, summed over the nonzero entries of u and v only;
+        nothing is assumed about where those entries sit.  A product is matched
+        exactly when the matching matrix annihilates it.  Pairs are checked in
+        the order d1, d2 >= d1, u, v.
         """
         rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
         for d1 in range(TWISTOR_TOP + 1):
             for d2 in range(d1, TWISTOR_TOP + 1 - d1):
                 matching = self.geometry.matching_matrix(d1 + d2)
-                lattice = self.lattices[d1 + d2]
-                branches = []  # per branch: its slices of u and v, and columns[b][k] over a
-                start1 = start2 = 0
-                for ring in rings:
-                    r1, r2, r12 = ring.rank(d1), ring.rank(d2), ring.rank(d1 + d2)
-                    columns = coordinate_columns(ring.product_table(d2, d1), r12)
-                    branches.append((slice(start1, start1 + r1), slice(start2, start2 + r2), columns, r12))
-                    start1, start2 = start1 + r1, start2 + r2
-                for u in self.lattices[d1]:
-                    # per branch: row k holds the coefficients of v in coordinate k of u.v
+                lattice = self._members[d1 + d2]
+                # per branch: T[b][a] = e_b.e_a and the rank of degree d1 + d2
+                tables = [(ring.product_table(d2, d1), ring.rank(d1 + d2)) for ring in rings]
+                vs = self._branch_supports(d2)
+                for u in self._branch_supports(d1):
+                    # per branch: the products u.e_b over b, and their length
                     u_times = [
-                        (s2, [tuple(dot(u[s1], col[k]) for col in columns) for k in range(r12)])
-                        for s1, s2, columns, r12 in branches
+                        ([_combination(part, row, r12) for row in table], r12)
+                        for part, (table, r12) in zip(u, tables)
                     ]
-                    for v in self.lattices[d2]:
-                        uv = tuple(dot(v[s2], row) for s2, rows in u_times for row in rows)
+                    for v in vs:
+                        uv: Vector = ()
+                        for part, (rows, r12) in zip(v, u_times):
+                            uv += _combination(part, rows, r12)
                         if any(dot(row, uv) for row in matching):
                             raise ValueError(
                                 f"product of matched pairs is unmatched in degree {d1 + d2}"
@@ -525,6 +550,17 @@ class EqualizerRing:
                             raise ValueError(
                                 f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
                             )
+
+
+def _combination(weights: Support, vectors: Sequence[Vector], length: int) -> Vector:
+    """``sum_m weights[m] vectors[m]`` over the support of the weights."""
+    positions, values = weights
+    if len(positions) == 1 and values[0] == 1:
+        return vectors[positions[0]]
+    out: Sequence[int] = (0,) * length
+    for m, c in zip(positions, values):
+        out = [a + c * b for a, b in zip(out, vectors[m])]
+    return tuple(out)
 
 
 def brute_force_matched_lattice(

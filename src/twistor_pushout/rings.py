@@ -18,7 +18,12 @@ The construction-time checks work on the integer structure constants
 directly: per degree pair the product table ``T[i1][i2]``, and per source
 degree the images of the basis vectors (the matrix columns).  Each identity
 is a bilinear sum over these tables, checked coordinate by coordinate, so no
-element is built inside a check.
+element is built inside a check.  The associativity blocks with a factor of
+degree 0 are summed over supports, the positions of the nonzero entries of
+each table vector, read from the entries themselves: nothing is assumed about
+a row's shape, yet the unit's rows, unit vectors, cost one index each.  The
+blocks of positive degrees, whose tables are mostly nonzero, take one dense
+dot product per output coordinate.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -29,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec
+from .intlin import Support, Vector, dot, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
 
@@ -140,28 +145,61 @@ class GradedRing:
 
     def _check_associativity(self) -> None:
         # (x.y).z = sum_m (x.y)[m] z.e_m against x.(y.z) = sum_m (y.z)[m] x.e_m on
-        # every basis triple, in the order d1, d2, d3, i1, i2, i3, one dot product
-        # per output coordinate.  z.e_m = e_m.z because the table is symmetric.
+        # every basis triple, in the order d1, d2, d3, i1, i2, i3.  z.e_m = e_m.z
+        # because the table is symmetric.  A block with a factor of degree 0 is
+        # summed over the nonzero entries of the table vectors involved, which
+        # the unit's unit-vector rows make one index each; the other blocks
+        # take one dot product per output coordinate.
+        supports: dict[tuple[int, int], list[list[Support]]] = {}  # per table, read once per check
         for d1 in range(self.top_degree + 1):
             for d2 in range(self.top_degree + 1 - d1):
                 for d3 in range(self.top_degree + 1 - d1 - d2):
-                    length = self.rank(d1 + d2 + d3)
-                    xy_table = self._products[d1, d2]
-                    yz_table = self._products[d2, d3]
-                    times_z = coordinate_columns(self._products[d3, d1 + d2], length)
-                    x_times = coordinate_columns(self._products[d1, d2 + d3], length)
-                    for i1 in range(self.rank(d1)):
-                        x_cols = x_times[i1]
-                        for i2 in range(self.rank(d2)):
-                            xy = xy_table[i1][i2]
-                            for i3, yz in enumerate(yz_table[i2]):
-                                if [dot(xy, c) for c in times_z[i3]] != [dot(yz, c) for c in x_cols]:
-                                    raise ValueError(
-                                        f"associativity fails on "
-                                        f"({self.basis_labels[d1][i1]}, "
-                                        f"{self.basis_labels[d2][i2]}, "
-                                        f"{self.basis_labels[d3][i3]})"
-                                    )
+                    if d1 and d2 and d3:
+                        self._check_block_dense(d1, d2, d3)
+                    else:
+                        self._check_block_sparse(d1, d2, d3, supports)
+
+    def _associativity_error(self, d1: int, i1: int, d2: int, i2: int, d3: int, i3: int) -> ValueError:
+        labels = self.basis_labels
+        return ValueError(f"associativity fails on ({labels[d1][i1]}, {labels[d2][i2]}, {labels[d3][i3]})")
+
+    def _check_block_dense(self, d1: int, d2: int, d3: int) -> None:
+        length = self.rank(d1 + d2 + d3)
+        xy_table = self._products[d1, d2]
+        yz_table = self._products[d2, d3]
+        # times_z[i3 * length + k]: coordinate k of z.e_m over m, for z = e_i3
+        times_z = [c for cols in coordinate_columns(self._products[d3, d1 + d2], length) for c in cols]
+        x_times = coordinate_columns(self._products[d1, d2 + d3], length)
+        for i1, x_cols in enumerate(x_times):
+            for i2, xy in enumerate(xy_table[i1]):
+                # both sides for every i3 at once, i3-major; a mismatch is then
+                # located at its first triple
+                left = [dot(xy, c) for c in times_z]
+                right = [dot(yz, c) for yz in yz_table[i2] for c in x_cols]
+                if left != right:
+                    i3 = next(i for i in range(len(left)) if left[i] != right[i]) // length
+                    raise self._associativity_error(d1, i1, d2, i2, d3, i3)
+
+    def _check_block_sparse(
+        self, d1: int, d2: int, d3: int, supports: dict[tuple[int, int], list[list[Support]]]
+    ) -> None:
+        # The supports of a table are read on first use; several blocks share a table.
+        for key in ((d1, d2), (d2, d3), (d1, d2 + d3)):
+            if key not in supports:
+                supports[key] = [[support(vec) for vec in row] for row in self._products[key]]
+        xy_table, yz_table, x_times = supports[d1, d2], supports[d2, d3], supports[d1, d2 + d3]
+        length = self.rank(d1 + d2 + d3)
+        # times_z[m]: e_m.z for every z = e_i3, concatenated i3-major
+        times_z = [support(sum(row, ())) for row in self._products[d1 + d2, d3]]
+        width = self.rank(d3) * length
+        for i1, x_rows in enumerate(x_times):
+            for i2, xy in enumerate(xy_table[i1]):
+                # both sides for every i3 at once, i3-major, as in the dense block
+                left = combine(xy, times_z, width)
+                right = [a for yz in yz_table[i2] for a in combine(yz, x_rows, length)]
+                if left != right:
+                    i3 = next(i for i in range(width) if left[i] != right[i]) // length
+                    raise self._associativity_error(d1, i1, d2, i2, d3, i3)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -292,6 +330,20 @@ def coordinate_columns(table: Sequence[Sequence[Vector]], length: int) -> list[l
     ``length`` is the length of the vectors ``table[i][m]``.
     """
     return [[tuple(vec[k] for vec in row) for k in range(length)] for row in table]
+
+
+def combine(weights: Support, rows: Sequence[Support], length: int) -> list[int]:
+    """``sum_m weights[m] rows[m]`` as a list of ``length`` entries.
+
+    Both the weights and the rows are given by their supports, so the cost is
+    the number of nonzero products, not ``length`` times the number of rows.
+    """
+    out = [0] * length
+    for m, c in zip(*weights):
+        positions, values = rows[m]
+        for k, e in zip(positions, values):
+            out[k] += c * e
+    return out
 
 
 @dataclass(frozen=True)
@@ -484,14 +536,6 @@ class GradedMap:
                                 f"({self.source.basis_labels[d1][i1]}, "
                                 f"{self.source.basis_labels[d2][i2]})"
                             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "shift": self.shift,
-            "matrices": {str(d): [list(row) for row in rows] for d, rows in sorted(self.matrices.items())},
-            "is_ring_hom": self.is_ring_hom,
-            "name": self.name,
-        }
 
 
 def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor_pushout.intlin import (
+    SparseLattice,
     hermite_row_basis,
     kernel_basis,
     lattice_contains,
@@ -132,6 +135,73 @@ def test_membership_of_random_combinations():
             c = rng.randint(-10, 10)
             combo = [a + c * b for a, b in zip(combo, row)]
         assert lattice_contains(basis, combo)
+
+
+def rational_coordinates(basis, vec):
+    """Independent oracle: the c with c . basis = vec over the rationals, or None.
+
+    Gaussian elimination on the transposed system; ``basis`` must have full row
+    rank, so a solution, when there is one, is unique.
+    """
+    r = len(basis)
+    rows = [[Fraction(row[k]) for row in basis] + [Fraction(vec[k])] for k in range(len(vec))]
+    pivots = []
+    for col in range(r):
+        top = len(pivots)
+        pivot_row = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        assert pivot_row is not None, "basis must have full row rank"
+        rows[top], rows[pivot_row] = rows[pivot_row], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][col]:
+                factor = rows[i][col]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(col)
+    if any(row[r] for row in rows[r:]):
+        return None
+    return [rows[i][r] for i in range(r)]
+
+
+@st.composite
+def bases_and_vectors(draw):
+    """A Hermite basis of random dense, unit and sparse rows, a vector in its
+    lattice, and that vector moved by a random offset."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    dense = st.lists(entry, min_size=n, max_size=n)
+    unit = st.integers(0, n - 1).map(lambda i: [int(k == i) for k in range(n)])
+    sparse = st.dictionaries(st.integers(0, n - 1), entry, max_size=2).map(
+        lambda entries: [entries.get(k, 0) for k in range(n)]
+    )
+    rows = draw(st.lists(st.one_of(dense, unit, sparse), max_size=n + 1))
+    basis = hermite_row_basis(rows)
+    member = [0] * n
+    for row in basis:
+        c = draw(st.integers(-4, 4))
+        member = [a + c * b for a, b in zip(member, row)]
+    offset = draw(st.lists(entry, min_size=n, max_size=n))
+    return basis, member, [a + b for a, b in zip(member, offset)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bases_and_vectors())
+def test_membership_agrees_with_rational_oracle(case):
+    basis, member, moved = case
+    lattice = SparseLattice(basis)
+    for vec in (member, moved):
+        coords = rational_coordinates(basis, vec)
+        expected = coords is not None and all(c.denominator == 1 for c in coords)
+        assert lattice_contains(basis, vec) == expected
+        assert lattice_contains(lattice, vec) == expected
+    assert lattice_contains(lattice, member)
+
+
+def test_membership_of_a_spanning_set_out_of_echelon_order():
+    # pivots 1 then 0: the rows are brought to Hermite form first
+    lattice = SparseLattice([[0, 2], [1, 1]])
+    assert lattice.rows == SparseLattice(hermite_row_basis([[0, 2], [1, 1]])).rows
+    assert lattice_contains(lattice, [1, 3])
+    assert not lattice_contains(lattice, [0, 1])
 
 
 def test_lattices_equal_ignores_presentation():

@@ -1,11 +1,13 @@
 """Blow-up tables, both built-in bases, and the glued equalizer lattices."""
 
+import functools
 import itertools
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistor_pushout.intlin import hermite_row_basis
@@ -22,7 +24,7 @@ from twistor_pushout.pushout import (
 )
 from twistor_pushout.quadric import QuadricClass, canonical_class
 from twistor_pushout.rings import DegreeError, GradedMap, RingMismatchError, kernel_lattice
-from twistor_pushout.scenario import twistor_base_from_dict
+from twistor_pushout.scenario import load_scenario, twistor_base_from_dict
 
 
 @pytest.fixture(scope="module")
@@ -382,3 +384,68 @@ def test_kernel_lattice_through_restriction_map(blown_p3):
     # degree-3 classes restrict into the zero group, so everything is kernel
     kernel = kernel_lattice(blown_p3.restriction_to_quadric_map, 3)
     assert kernel == [(1,)]
+
+
+# -- the closure kernel against an element-level reference --------------------------
+
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+CLOSURE_SCENARIOS = {
+    "p3_p3": SCENARIO_DIR / "p3_p3.json",
+    "flag_flag": SCENARIO_DIR / "flag_flag.json",
+    "synthetic_r7": DATA_DIR / "synthetic_r7.json",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _closure_geometry(name):
+    geometry = load_scenario(str(CLOSURE_SCENARIOS[name])).geometry
+    return geometry, geometry.equalizer()
+
+
+def _closure_reference(equalizer):
+    """The first closure failure found with ring elements, in the kernel's
+    (d1, d2 >= d1, u, v) order, as its message; None when every product holds."""
+    geometry = equalizer.geometry
+    for d1 in range(4):
+        for d2 in range(d1, 4 - d1):
+            for u in equalizer.basis_pairs(d1):
+                for v in equalizer.basis_pairs(d2):
+                    product = equalizer.product(u, v)
+                    if not geometry.is_matched(product):
+                        return f"product of matched pairs is unmatched in degree {d1 + d2}"
+                    if not equalizer.contains(product):
+                        return f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_SCENARIOS)), st.sampled_from(["drop", "unmatched", "outside"]), st.data())
+def test_closure_kernel_agrees_with_element_reference(name, kind, data):
+    geometry, true_equalizer = _closure_geometry(name)
+    lattices = [list(basis) for basis in true_equalizer.lattices]
+    degree = data.draw(st.sampled_from([d for d in range(4) if lattices[d]]))
+    basis = lattices[degree]
+    index = data.draw(st.integers(0, len(basis) - 1))
+    if kind == "drop":
+        del basis[index]
+    elif kind == "unmatched":
+        # a random vector the matching matrix does not annihilate (degree 3 has none)
+        matching = geometry.matching_matrix(degree)
+        n = len(basis[0])
+        vec = tuple(data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+        assume(any(sum(a * b for a, b in zip(row, vec)) for row in matching))
+        basis.insert(data.draw(st.integers(0, len(basis))), vec)
+    else:
+        # twice a dropped generator: matched, but outside the lattice the others span
+        generator = basis.pop(index)
+        basis.insert(data.draw(st.integers(0, len(basis))), tuple(2 * a for a in generator))
+    equalizer = EqualizerRing(geometry, tuple(tuple(b) for b in lattices))
+    expected = _closure_reference(equalizer)
+    try:
+        equalizer.check_product_closure()
+        found = None
+    except ValueError as exc:
+        found = str(exc)
+    assert found == expected

@@ -11,7 +11,8 @@ The checks must accept these rings and the basis change, which is a ring
 isomorphism from the monomial presentation.  After one table entry or one
 matrix entry is perturbed they must report the same first failing triple or
 pair as an oracle that walks the documented order with ``RingElement``
-arithmetic, or accept exactly when the oracle finds no failure.  Written out
+arithmetic, or accept exactly when the oracle finds no failure; so must the
+associativity check of a built ring whose unit row was then tampered with.  Written out
 with ``to_json_dict`` and read back by the scenario decoder, each ring is
 the same ring again.
 """
@@ -187,6 +188,24 @@ def test_associativity_check_agrees_with_element_oracle(ring_data, data):
     perturbed[key] = tuple(v + delta * (j == k) for j, v in enumerate(dense[key]))
     expected = _associativity_oracle(_UncheckedRing(top, labels, perturbed))
     assert _error(lambda: GradedRing(top, labels, perturbed)) == expected
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
+def test_unit_blocks_agree_with_element_oracle_on_a_tampered_unit_row(ring_data, data):
+    # The constructor refuses a unit row that is not a unit vector, so the
+    # blocks with a degree-0 factor are made to fail by tampering with a built ring.
+    top, labels, _, dense, _ = ring_data
+    ring = GradedRing(top, labels, dense)
+    d = data.draw(st.sampled_from([d for d in range(top + 1) if ring.rank(d)]))
+    i = data.draw(st.integers(0, ring.rank(d) - 1))
+    k = data.draw(st.integers(0, ring.rank(d) - 1))
+    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    row = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(0, 0, d, i)))
+    for key in ((0, 0, d, i), (d, i, 0, 0)):
+        ring._table[key] = row
+    ring._products = {key: ring._product_table(*key) for key in ring._products}
+    assert _error(ring._check_associativity) == _associativity_oracle(ring)
 
 
 @SETTINGS
