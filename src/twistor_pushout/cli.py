@@ -3,6 +3,11 @@
 Every command produces a deterministic report (sorted keys, exact integers)
 that embeds the list of identities it verified; the process exits 1 exactly
 when some identity fails and 2 on bad input, so logged runs double as certificates.
+
+Each ``cmd_*`` handler imports the modules it runs when it is called, and the
+default scenario builds its pair only when a handler reads it, so one process
+loads and builds only what its subcommand uses: ``real`` on the default
+scenario loads neither ``pushout`` nor ``neck``.
 """
 
 from __future__ import annotations
@@ -10,42 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
-from .gaussian import GaussianScalar
-from .neck import (
-    antidiagonal_quotient_over_fibre,
-    character_quotient,
-    kn_fixed_phase_bundle,
-    lens_space_of,
-    raw_fibre_pairing,
-    restrict_to_curve,
-    restrict_to_ruling_fibre_bundle,
-)
-from .pushout import brute_force_matched_lattice
-from .quadric import (
-    Bidegree,
-    arithmetic_genus,
-    hyperplane_class,
-    intersection_number,
-    ruling_swap_pushforward,
-)
-from .realstruct import (
-    BASEPOINT,
-    QuadricPoint,
-    base_locus,
-    evaluate_section,
-    invariant_section_from_reals,
-    is_fixed_point,
-    is_invariant_section,
-    pairs_projectively_equal,
-    pencil_value,
-    point,
-    real_structure,
-)
 from .scenario import (
     Scenario,
     decoration_from_dict,
@@ -54,7 +27,9 @@ from .scenario import (
     member_from_dict,
     read_json,
 )
-from .surfaces import SurfaceData, classify_all, glue_check, trace_bidegree, trace_class
+
+if TYPE_CHECKING:
+    from .realstruct import QuadricPoint
 
 
 class Report:
@@ -184,6 +159,8 @@ def cmd_ring_show(scenario: Scenario, args) -> Report:
 
 
 def cmd_equalizer(scenario: Scenario, args) -> Report:
+    from .pushout import brute_force_matched_lattice
+
     report = Report("equalizer", {"member": args.member})
     geometry = scenario.geometry
     member = None
@@ -226,6 +203,14 @@ def cmd_equalizer(scenario: Scenario, args) -> Report:
 
 
 def cmd_surfaces(scenario: Scenario, args) -> Report:
+    from .quadric import (
+        arithmetic_genus,
+        hyperplane_class,
+        intersection_number,
+        ruling_swap_pushforward,
+    )
+    from .surfaces import SurfaceData, classify_all, glue_check, trace_bidegree, trace_class
+
     report = Report("surfaces", {"dmax": args.dmax, "pair": args.pair})
     if args.pair:
         d1, f1, d2, f2 = args.pair
@@ -298,7 +283,11 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
 def cmd_charge(scenario: Scenario, args) -> Report:
     report = Report("charge", {})
     if not scenario.bundles or scenario.polarization is None:
-        raise ValueError("charge needs bundle and polarization blocks in the scenario")
+        path = args.scenario or args.scenario_path
+        where = f"{path}: " if path else ""
+        raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")
+    from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
+
     polarization = scenario.polarization
     matched = scenario.geometry.is_matched(polarization)
     label = (
@@ -345,6 +334,17 @@ def cmd_charge(scenario: Scenario, args) -> Report:
 
 
 def cmd_neck(scenario: Scenario, args) -> Report:
+    from .neck import (
+        antidiagonal_quotient_over_fibre,
+        character_quotient,
+        kn_fixed_phase_bundle,
+        lens_space_of,
+        raw_fibre_pairing,
+        restrict_to_curve,
+        restrict_to_ruling_fibre_bundle,
+    )
+    from .quadric import Bidegree
+
     report = Report(
         "neck",
         {"curve": args.curve, "character": args.character, "decorate": args.decorate},
@@ -402,6 +402,22 @@ def _point_str(p: QuadricPoint) -> str:
 
 
 def cmd_real(scenario: Scenario, args) -> Report:
+    import random
+
+    from .gaussian import GaussianScalar
+    from .realstruct import (
+        BASEPOINT,
+        base_locus,
+        evaluate_section,
+        invariant_section_from_reals,
+        is_fixed_point,
+        is_invariant_section,
+        pairs_projectively_equal,
+        pencil_value,
+        point,
+        real_structure,
+    )
+
     report = Report("real", {"samples": args.samples})
     locus = base_locus()
     report.results["base_locus"] = [_point_str(p) for p in locus]

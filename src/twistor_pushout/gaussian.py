@@ -3,47 +3,61 @@
 Unit scalars (squared modulus exactly 1) stand in for phases e^{i.theta};
 they are generated from Pythagorean triples, so "random phase" sampling stays
 inside the field and every identity can be checked with exact equality.
+
+A part is an ``int`` whenever its denominator is 1 and a ``Fraction`` only
+when a division leaves a real denominator, so Gaussian-integer work (the
+``real`` command's samples) never touches ``fractions`` arithmetic.  Equality
+and hashing do not see the difference: ``1 == Fraction(1)``, and the two hash
+alike.  The command line loads this module only where a Gaussian scalar is
+used: in ``real`` and ``neck``, and for a scenario with a decoration block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from random import Random
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from random import Random
 
 RationalLike = Fraction | int | str
 
 
-def _to_fraction(value: RationalLike) -> Fraction:
-    if isinstance(value, Fraction):
+def _part(value: RationalLike) -> int | Fraction:
+    """``value`` as an exact int when its denominator is 1, else as a Fraction."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    value = value if isinstance(value, Fraction) else Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
 class GaussianScalar:
     """An exact element re + im*i of the Gaussian rationals."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: int | Fraction = 0
+    im: int | Fraction = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _to_fraction(self.re))
-        object.__setattr__(self, "im", _to_fraction(self.im))
+        if type(self.re) is not int:
+            object.__setattr__(self, "re", _part(self.re))
+        if type(self.im) is not int:
+            object.__setattr__(self, "im", _part(self.im))
 
     # -- constructors -----------------------------------------------------------
 
     @classmethod
     def of(cls, re: RationalLike = 0, im: RationalLike = 0) -> "GaussianScalar":
-        return cls(_to_fraction(re), _to_fraction(im))
+        return cls(re, im)
 
     @classmethod
     def i(cls) -> "GaussianScalar":
-        return cls(Fraction(0), Fraction(1))
+        return cls(0, 1)
 
     @classmethod
     def one(cls) -> "GaussianScalar":
-        return cls(Fraction(1), Fraction(0))
+        return cls(1, 0)
 
     @classmethod
     def zero(cls) -> "GaussianScalar":
@@ -93,9 +107,8 @@ class GaussianScalar:
         norm = other.norm_sq()
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian scalar")
-        conj = other.conjugate()
-        product = self * conj
-        return GaussianScalar(product.re / norm, product.im / norm)
+        product = self * other.conjugate()
+        return GaussianScalar(Fraction(product.re, norm), Fraction(product.im, norm))
 
     def conjugate(self) -> "GaussianScalar":
         return GaussianScalar(self.re, -self.im)
@@ -103,7 +116,7 @@ class GaussianScalar:
     def inverse(self) -> "GaussianScalar":
         return GaussianScalar.one() / self
 
-    def norm_sq(self) -> Fraction:
+    def norm_sq(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im
 
     def is_zero(self) -> bool:

@@ -12,7 +12,6 @@ cross-multiplication, so nothing here is numerical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .gaussian import GaussianScalar
 
@@ -136,13 +135,8 @@ def invariant_section_from_reals(a1, a2, b1, b2) -> Section11:
     The four real parameters sweep out the whole fixed space, so the images of
     the standard basis vectors give a rational basis of it.
     """
-    a1, a2, b1, b2 = (Fraction(v) for v in (a1, a2, b1, b2))
-    s = Section11(
-        GaussianScalar(a1, a2),
-        GaussianScalar(b1, b2),
-        GaussianScalar(-b1, b2),
-        GaussianScalar(a1, -a2),
-    )
+    a, b = GaussianScalar.of(a1, a2), GaussianScalar.of(b1, b2)
+    s = Section11(a, b, -b.conjugate(), a.conjugate())
     if s.is_zero():
         raise ValueError("the zero section is excluded")
     if not is_invariant_section(s):
@@ -150,14 +144,19 @@ def invariant_section_from_reals(a1, a2, b1, b2) -> Section11:
     return s
 
 
+# the two generators of the invariant pencil, built once: sections are immutable
+_PENCIL_1 = section(1, 0, 0, 1)
+_PENCIL_2 = section(0, 1, -1, 0)
+
+
 def pencil_section_1() -> Section11:
     """z0w0 + z1w1, the first generator of the invariant pencil."""
-    return section(1, 0, 0, 1)
+    return _PENCIL_1
 
 
 def pencil_section_2() -> Section11:
     """z0w1 - z1w0, the second generator of the invariant pencil."""
-    return section(0, 1, -1, 0)
+    return _PENCIL_2
 
 
 def evaluate_section(s: Section11, p: QuadricPoint) -> GaussianScalar:
@@ -170,8 +169,8 @@ def evaluate_section(s: Section11, p: QuadricPoint) -> GaussianScalar:
 
 def pencil_value(p: QuadricPoint):
     """[s1 : -s2] at the point, or BASEPOINT when both sections vanish."""
-    v1 = evaluate_section(pencil_section_1(), p)
-    v2 = evaluate_section(pencil_section_2(), p)
+    v1 = evaluate_section(_PENCIL_1, p)
+    v2 = evaluate_section(_PENCIL_2, p)
     if v1.is_zero() and v2.is_zero():
         return BASEPOINT
     return (v1, -v2)
@@ -191,8 +190,8 @@ def base_locus() -> list[QuadricPoint]:
     for z1 in (i, -i):
         candidate = QuadricPoint((one, z1), (one, z1))
         if not (
-            evaluate_section(pencil_section_1(), candidate).is_zero()
-            and evaluate_section(pencil_section_2(), candidate).is_zero()
+            evaluate_section(_PENCIL_1, candidate).is_zero()
+            and evaluate_section(_PENCIL_2, candidate).is_zero()
         ):
             raise AssertionError("solver produced a non-solution")
         solutions.append(candidate)

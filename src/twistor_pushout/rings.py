@@ -551,6 +551,4 @@ def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:
 
 def lattice_membership(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """True iff ``vec`` lies in the integer span of ``basis`` (any spanning set)."""
-    from .intlin import hermite_row_basis
-
-    return lattice_contains(hermite_row_basis(basis), vec)
+    return lattice_contains(basis, vec)

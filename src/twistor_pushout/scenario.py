@@ -9,6 +9,10 @@ decodes the CLI's ``--member`` and ``--decorate`` files; it reads every input.
 Decoding is strict: an integer is a JSON integer (not a float, string or ``true``), a
 flag a boolean, a label, id or name a string, and a vector has its declared length.
 A refusal names the JSON path: ``branch1.mult[3].out[1] must be an integer, got 1.5``.
+
+Decoding loads only what the document holds: ``pushout`` for the branches, and
+``charges``, ``surfaces``, ``neck`` with ``gaussian`` only for bundle, surface and
+decoration blocks.  The default scenario builds its pair on first read.
 """
 
 from __future__ import annotations
@@ -16,38 +20,40 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
-from .charges import GluedBundleData
-from .gaussian import GaussianScalar
-from .neck import PhaseDecoration, phase_decoration
-from .pushout import (
-    TWISTOR_TOP,
-    ComponentPair,
-    PushoutPair,
-    TwistorChow,
-    blow_up,
-    builtin_base,
-)
 from .rings import GradedRing
-from .surfaces import SurfaceData
+
+if TYPE_CHECKING:
+    from .charges import GluedBundleData
+    from .gaussian import GaussianScalar
+    from .neck import PhaseDecoration
+    from .pushout import ComponentPair, PushoutPair, TwistorChow
+    from .surfaces import SurfaceData
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
-# family peaks at rank 19; from a rank-40 pair, ring-show takes about 5 s and
-# equalizer about 9 s on a 2-vCPU VM (rank 64: 36 s and 67 s).
+# family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about 3 s
+# and equalizer about 3.3 s on a shared 2-vCPU host (README.md, same figures).
 MAX_DOCUMENT_RANK = 40
 
 
 @dataclass(frozen=True)
 class Scenario:
-    geometry: PushoutPair
+    """A glued pair and its optional blocks; ``build`` makes the pair on the first
+    read of ``geometry``, so a command that never reads it never builds it."""
+
+    build: Callable[[], PushoutPair]
     bundles: tuple[GluedBundleData, ...] = ()
     polarization: ComponentPair | None = None
     surfaces: tuple[SurfaceData, ...] = ()
     decoration: PhaseDecoration | None = None
     assumption_def: bool = False
+
+    @cached_property
+    def geometry(self) -> PushoutPair:
+        return self.build()
 
 
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
@@ -127,6 +133,8 @@ def ring_from_dict(doc) -> GradedRing:
 
 def twistor_base_from_dict(doc) -> TwistorChow:
     """A top-degree-3 ring document plus ``line_class``, ``twistor_degrees`` and ``point_class``."""
+    from .pushout import TWISTOR_TOP, TwistorChow
+
     doc = _Json.of(doc)
     top = doc["top_degree"].read(int, range(TWISTOR_TOP, TWISTOR_TOP + 1))  # before any cubic check
     ring = ring_from_dict(doc)
@@ -139,6 +147,8 @@ def twistor_base_from_dict(doc) -> TwistorChow:
 
 
 def _pair(geometry: PushoutPair, doc: _Json, degree: int) -> ComponentPair:
+    from .pushout import ComponentPair
+
     return ComponentPair(*(
         blown.ring.homogeneous(degree, doc[key].integers(blown.ring.rank(degree)))
         for key, blown in (("branch1", geometry.branch1), ("branch2", geometry.branch2))
@@ -147,6 +157,8 @@ def _pair(geometry: PushoutPair, doc: _Json, degree: int) -> ComponentPair:
 
 def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
     """A membership query ``{"degree", "branch1", "branch2"}``: its degree and pair."""
+    from .pushout import TWISTOR_TOP
+
     doc = _Json.of(doc)
     degree = doc["degree"].read(int, range(TWISTOR_TOP + 1))
     return degree, _pair(geometry, doc, degree)
@@ -154,6 +166,10 @@ def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
 
 def scalar_from_dict(doc) -> GaussianScalar:
     """A Gaussian rational ``{"re_num", "re_den", "im_num", "im_den"}``."""
+    from fractions import Fraction
+
+    from .gaussian import GaussianScalar
+
     doc = _Json.of(doc)
     for denominator in (doc["re_den"], doc["im_den"]):
         if denominator.read(int) == 0:
@@ -164,6 +180,8 @@ def scalar_from_dict(doc) -> GaussianScalar:
 
 def decoration_from_dict(doc) -> PhaseDecoration:
     """A phase decoration ``{"theta", "points": [{"id", "eta"}]}``, solved point by point."""
+    from .neck import phase_decoration
+
     doc = _Json.of(doc)
     points = doc.get("points", []).items()
     return phase_decoration(
@@ -173,16 +191,24 @@ def decoration_from_dict(doc) -> PhaseDecoration:
     )
 
 
-def scenario_from_dict(doc) -> Scenario:
-    doc = _Json.of(doc)
+def _geometry(doc: _Json) -> PushoutPair:
+    from .pushout import PushoutPair, blow_up, builtin_base
+
     bases = [
         builtin_base(b["builtin"].read(str)) if "builtin" in b else twistor_base_from_dict(b)
         for b in (doc["branch1"], doc["branch2"])
     ]
-    geometry = PushoutPair(*map(blow_up, bases))
-    return Scenario(
-        geometry=geometry,
-        bundles=tuple(
+    return PushoutPair(*map(blow_up, bases))
+
+
+def scenario_from_dict(doc) -> Scenario:
+    doc = _Json.of(doc)
+    geometry = _geometry(doc)
+    blocks = {}
+    if "bundles" in doc:
+        from .charges import GluedBundleData
+
+        blocks["bundles"] = tuple(
             GluedBundleData(
                 geometry=geometry,
                 rank=block.get("rank", 2).read(int),
@@ -191,15 +217,21 @@ def scenario_from_dict(doc) -> Scenario:
                 restriction_to_quadric_trivial=block.get("trivial_on_Q", False).read(bool),
                 h2_end_dims=tuple(block.get("h2_end", [0, 0]).integers(2)),
             )
-            for block in doc.get("bundles", []).items()
-        ),
-        polarization=_pair(geometry, doc["polarization"], 1) if "polarization" in doc else None,
-        surfaces=tuple(
+            for block in doc["bundles"].items()
+        )
+    if "polarization" in doc:
+        blocks["polarization"] = _pair(geometry, doc["polarization"], 1)
+    if "surfaces" in doc:
+        from .surfaces import SurfaceData
+
+        blocks["surfaces"] = tuple(
             SurfaceData(s["degree"].read(int), s["contains_line"].read(bool))
-            for s in doc.get("surfaces", []).items()
-        ),
-        decoration=decoration_from_dict(doc["decoration"]) if "decoration" in doc else None,
-        assumption_def=doc.get("assumption_DEF", False).read(bool),
+            for s in doc["surfaces"].items()
+        )
+    if "decoration" in doc:
+        blocks["decoration"] = decoration_from_dict(doc["decoration"])
+    return Scenario(
+        lambda: geometry, assumption_def=doc.get("assumption_DEF", False).read(bool), **blocks
     )
 
 
@@ -219,5 +251,9 @@ def load_scenario(path: str | Path) -> Scenario:
     return read_json(path, scenario_from_dict)
 
 
+_DEFAULT = {"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}}
+
+
 def default_scenario() -> Scenario:
-    return scenario_from_dict({"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}})
+    """The built-in p3/p3 pair with no blocks; the pair is built on first read."""
+    return Scenario(lambda: _geometry(_Json(_DEFAULT)))

@@ -230,6 +230,16 @@ def test_inline_ring_above_rank_cap_is_refused_before_any_work(tmp_path, monkeyp
     )
 
 
+@pytest.mark.parametrize("flag", [["--scenario"], []], ids=["option", "positional"])
+def test_charge_refusal_names_the_scenario_file(tmp_path, flag):
+    path = tmp_path / "no_bundles.json"
+    path.write_text(json.dumps({"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}}))
+    argv = [*flag, str(path), "charge"] if flag else ["charge", str(path)]
+    code, out = run(argv)
+    assert code == 2
+    assert out == f"error: {path}: charge needs bundle and polarization blocks in the scenario"
+
+
 def test_closed_stdout_ends_with_the_verdict_and_no_traceback():
     # the reader goes away before the report is written, as with `| head -c 10`
     src = str(Path(__file__).resolve().parent.parent / "src")

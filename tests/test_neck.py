@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twistor_pushout.gaussian import GaussianScalar
 from twistor_pushout.neck import (
@@ -220,3 +222,68 @@ def test_pythagorean_units_are_units():
     assert GaussianScalar.unit_from_triple(2, 1) == GaussianScalar(
         Fraction(3, 5), Fraction(4, 5)
     )
+
+
+# -- the integer case of GaussianScalar, against arithmetic done only in Fraction ----------
+
+# integers, Fractions with denominator 1 and booleans (which must come out as ints),
+# proper fractions, and exact binary floats (which must come out as ints or Fractions)
+_PARTS = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-40, 40).map(Fraction),
+    st.booleans(),
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.integers(-160, 160).map(lambda n: n / 4),
+)
+_SCALARS = st.tuples(_PARTS, _PARTS)
+_FACTORS = _PARTS.filter(lambda k: not isinstance(k, float))  # what `*` takes besides scalars
+
+
+def _reference_str(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"{re} {'+' if im > 0 else '-'} {abs(im)}i"
+
+
+def _assert_matches(z: GaussianScalar, re, im) -> None:
+    """``z`` equals the reference (re, im) and stores each part in its canonical type."""
+    re, im = Fraction(re), Fraction(im)
+    for part, want in ((z.re, re), (z.im, im)):
+        assert type(part) is (int if want.denominator == 1 else Fraction), (part, want)
+        assert part == want
+    assert z == GaussianScalar(re, im) and hash(z) == hash((re, im)) == hash((z.re, z.im))
+    assert str(z) == _reference_str(re, im)
+    assert z.to_json_dict() == {
+        "re_num": re.numerator, "re_den": re.denominator,
+        "im_num": im.numerator, "im_den": im.denominator,
+    }
+    assert all(type(v) is int for v in z.to_json_dict().values())
+    assert z.to_string_pairs() == [
+        [str(re.numerator), str(re.denominator)], [str(im.numerator), str(im.denominator)]
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SCALARS, _SCALARS, _FACTORS)
+def test_gaussian_integer_case_agrees_with_fraction_arithmetic(x, y, k):
+    (a, b), (c, d) = (tuple(map(Fraction, v)) for v in (x, y))
+    z, w = GaussianScalar(*x), GaussianScalar.of(*y)
+    _assert_matches(z, a, b)
+    _assert_matches(z + w, a + c, b + d)
+    _assert_matches(z - w, a - c, b - d)
+    _assert_matches(-z, -a, -b)
+    _assert_matches(z * w, a * c - b * d, a * d + b * c)
+    _assert_matches(z * k, a * k, b * k)
+    _assert_matches(k * z, a * k, b * k)
+    _assert_matches(z.conjugate(), a, -b)
+    norm = a * a + b * b
+    assert z.norm_sq() == norm and type(z.norm_sq()) is not bool
+    assert z.is_unit() == (norm == 1)
+    assert z.is_zero() == (norm == 0)
+    assume(c or d)
+    n = c * c + d * d
+    _assert_matches(z / w, (a * c + b * d) / n, (b * c - a * d) / n)
+    _assert_matches(w.inverse(), c / n, -d / n)
+

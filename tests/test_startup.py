@@ -1,0 +1,65 @@
+"""Start-up: each subcommand, run in a fresh interpreter, loads only the modules it uses."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SYNTHETIC = str(ROOT / "tests" / "data" / "synthetic_r7.json")
+
+# runs one command through cli.run and prints its exit code and the package modules loaded
+CHILD = """
+import sys
+from twistor_pushout.cli import run
+code, _ = run(sys.argv[1:])
+print(code, *sorted(m.split(".")[1] for m in sys.modules if m.startswith("twistor_pushout.")))
+"""
+
+
+def _fresh(*args: str) -> str:
+    src = str(ROOT / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code, absent",
+    [
+        (["real", "--samples", "5"], 0, {"pushout", "charges", "neck", "surfaces"}),
+        (["neck"], 0, {"pushout", "charges", "surfaces", "realstruct"}),
+        (["surfaces", "--dmax", "3"], 0, {"pushout", "charges", "neck", "gaussian", "realstruct"}),
+        (["surfaces", "--pair", "1", "in", "1", "out"], 0, {"pushout", "charges", "neck", "gaussian"}),
+        (["charge"], 2, {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        (["--scenario", SYNTHETIC, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        (["--scenario", SYNTHETIC, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+    ],
+    ids=["real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7"],
+)
+def test_a_command_loads_only_what_it_runs(argv, code, absent):
+    got, *loaded = _fresh("-c", CHILD, *argv).split()
+    assert int(got) == code
+    assert "cli" in loaded and not absent & set(loaded), loaded
+
+
+def test_star_import_binds_every_public_name():
+    script = (
+        "import twistor_pushout\n"
+        "from twistor_pushout import *\n"
+        "missing = [n for n in twistor_pushout.__all__ if n not in globals()]\n"
+        "print(len(twistor_pushout.__all__), *missing)\n"
+    )
+    count, *missing = _fresh("-c", script).split()
+    assert int(count) == 34 and not missing
+
+
+def test_package_import_loads_no_module():
+    assert _fresh("-c", "import sys, twistor_pushout; print(sorted(sys.modules))").count(
+        "'twistor_pushout."
+    ) == 0
