@@ -204,12 +204,13 @@ def cmd_equalizer(scenario: Scenario, args) -> Report:
 
 def cmd_surfaces(scenario: Scenario, args) -> Report:
     from .quadric import (
+        Bidegree,
         arithmetic_genus,
         hyperplane_class,
         intersection_number,
         ruling_swap_pushforward,
     )
-    from .surfaces import SurfaceData, classify_all, glue_check, trace_bidegree, trace_class
+    from .surfaces import SurfaceData, classify_all, glue_check, trace_class
 
     report = Report("surfaces", {"dmax": args.dmax, "pair": args.pair})
     if args.pair:
@@ -221,12 +222,12 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
         s1 = SurfaceData(int(d1), f1 == "in")
         s2 = SurfaceData(int(d2), f2 == "in")
         ok = glue_check(s1, s2)
-        swapped = trace_class(s1)
+        trace1 = trace_class(s1)
         report.results["pair"] = {
             "glues": ok,
-            "trace1": str(trace_class(s1).element),
-            "trace2": str(trace_class(s2).element),
-            "swapped_trace1": str(ruling_swap_pushforward(swapped).element),
+            "trace1": str(trace1),
+            "trace2": str(trace_class(s2)),
+            "swapped_trace1": str(ruling_swap_pushforward(trace1)),
         }
         report.check("glue check is symmetric", ok == glue_check(s2, s1))
         return report
@@ -235,16 +236,14 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
     )
     rows = []
     for s in surfaces:
-        bid = trace_bidegree(s)
+        trace = trace_class(s)
         rows.append(
             {
                 "degree": s.twistor_degree,
                 "contains_line": s.contains_line,
-                "trace": str(trace_class(s).element),
-                "genus": arithmetic_genus(bid),
-                "points_on_twistor_line": intersection_number(
-                    trace_class(s), hyperplane_class()
-                ),
+                "trace": str(trace),
+                "genus": arithmetic_genus(Bidegree(*trace.coeffs_bw())),
+                "points_on_twistor_line": intersection_number(trace, hyperplane_class()),
             }
         )
     report.results["surfaces"] = rows

@@ -7,7 +7,9 @@ After choosing the first branch, it is the unit circle bundle of the normal
 line bundle of the quadric, whose class is z = b - w (bidegree (1, -1); see
 the discussion in :mod:`twistor_pushout.pushout`).  Restricting to a fibre of
 the contraction gives the Hopf bundle, and character quotients of torus
-bundles produce the familiar lens-space tags.
+bundles produce the familiar lens-space tags.  A bundle over the quadric
+carries its class in the quadric ring; its restriction to a ruling fibre or
+to a curve carries an integer.
 
 Phases are exact unit Gaussian rationals; moduli are carried as squared
 moduli so every identity is checked with exact equality.
@@ -21,74 +23,49 @@ from fractions import Fraction
 from .gaussian import GaussianScalar
 from .quadric import Bidegree, QuadricClass, class_z
 
-QUADRIC = "quadric"
-RULING_FIBRE = "ruling_fibre"
-CURVE = "curve_on_quadric"
-
 
 @dataclass(frozen=True)
 class CircleBundleClass:
-    """A circle bundle recorded by its base tag and first Chern class."""
+    """A circle bundle over the quadric, recorded by its first Chern class."""
 
-    base: str
-    c1_class: QuadricClass | None = None
-    c1_int: int | None = None
-    curve: Bidegree | None = None
-
-    def __post_init__(self) -> None:
-        if self.base == QUADRIC:
-            if self.c1_class is None or self.c1_int is not None:
-                raise ValueError("quadric-based bundles carry a quadric class")
-        elif self.base == RULING_FIBRE:
-            if self.c1_int is None or self.c1_class is not None:
-                raise ValueError("fibre-based bundles carry an integer class")
-        elif self.base == CURVE:
-            if self.c1_int is None or self.curve is None:
-                raise ValueError("curve-based bundles carry an integer class and a bidegree")
-        else:
-            raise ValueError(f"unknown base tag {self.base!r}")
+    c1_class: QuadricClass
 
     @classmethod
     def over_quadric(cls, c1: QuadricClass) -> "CircleBundleClass":
-        return cls(QUADRIC, c1_class=c1)
+        return cls(c1)
 
-    @classmethod
-    def over_fibre(cls, c1: int) -> "CircleBundleClass":
-        return cls(RULING_FIBRE, c1_int=int(c1))
 
-    @classmethod
-    def over_curve(cls, c1: int, curve: Bidegree) -> "CircleBundleClass":
-        return cls(CURVE, c1_int=int(c1), curve=curve)
+@dataclass(frozen=True)
+class RestrictedBundle:
+    """A restriction to a curve, by its integer first Chern class; ``curve=None`` is a ruling fibre."""
+
+    c1_int: int
+    curve: Bidegree | None = None
 
 
 def kn_fixed_phase_bundle() -> CircleBundleClass:
     """The fixed-phase circle bundle over the quadric: the unit normal circle
     bundle of the first branch, with class z = b - w."""
-    return CircleBundleClass.over_quadric(class_z())
+    return CircleBundleClass(class_z())
 
 
 def raw_fibre_pairing(bundle: CircleBundleClass) -> int:
     """Signed pairing of the bundle class with the contraction-fibre class b."""
-    if bundle.base != QUADRIC:
-        raise ValueError("only quadric-based bundles restrict to a ruling fibre")
     b_coeff, w_coeff = bundle.c1_class.coeffs_bw()
     return w_coeff  # (m*b + n*w) . b = n
 
 
-def restrict_to_ruling_fibre_bundle(bundle: CircleBundleClass) -> CircleBundleClass:
+def restrict_to_ruling_fibre_bundle(bundle: CircleBundleClass) -> RestrictedBundle:
     """Restrict to a contraction fibre, with the orientation convention that
     makes the fixed-phase bundle's value +1 (its raw pairing is -1)."""
-    return CircleBundleClass.over_fibre(-raw_fibre_pairing(bundle))
+    return RestrictedBundle(-raw_fibre_pairing(bundle))
 
 
-def restrict_to_curve(bundle: CircleBundleClass, curve: Bidegree) -> CircleBundleClass:
+def restrict_to_curve(bundle: CircleBundleClass, curve: Bidegree) -> RestrictedBundle:
     """Restrict to a curve of the given bidegree; the class is the intersection
     pairing of the bundle class with a*b + b*w."""
-    if bundle.base != QUADRIC:
-        raise ValueError("only quadric-based bundles restrict to curves")
     m, n = bundle.c1_class.coeffs_bw()
-    degree = m * curve.n + n * curve.m
-    return CircleBundleClass.over_curve(degree, curve)
+    return RestrictedBundle(m * curve.n + n * curve.m, curve)
 
 
 def character_quotient(chern_vector: tuple[int, int], character: tuple[int, int]) -> int:

@@ -2,9 +2,8 @@
 
 The intersection ring has one generator per ruling, written ``b`` (fibre of
 the projection to the blown-up line) and ``w`` (fibre of the other ruling),
-with b^2 = w^2 = 0 and b.w = [pt].  The alternative presentation basis uses
-z := b - w, so b = z + w; classes can be displayed in either basis but are
-stored internally in (b, w) coordinates.
+with b^2 = w^2 = 0 and b.w = [pt].  A class is its ring element, stored in
+(b, w) coordinates; the normal class z := b - w is :func:`class_z`.
 
 Line-bundle cohomology on the quadric is a product of P1 factors, so the
 dimensions come in closed form rather than from complexes.
@@ -12,12 +11,9 @@ dimensions come in closed form rather than from complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .rings import DegreeError, GradedMap, GradedRing, RingElement
-
-BW = "bw"
-ZW = "zw"
 
 _QUADRIC_PRODUCTS = {
     (1, 0, 1, 0): (0,),  # b.b
@@ -67,24 +63,14 @@ class Bidegree:
     m: int
     n: int
 
-    def as_class(self) -> "QuadricClass":
-        return QuadricClass.from_bw(self.m, self.n)
-
 
 @dataclass(frozen=True)
 class QuadricClass:
-    """An element of the quadric ring, displayable in the (b,w) or (z,w) basis.
-
-    ``basis_mode`` is presentation only: equality and arithmetic ignore it, and
-    the round trip between the two bases is the identity.
-    """
+    """An element of the quadric ring; equal classes have equal elements."""
 
     element: RingElement
-    basis_mode: str = BW
 
     def __post_init__(self) -> None:
-        if self.basis_mode not in (BW, ZW):
-            raise ValueError(f"unknown basis mode {self.basis_mode!r}")
         if self.element.ring != _RING:
             raise ValueError("QuadricClass elements must live in the quadric ring")
 
@@ -106,79 +92,37 @@ class QuadricClass:
     def from_bw(cls, b: int = 0, w: int = 0) -> "QuadricClass":
         return cls(_RING.homogeneous(1, [b, w]))
 
-    @classmethod
-    def from_zw(cls, z: int = 0, w: int = 0) -> "QuadricClass":
-        # z = b - w, so  z*z_coeff + w*w_coeff = z_coeff*b + (w_coeff - z_coeff)*w.
-        return cls(_RING.homogeneous(1, [z, w - z]), basis_mode=ZW)
-
-    # -- presentation ----------------------------------------------------------
+    # -- coordinates -----------------------------------------------------------
 
     def coeffs_bw(self) -> tuple[int, int]:
         b, w = self.element.degree_part(1)
         return b, w
 
-    def coeffs_zw(self) -> tuple[int, int]:
-        b, w = self.coeffs_bw()
-        return b, b + w
-
-    def in_mode(self, mode: str) -> "QuadricClass":
-        if mode not in (BW, ZW):
-            raise ValueError(f"unknown basis mode {mode!r}")
-        return replace(self, basis_mode=mode)
-
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "QuadricClass") -> "QuadricClass":
-        return QuadricClass(self.element + other.element, self.basis_mode)
+        return QuadricClass(self.element + other.element)
 
     def __sub__(self, other: "QuadricClass") -> "QuadricClass":
-        return QuadricClass(self.element - other.element, self.basis_mode)
+        return QuadricClass(self.element - other.element)
 
     def __neg__(self) -> "QuadricClass":
-        return QuadricClass(-self.element, self.basis_mode)
+        return QuadricClass(-self.element)
 
     def __mul__(self, other):
         if isinstance(other, QuadricClass):
-            return QuadricClass(self.element * other.element, self.basis_mode)
+            return QuadricClass(self.element * other.element)
         if isinstance(other, int):
-            return QuadricClass(self.element * other, self.basis_mode)
+            return QuadricClass(self.element * other)
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QuadricClass):
-            return NotImplemented
-        return self.element == other.element  # basis mode is cosmetic
-
-    def __hash__(self) -> int:
-        return hash(self.element.coeffs)
 
     def is_zero(self) -> bool:
         return self.element.is_zero()
 
     def __str__(self) -> str:
-        if self.basis_mode == BW:
-            return str(self.element)
-        unit = self.element.degree_part(0)[0]
-        z, w = self.coeffs_zw()
-        pt = self.element.degree_part(2)[0]
-        terms = []
-        if unit:
-            terms.append(str(unit))
-        for c, label in ((z, "z"), (w, "w"), (pt, "zw")):
-            if c == 1:
-                terms.append(label)
-            elif c == -1:
-                terms.append(f"-{label}")
-            elif c:
-                terms.append(f"{c}*{label}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return str(self.element)
 
 
 def class_b() -> QuadricClass:
@@ -200,7 +144,7 @@ def hyperplane_class() -> QuadricClass:
 
 def ruling_swap_pushforward(x: QuadricClass) -> QuadricClass:
     """Push a class through the ruling-exchanging identification (b <-> w)."""
-    return QuadricClass(_SWAP.apply(x.element), x.basis_mode)
+    return QuadricClass(_SWAP.apply(x.element))
 
 
 def ruling_swap_pullback(x: QuadricClass) -> QuadricClass:

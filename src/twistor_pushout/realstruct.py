@@ -61,12 +61,13 @@ class QuadricPoint:
         ]
 
 
+def _scalar(v) -> GaussianScalar:
+    return v if isinstance(v, GaussianScalar) else GaussianScalar.of(v)
+
+
 def point(z0, z1, w0, w1) -> QuadricPoint:
     """Convenience constructor taking anything GaussianScalar.of accepts."""
-    def scalar(v):
-        return v if isinstance(v, GaussianScalar) else GaussianScalar.of(v)
-
-    return QuadricPoint((scalar(z0), scalar(z1)), (scalar(w0), scalar(w1)))
+    return QuadricPoint((_scalar(z0), _scalar(z1)), (_scalar(w0), _scalar(w1)))
 
 
 def real_structure(p: QuadricPoint) -> QuadricPoint:
@@ -108,10 +109,8 @@ class Section11:
 
 
 def section(a, b, c, d) -> Section11:
-    def scalar(v):
-        return v if isinstance(v, GaussianScalar) else GaussianScalar.of(v)
-
-    return Section11(scalar(a), scalar(b), scalar(c), scalar(d))
+    """Convenience constructor taking anything GaussianScalar.of accepts."""
+    return Section11(_scalar(a), _scalar(b), _scalar(c), _scalar(d))
 
 
 def section_involution(s: Section11) -> Section11:

@@ -14,16 +14,17 @@ optional degree shift: pullbacks shift by 0, pushforwards by the codimension.
 A map flagged as a ring homomorphism is verified to be multiplicative on all
 basis pairs and to preserve the unit.
 
-The construction-time checks work on the integer structure constants
-directly: per degree pair the product table ``T[i1][i2]``, and per source
-degree the images of the basis vectors (the matrix columns).  Each identity
-is a bilinear sum over these tables, checked coordinate by coordinate, so no
-element is built inside a check.  The associativity blocks with a factor of
-degree 0 are summed over supports, the positions of the nonzero entries of
-each table vector, read from the entries themselves: nothing is assumed about
-a row's shape, yet the unit's rows, unit vectors, cost one index each.  The
-blocks of positive degrees, whose tables are mostly nonzero, take one dense
-dot product per output coordinate.
+A ring stores its structure constants once, per degree pair as the product
+table ``T[i1][i2]``, and equality compares these tables.  The construction-time
+checks work on them directly, and on the images of the basis vectors per
+source degree (the matrix columns).  Each identity is a bilinear sum over
+these tables, checked coordinate by coordinate, so no element is built
+inside a check.  The associativity blocks with a factor of degree 0 are
+summed over supports, the positions of the nonzero entries of each table
+vector, read from the entries themselves: nothing is assumed about a row's
+shape, yet the unit's rows, unit vectors, cost one index each.  The blocks of
+positive degrees, whose tables are mostly nonzero, take one dense dot product
+per output coordinate.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -96,13 +97,16 @@ class GradedRing:
             if degree_functional is None
             else _as_vec(degree_functional, self.rank(top_degree), "degree_functional")
         )
-        self._table = self._build_table(products)
-        self._products = {
-            (d1, d2): self._product_table(d1, d2)
+        table = self._build_table(products)  # refuses a unit that is not the identity
+        zeros = [tuple([0] * self.rank(d)) for d in range(2 * top_degree + 1)]  # () above the top
+        self._products = {  # the only store of the structure constants
+            (d1, d2): tuple(
+                tuple(table.get((d1, i1, d2, i2), zeros[d1 + d2]) for i2 in range(self.rank(d2)))
+                for i1 in range(self.rank(d1))
+            )
             for d1 in range(top_degree + 1)
             for d2 in range(top_degree + 1)
         }
-        self._check_unit()
         self._check_associativity()
 
     # -- construction helpers -------------------------------------------------
@@ -131,17 +135,6 @@ class GradedRing:
                     if table.setdefault(key, unit_vec) != unit_vec:
                         raise ValueError(f"unit does not act as identity on {key}")
         return table
-
-    def _product_table(self, d1: int, d2: int) -> tuple[tuple[Vector, ...], ...]:
-        zero = tuple([0] * self.rank(d1 + d2))  # empty beyond the top degree
-        return tuple(
-            tuple(self._table.get((d1, i1, d2, i2), zero) for i2 in range(self.rank(d2)))
-            for i1 in range(self.rank(d1))
-        )
-
-    def _check_unit(self) -> None:
-        if self._table[(0, 0, 0, 0)] != (1,):
-            raise ValueError("unit square must be the unit")
 
     def _check_associativity(self) -> None:
         # (x.y).z = sum_m (x.y)[m] z.e_m against x.(y.z) = sum_m (y.z)[m] x.e_m on
@@ -217,13 +210,11 @@ class GradedRing:
         """
         table = self._products.get((d1, d2))
         if table is None:
-            return self._product_table(d1, d2)
+            return ((),) * self.rank(d1)
         return table
 
     def table_entry(self, d1: int, i1: int, d2: int, i2: int) -> Vector:
-        if d1 + d2 > self.top_degree:
-            return ()
-        return self._table.get((d1, i1, d2, i2), tuple([0] * self.rank(d1 + d2)))
+        return self.product_table(d1, d2)[i1][i2]
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -233,7 +224,7 @@ class GradedRing:
         return (
             self.top_degree == other.top_degree
             and self.basis_labels == other.basis_labels
-            and self._table == other._table
+            and self._products == other._products
             and self.degree_functional == other.degree_functional
         )
 
@@ -306,11 +297,13 @@ class GradedRing:
     # -- serialization ------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        mult = []
-        for (d1, i1, d2, i2), out in sorted(self._table.items()):
-            if (d1, i1) > (d2, i2) or (d1, i1) == (0, 0):
-                continue  # store one orientation, skip auto-filled unit rows
-            mult.append({"d1": d1, "i1": i1, "d2": d2, "i2": i2, "out": list(out)})
+        mult = []  # each nonzero product once, in one orientation; unit rows are implied
+        for d1 in range(1, self.top_degree + 1):
+            for i1 in range(self.rank(d1)):
+                for d2 in range(d1, self.top_degree + 1 - d1):
+                    for i2, out in enumerate(self._products[d1, d2][i1]):
+                        if (d1, i1) <= (d2, i2) and any(out):
+                            mult.append({"d1": d1, "i1": i1, "d2": d2, "i2": i2, "out": list(out)})
         doc = {
             "top_degree": self.top_degree,
             "basis": [list(labels) for labels in self.basis_labels],

@@ -24,13 +24,12 @@ from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
-from .rings import GradedRing
-
 if TYPE_CHECKING:
     from .charges import GluedBundleData
     from .gaussian import GaussianScalar
     from .neck import PhaseDecoration
     from .pushout import ComponentPair, PushoutPair, TwistorChow
+    from .rings import GradedRing
     from .surfaces import SurfaceData
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
@@ -107,6 +106,8 @@ def ring_from_dict(doc) -> GradedRing:
     """A ring document: ``top_degree``, one ``basis`` label list per degree, ``mult``
     entries ``{"d1", "i1", "d2", "i2", "out"}``, optional ``degree_functional`` and
     ``name``.  A rank above ``MAX_DOCUMENT_RANK`` is refused before any table is built."""
+    from .rings import GradedRing
+
     doc = _Json.of(doc)
     top = doc["top_degree"].read(int)
     basis = []
@@ -165,7 +166,7 @@ def member_from_dict(geometry: PushoutPair, doc) -> tuple[int, ComponentPair]:
 
 
 def scalar_from_dict(doc) -> GaussianScalar:
-    """A Gaussian rational ``{"re_num", "re_den", "im_num", "im_den"}``."""
+    """A phase: a Gaussian rational ``{"re_num", "re_den", "im_num", "im_den"}`` of modulus 1."""
     from fractions import Fraction
 
     from .gaussian import GaussianScalar
@@ -175,7 +176,10 @@ def scalar_from_dict(doc) -> GaussianScalar:
         if denominator.read(int) == 0:
             denominator.refuse("a nonzero integer")
     re, im = (Fraction(doc[f"{p}_num"].read(int), doc[f"{p}_den"].value) for p in ("re", "im"))
-    return GaussianScalar(re, im)
+    scalar = GaussianScalar(re, im)
+    if not scalar.is_unit():
+        doc.refuse("a Gaussian rational of squared modulus 1")
+    return scalar
 
 
 def decoration_from_dict(doc) -> PhaseDecoration:

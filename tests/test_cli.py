@@ -221,7 +221,7 @@ def test_inline_ring_above_rank_cap_is_refused_before_any_work(tmp_path, monkeyp
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"branch1": doc, "branch2": {"builtin": "p3"}}), encoding="utf-8")
-    monkeypatch.setattr("twistor_pushout.scenario.GradedRing", no_work)
+    monkeypatch.setattr("twistor_pushout.rings.GradedRing", no_work)
     code, out = run(["--scenario", str(path), "equalizer"])
     assert code == 2
     assert out == (

@@ -207,7 +207,12 @@ NAMED = {
     "decoration-theta-not-unit-without-points": (
         {"theta": {"re_num": 1, "re_den": 2, "im_num": 0, "im_den": 1}, "points": []},
         ["neck", "--decorate", "{}"],
-        "need a unit theta and exactly one eta per point",
+        'theta must be a Gaussian rational of squared modulus 1, got {"re_num": 1, "re_den": 2, "im_num": ...',
+    ),
+    "decoration-eta-not-unit": (
+        mutated(DECORATION, ("points", 0, "eta", "re_den"), 2),
+        ["neck", "--decorate", "{}"],
+        'points[0].eta must be a Gaussian rational of squared modulus 1, got {"re_num": 1, "re_den": 2, "im_num": ...',
     ),
     "decoration-zero-denominator": (
         mutated(DECORATION, ("points", 0, "eta", "im_den"), 0),

@@ -193,15 +193,6 @@ def test_decoration_serialization():
     assert scalar_from_dict(doc["points"][0]["rho1"]) == theta
 
 
-def test_bundle_class_validation():
-    with pytest.raises(ValueError):
-        CircleBundleClass(base="quadric", c1_int=1)
-    with pytest.raises(ValueError):
-        CircleBundleClass(base="somewhere", c1_int=1)
-    with pytest.raises(ValueError):
-        restrict_to_curve(CircleBundleClass.over_fibre(1), Bidegree(1, 1))
-
-
 def test_gaussian_scalar_arithmetic():
     a = GaussianScalar.of(Fraction(1, 2), 3)
     b = GaussianScalar.of(-2, Fraction(1, 3))

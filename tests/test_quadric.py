@@ -41,16 +41,6 @@ def test_products_in_zw_presentation():
     assert (z + 2 * w) * (z + 2 * w) == 2 * QuadricClass.point()
 
 
-def test_basis_mode_round_trip():
-    x = QuadricClass.from_bw(3, -5)
-    z, w = x.coeffs_zw()
-    assert QuadricClass.from_zw(z, w) == x
-    assert QuadricClass.from_zw(z, w).coeffs_bw() == (3, -5)
-    y = QuadricClass.from_zw(2, 7)
-    assert y.coeffs_zw() == (2, 7)
-    assert y.in_mode("bw").coeffs_bw() == (2, 5)
-
-
 def test_ruling_swap_values():
     assert ruling_swap_pushforward(class_w()) == class_b()
     assert ruling_swap_pushforward(class_b()) == class_w()
@@ -109,7 +99,6 @@ def test_genus_agrees_with_adjunction_oracle():
 def test_canonical_class_values():
     K = canonical_class()
     assert K.coeffs_bw() == (-2, -2)
-    assert K.coeffs_zw() == (-2, -4)
     assert K * K == 8 * QuadricClass.point()
 
 

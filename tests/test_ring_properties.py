@@ -14,7 +14,8 @@ pair as an oracle that walks the documented order with ``RingElement``
 arithmetic, or accept exactly when the oracle finds no failure; so must the
 associativity check of a built ring whose unit row was then tampered with.  Written out
 with ``to_json_dict`` and read back by the scenario decoder, each ring is
-the same ring again.
+the same ring again; listing some of its zero products explicitly gives the
+same ring, hash and document.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from itertools import combinations_with_replacement
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistor_pushout.quadric import QuadricClass, quadric_ring
 from twistor_pushout.rings import GradedMap, GradedRing
 from twistor_pushout.scenario import ring_from_dict
 
@@ -202,9 +204,10 @@ def test_unit_blocks_agree_with_element_oracle_on_a_tampered_unit_row(ring_data,
     k = data.draw(st.integers(0, ring.rank(d) - 1))
     delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
     row = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(0, 0, d, i)))
-    for key in ((0, 0, d, i), (d, i, 0, 0)):
-        ring._table[key] = row
-    ring._products = {key: ring._product_table(*key) for key in ring._products}
+    for (d1, d2), (i1, i2) in (((0, d), (0, i)), ((d, 0), (i, 0))):
+        rows = [list(r) for r in ring._products[d1, d2]]
+        rows[i1][i2] = row
+        ring._products[d1, d2] = tuple(map(tuple, rows))
     assert _error(ring._check_associativity) == _associativity_oracle(ring)
 
 
@@ -237,3 +240,33 @@ def test_ring_document_decodes_to_the_same_ring(ring_data, data):
     again = ring_from_dict(doc)
     assert again == ring and again.name == ring.name
     assert again.to_json_dict() == doc
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
+def test_explicit_zero_products_change_nothing(ring_data, data):
+    top, labels, _, dense, _ = ring_data
+    nonzero = {key: out for key, out in dense.items() if any(out)}
+    zeros = sorted(set(dense) - set(nonzero))
+    listed = data.draw(st.lists(st.sampled_from(zeros), unique=True)) if zeros else []
+    padded = dict(nonzero)
+    for d1, i1, d2, i2 in listed:  # a zero product may be listed in either order
+        key = (d2, i2, d1, i1) if data.draw(st.booleans()) else (d1, i1, d2, i2)
+        padded[key] = dense[d1, i1, d2, i2]
+    bare, explicit = GradedRing(top, labels, nonzero), GradedRing(top, labels, padded)
+    assert explicit == bare and hash(explicit) == hash(bare)
+    assert explicit.to_json_dict() == bare.to_json_dict()
+
+
+QUADRIC_COEFFS = st.lists(st.integers(-1, 1), min_size=4, max_size=4)  # of 1, b, w, pt
+
+
+@SETTINGS
+@given(QUADRIC_COEFFS, QUADRIC_COEFFS)
+def test_quadric_class_equality_is_coefficient_equality(first, second):
+    x, y = (
+        QuadricClass(quadric_ring().element({0: c[:1], 1: c[1:3], 2: c[3:]}))
+        for c in (first, second)
+    )
+    assert (x == y) == (first == second)
+    assert x != y or hash(x) == hash(y)

@@ -60,6 +60,11 @@ def test_construction_rejects_broken_associativity():
         )
 
 
+def test_construction_rejects_a_unit_square_other_than_the_unit():
+    with pytest.raises(ValueError, match=re.escape("unit does not act as identity on (0, 0, 0, 0)")):
+        GradedRing(top_degree=0, basis_labels=[["1"]], products={(0, 0, 0, 0): (2,)})
+
+
 def test_construction_rejects_non_associative_table():
     # Symmetric, with a correct unit, but (a.a).b = p.b = q while a.(a.b) = 0.
     with pytest.raises(ValueError, match=re.escape("associativity fails on (a, a, b)")):

@@ -48,6 +48,15 @@ def test_a_command_loads_only_what_it_runs(argv, code, absent):
     assert "cli" in loaded and not absent & set(loaded), loaded
 
 
+@pytest.mark.parametrize(
+    "argv, code", [(["real", "--samples", "5"], 0), (["charge"], 2)], ids=["real", "charge"]
+)
+def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
+    got, *loaded = _fresh("-c", CHILD, *argv).split()
+    assert int(got) == code
+    assert not {"rings", "intlin"} & set(loaded), loaded
+
+
 def test_star_import_binds_every_public_name():
     script = (
         "import twistor_pushout\n"
