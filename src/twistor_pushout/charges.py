@@ -10,8 +10,7 @@ elements stand for dimension-graded cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .pushout import ComponentPair, PushoutPair
 from .quadric import line_bundle_cohomology
 from .rings import RingElement
@@ -20,12 +19,14 @@ Monomial = tuple[int, ...]
 Polynomial = dict[Monomial, int]  # exponent vector -> integer coefficient
 
 
-@dataclass(frozen=True)
-class CentralFibreCycle:
+class CentralFibreCycle(Value):
     """A cycle on the central fibre: component classes plus the matched flag."""
 
     pair: ComponentPair
     matched: bool
+
+    def __init__(self, pair: ComponentPair, matched: bool) -> None:
+        self._assign(pair=pair, matched=matched)
 
 
 def specialize(geometry: PushoutPair, pair: ComponentPair) -> CentralFibreCycle:
@@ -79,8 +80,7 @@ def practical_lift(
     return CentralFibreCycle(pair, geometry.is_matched(pair))
 
 
-@dataclass(frozen=True)
-class GluedBundleData:
+class GluedBundleData(Value):
     """Chern data of a bundle glued across the double locus.
 
     ``restriction_to_quadric_trivial`` asserts the bundle restricts trivially
@@ -96,7 +96,23 @@ class GluedBundleData:
     restriction_to_quadric_trivial: bool
     h2_end_dims: tuple[int, int]
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        geometry: PushoutPair,
+        rank: int,
+        c1_pair: ComponentPair,
+        c2_pair: ComponentPair,
+        restriction_to_quadric_trivial: bool,
+        h2_end_dims: tuple[int, int],
+    ) -> None:
+        self._assign(
+            geometry=geometry,
+            rank=rank,
+            c1_pair=c1_pair,
+            c2_pair=c2_pair,
+            restriction_to_quadric_trivial=restriction_to_quadric_trivial,
+            h2_end_dims=h2_end_dims,
+        )
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         for degree, pair, what in ((1, self.c1_pair, "c1"), (2, self.c2_pair, "c2")):

@@ -14,9 +14,10 @@ used: in ``real`` and ``neck``, and for a scenario with a decoration block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
+
+from ._value import Value
 
 if TYPE_CHECKING:
     from random import Random
@@ -32,18 +33,16 @@ def _part(value: RationalLike) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-@dataclass(frozen=True)
-class GaussianScalar:
+class GaussianScalar(Value):
     """An exact element re + im*i of the Gaussian rationals."""
 
-    re: int | Fraction = 0
-    im: int | Fraction = 0
+    __slots__ = ("re", "im")
+    re: int | Fraction
+    im: int | Fraction
 
-    def __post_init__(self) -> None:
-        if type(self.re) is not int:
-            object.__setattr__(self, "re", _part(self.re))
-        if type(self.im) is not int:
-            object.__setattr__(self, "im", _part(self.im))
+    def __init__(self, re: RationalLike = 0, im: RationalLike = 0) -> None:
+        object.__setattr__(self, "re", re if type(re) is int else _part(re))
+        object.__setattr__(self, "im", im if type(im) is int else _part(im))
 
     # -- constructors -----------------------------------------------------------
 

@@ -17,30 +17,34 @@ moduli so every identity is checked with exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .gaussian import GaussianScalar
 from .quadric import Bidegree, QuadricClass, class_z
 
 
-@dataclass(frozen=True)
-class CircleBundleClass:
+class CircleBundleClass(Value):
     """A circle bundle over the quadric, recorded by its first Chern class."""
 
     c1_class: QuadricClass
+
+    def __init__(self, c1_class: QuadricClass) -> None:
+        self._assign(c1_class=c1_class)
 
     @classmethod
     def over_quadric(cls, c1: QuadricClass) -> "CircleBundleClass":
         return cls(c1)
 
 
-@dataclass(frozen=True)
-class RestrictedBundle:
+class RestrictedBundle(Value):
     """A restriction to a curve, by its integer first Chern class; ``curve=None`` is a ruling fibre."""
 
     c1_int: int
-    curve: Bidegree | None = None
+    curve: Bidegree | None
+
+    def __init__(self, c1_int: int, curve: Bidegree | None = None) -> None:
+        self._assign(c1_int=c1_int, curve=curve)
 
 
 def kn_fixed_phase_bundle() -> CircleBundleClass:
@@ -104,20 +108,20 @@ def antidiagonal_quotient_over_fibre(
     return lens_space_of(character_quotient(chern_vector, character))
 
 
-@dataclass(frozen=True)
-class PhasePair:
+class PhasePair(Value):
     """Compatible branch phases: rho1 * rho2 = e^{i theta}, all of unit modulus."""
 
     rho1: GaussianScalar
     rho2: GaussianScalar
     theta_unit: GaussianScalar
 
-    def __post_init__(self) -> None:
-        for name, value in (("rho1", self.rho1), ("rho2", self.rho2), ("theta", self.theta_unit)):
+    def __init__(self, rho1: GaussianScalar, rho2: GaussianScalar, theta_unit: GaussianScalar) -> None:
+        for name, value in (("rho1", rho1), ("rho2", rho2), ("theta", theta_unit)):
             if not value.is_unit():
                 raise ValueError(f"{name} must have unit squared modulus")
-        if self.rho1 * self.rho2 != self.theta_unit:
+        if rho1 * rho2 != theta_unit:
             raise ValueError("phase pair must satisfy rho1 * rho2 = theta")
+        self._assign(rho1=rho1, rho2=rho2, theta_unit=theta_unit)
 
     def to_json_dict(self) -> dict:
         return {"rho1": self.rho1.to_json_dict(), "rho2": self.rho2.to_json_dict()}
@@ -130,12 +134,14 @@ def phase_solve(theta_unit: GaussianScalar, rho2: GaussianScalar) -> PhasePair:
     return PhasePair(theta_unit / rho2, rho2, theta_unit)
 
 
-@dataclass(frozen=True)
-class BranchCoordinate:
+class BranchCoordinate(Value):
     """One branch coordinate of a neck point: squared modulus and phase."""
 
     modulus_sq: Fraction
     phase: GaussianScalar
+
+    def __init__(self, modulus_sq: Fraction, phase: GaussianScalar) -> None:
+        self._assign(modulus_sq=modulus_sq, phase=phase)
 
 
 def neck_point(
@@ -160,13 +166,15 @@ def neck_point(
     return u, v
 
 
-@dataclass(frozen=True)
-class PhaseDecoration:
+class PhaseDecoration(Value):
     """A compatible phase pair for each point of a finite subscheme of the
     double locus, at a fixed angle."""
 
     theta_unit: GaussianScalar
     points: tuple[tuple[str, PhasePair], ...]
+
+    def __init__(self, theta_unit: GaussianScalar, points: tuple[tuple[str, PhasePair], ...]) -> None:
+        self._assign(theta_unit=theta_unit, points=points)
 
     def to_json_dict(self) -> dict:
         return {

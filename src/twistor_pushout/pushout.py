@@ -33,8 +33,8 @@ and lattice membership walks only the nonzero entries of the Hermite rows.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
+from ._value import Value
 from .intlin import (
     SparseLattice,
     Support,
@@ -59,8 +59,7 @@ from .rings import (
 TWISTOR_TOP = 3
 
 
-@dataclass(frozen=True)
-class TwistorChow:
+class TwistorChow(Value):
     """Intersection ring of a compact twistor threefold plus blow-up data.
 
     ``twistor_degrees`` lists, per degree-1 basis class, its degree on the
@@ -73,8 +72,16 @@ class TwistorChow:
     twistor_degrees: tuple[int, ...]
     point_class: RingElement
 
-    def __post_init__(self) -> None:
-        ring = self.ring
+    def __init__(
+        self,
+        ring: GradedRing,
+        line_class: RingElement,
+        twistor_degrees: tuple[int, ...],
+        point_class: RingElement,
+    ) -> None:
+        self._assign(
+            ring=ring, line_class=line_class, twistor_degrees=twistor_degrees, point_class=point_class
+        )
         if ring.top_degree != TWISTOR_TOP:
             raise ValueError("twistor base rings have top degree 3")
         if ring.degree_functional is None:
@@ -168,8 +175,7 @@ def builtin_base(name: str) -> TwistorChow:
         raise ValueError(f"unknown built-in base {name!r}; choose from {sorted(BUILTIN_BASES)}")
 
 
-@dataclass(frozen=True)
-class BlownUpChow:
+class BlownUpChow(Value):
     """The intersection ring of a blow-up along a twistor line, with both maps.
 
     ``restriction_to_quadric`` is the ring-homomorphic pullback to the
@@ -182,6 +188,22 @@ class BlownUpChow:
     quadric: GradedRing
     restriction_to_quadric_map: GradedMap
     pushforward_from_quadric: GradedMap
+
+    def __init__(
+        self,
+        base: TwistorChow,
+        ring: GradedRing,
+        quadric: GradedRing,
+        restriction_to_quadric_map: GradedMap,
+        pushforward_from_quadric: GradedMap,
+    ) -> None:
+        self._assign(
+            base=base,
+            ring=ring,
+            quadric=quadric,
+            restriction_to_quadric_map=restriction_to_quadric_map,
+            pushforward_from_quadric=pushforward_from_quadric,
+        )
 
     # -- distinguished elements -------------------------------------------------
 
@@ -354,8 +376,7 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
     return blown
 
 
-@dataclass(frozen=True)
-class ComponentPair:
+class ComponentPair(Value):
     """A pair of classes with equal degree support, one on each blown-up branch.
 
     Cycle pairs are homogeneous of one codimension; polynomial lifting also
@@ -365,6 +386,9 @@ class ComponentPair:
 
     first: RingElement
     second: RingElement
+
+    def __init__(self, first: RingElement, second: RingElement) -> None:
+        self._assign(first=first, second=second)
 
     def supported_degrees(self) -> tuple[int, ...]:
         """Degrees in which either component is nonzero."""
@@ -463,8 +487,7 @@ class PushoutPair:
         return EqualizerRing(self, tuple(lattices))
 
 
-@dataclass(frozen=True)
-class EqualizerRing:
+class EqualizerRing(Value):
     """Per-degree lattices of matched pairs, with componentwise product.
 
     Pairs are stored as concatenated coefficient vectors (branch 1 followed by
@@ -476,10 +499,14 @@ class EqualizerRing:
 
     geometry: PushoutPair
     lattices: tuple[tuple[Vector, ...], ...]
-    _members: tuple[SparseLattice, ...] = field(init=False, repr=False, compare=False)
+    _members: tuple[SparseLattice, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_members", tuple(SparseLattice(basis) for basis in self.lattices))
+    def __init__(self, geometry: PushoutPair, lattices: tuple[tuple[Vector, ...], ...]) -> None:
+        self._assign(
+            geometry=geometry,
+            lattices=lattices,
+            _members=tuple(SparseLattice(basis) for basis in lattices),
+        )
 
     def rank(self, degree: int) -> int:
         return len(self.lattices[degree])

@@ -11,8 +11,7 @@ dimensions come in closed form rather than from complexes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .rings import DegreeError, GradedMap, GradedRing, RingElement
 
 _QUADRIC_PRODUCTS = {
@@ -56,23 +55,25 @@ def ruling_swap_map(ring: GradedRing | None = None) -> GradedMap:
 _SWAP = ruling_swap_map(_RING)
 
 
-@dataclass(frozen=True)
-class Bidegree:
+class Bidegree(Value):
     """A divisor class m*b + n*w recorded by its pair of integers."""
 
     m: int
     n: int
 
+    def __init__(self, m: int, n: int) -> None:
+        self._assign(m=m, n=n)
 
-@dataclass(frozen=True)
-class QuadricClass:
+
+class QuadricClass(Value):
     """An element of the quadric ring; equal classes have equal elements."""
 
     element: RingElement
 
-    def __post_init__(self) -> None:
-        if self.element.ring != _RING:
+    def __init__(self, element: RingElement) -> None:
+        if element.ring != _RING:
             raise ValueError("QuadricClass elements must live in the quadric ring")
+        self._assign(element=element)
 
     # -- constructors ---------------------------------------------------------
 

@@ -11,8 +11,7 @@ cross-multiplication, so nothing here is numerical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .gaussian import GaussianScalar
 
 
@@ -38,16 +37,16 @@ def pairs_projectively_equal(p: ProjectivePair, q: ProjectivePair) -> bool:
     return p[0] * q[1] == p[1] * q[0]
 
 
-@dataclass(frozen=True)
-class QuadricPoint:
+class QuadricPoint(Value):
     """A point of P1 x P1 with exact Gaussian-rational coordinates."""
 
     z: ProjectivePair
     w: ProjectivePair
 
-    def __post_init__(self) -> None:
-        _check_pair(self.z, "first factor")
-        _check_pair(self.w, "second factor")
+    def __init__(self, z: ProjectivePair, w: ProjectivePair) -> None:
+        _check_pair(z, "first factor")
+        _check_pair(w, "second factor")
+        self._assign(z=z, w=w)
 
     def projectively_equal(self, other: "QuadricPoint") -> bool:
         return pairs_projectively_equal(self.z, other.z) and pairs_projectively_equal(
@@ -83,14 +82,16 @@ def is_fixed_point(p: QuadricPoint) -> bool:
     return real_structure(p).projectively_equal(p)
 
 
-@dataclass(frozen=True)
-class Section11:
+class Section11(Value):
     """A section a*z0w0 + b*z0w1 + c*z1w0 + d*z1w1 of the (1,1) polarization."""
 
     a: GaussianScalar
     b: GaussianScalar
     c: GaussianScalar
     d: GaussianScalar
+
+    def __init__(self, a: GaussianScalar, b: GaussianScalar, c: GaussianScalar, d: GaussianScalar) -> None:
+        self._assign(a=a, b=b, c=c, d=d)
 
     def coefficients(self) -> tuple[GaussianScalar, ...]:
         return (self.a, self.b, self.c, self.d)

@@ -33,8 +33,8 @@ the module is safe for unrestricted concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 
+from ._value import Value
 from .intlin import Support, Vector, dot, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
@@ -339,19 +339,21 @@ def combine(weights: Support, rows: Sequence[Support], length: int) -> list[int]
     return out
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Value):
     """An element of a :class:`GradedRing`, one integer vector per degree."""
 
+    __slots__ = ("ring", "coeffs")
     ring: GradedRing
     coeffs: tuple[Vector, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.ring.top_degree + 1:
+    def __init__(self, ring: GradedRing, coeffs: tuple[Vector, ...]) -> None:
+        if len(coeffs) != ring.top_degree + 1:
             raise ValueError("coefficient vectors must cover degrees 0..top_degree")
-        for d, vec in enumerate(self.coeffs):
-            if len(vec) != self.ring.rank(d):
-                raise ValueError(f"degree {d}: expected {self.ring.rank(d)} coefficients")
+        for d, vec in enumerate(coeffs):
+            if len(vec) != ring.rank(d):
+                raise ValueError(f"degree {d}: expected {ring.rank(d)} coefficients")
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __add__(self, other: "RingElement") -> "RingElement":
         if self.ring != other.ring:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
+
+from ._value import Value
 
 if TYPE_CHECKING:
     from .charges import GluedBundleData
@@ -38,17 +39,34 @@ if TYPE_CHECKING:
 MAX_DOCUMENT_RANK = 40
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Value):
     """A glued pair and its optional blocks; ``build`` makes the pair on the first
     read of ``geometry``, so a command that never reads it never builds it."""
 
     build: Callable[[], PushoutPair]
-    bundles: tuple[GluedBundleData, ...] = ()
-    polarization: ComponentPair | None = None
-    surfaces: tuple[SurfaceData, ...] = ()
-    decoration: PhaseDecoration | None = None
-    assumption_def: bool = False
+    bundles: tuple[GluedBundleData, ...]
+    polarization: ComponentPair | None
+    surfaces: tuple[SurfaceData, ...]
+    decoration: PhaseDecoration | None
+    assumption_def: bool
+
+    def __init__(
+        self,
+        build: Callable[[], PushoutPair],
+        bundles: tuple[GluedBundleData, ...] = (),
+        polarization: ComponentPair | None = None,
+        surfaces: tuple[SurfaceData, ...] = (),
+        decoration: PhaseDecoration | None = None,
+        assumption_def: bool = False,
+    ) -> None:
+        self._assign(
+            build=build,
+            bundles=bundles,
+            polarization=polarization,
+            surfaces=surfaces,
+            decoration=decoration,
+            assumption_def=assumption_def,
+        )
 
     @cached_property
     def geometry(self) -> PushoutPair:

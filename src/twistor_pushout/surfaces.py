@@ -10,8 +10,7 @@ the degrees are allowed to be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .quadric import (
     Bidegree,
     QuadricClass,
@@ -21,16 +20,16 @@ from .quadric import (
 )
 
 
-@dataclass(frozen=True)
-class SurfaceData:
+class SurfaceData(Value):
     """Twistor degree of a surface and whether it contains the blown-up line."""
 
     twistor_degree: int
     contains_line: bool
 
-    def __post_init__(self) -> None:
-        if self.twistor_degree < 1:
+    def __init__(self, twistor_degree: int, contains_line: bool) -> None:
+        if twistor_degree < 1:
             raise ValueError("twistor degree must be at least 1")
+        self._assign(twistor_degree=twistor_degree, contains_line=contains_line)
 
 
 def trace_class(surface: SurfaceData) -> QuadricClass:

@@ -3,7 +3,6 @@
 import functools
 import itertools
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from twistor_pushout.intlin import hermite_row_basis
 from twistor_pushout.pushout import (
+    BlownUpChow,
     ComponentPair,
     EqualizerRing,
     PushoutPair,
@@ -129,8 +129,11 @@ def test_projection_formula_rejects_perturbed_pushforward(blown_flag):
     push = blown_flag.pushforward_from_quadric
     matrices = {d: [list(row) for row in rows] for d, rows in push.matrices.items()}
     matrices[1][0][1] += 1
-    bad = replace(
-        blown_flag,
+    bad = BlownUpChow(
+        base=blown_flag.base,
+        ring=blown_flag.ring,
+        quadric=blown_flag.quadric,
+        restriction_to_quadric_map=blown_flag.restriction_to_quadric_map,
         pushforward_from_quadric=GradedMap(blown_flag.quadric, blown_flag.ring, 1, matrices),
     )
     with pytest.raises(ValueError, match=re.escape("projection formula fails on (f.x, w)")):

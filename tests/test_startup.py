@@ -9,6 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC = str(ROOT / "tests" / "data" / "synthetic_r7.json")
+P3_P3 = str(ROOT / "scenarios" / "p3_p3.json")
 
 # runs one command through cli.run and prints its exit code and the package modules loaded
 CHILD = """
@@ -16,6 +17,14 @@ import sys
 from twistor_pushout.cli import run
 code, _ = run(sys.argv[1:])
 print(code, *sorted(m.split(".")[1] for m in sys.modules if m.startswith("twistor_pushout.")))
+"""
+
+# runs one command through cli.run and prints its exit code and the code-generation modules loaded
+CODEGEN_CHILD = """
+import sys
+from twistor_pushout.cli import run
+code, _ = run(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
 """
 
 
@@ -72,3 +81,24 @@ def test_package_import_loads_no_module():
     assert _fresh("-c", "import sys, twistor_pushout; print(sorted(sys.modules))").count(
         "'twistor_pushout."
     ) == 0
+
+
+@pytest.mark.parametrize("scenario", [[], ["--scenario", P3_P3]], ids=["default", "p3_p3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring-show"],
+        ["equalizer"],
+        ["surfaces", "--dmax", "3"],
+        ["surfaces", "--pair", "1", "in", "1", "out"],
+        ["charge"],
+        ["neck"],
+        ["real", "--samples", "5"],
+    ],
+    ids=["ring-show", "equalizer", "surfaces", "surfaces-pair", "charge", "neck", "real"],
+)
+def test_no_command_loads_class_code_generation(scenario, argv):
+    # p3_p3's blocks load every module; charge on the default scenario is refused
+    got, *loaded = _fresh("-c", CODEGEN_CHILD, *scenario, *argv).split()
+    assert int(got) == (2 if argv == ["charge"] and not scenario else 0)
+    assert not loaded, loaded
