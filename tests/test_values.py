@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistor_pushout import charges, gaussian, neck, pushout, quadric, realstruct, rings, scenario, surfaces
+from twistor_pushout import charges, neck, pushout, quadric, realstruct, rings, scenario, surfaces
 from twistor_pushout._value import Value
 from twistor_pushout.gaussian import GaussianScalar
 
@@ -204,4 +204,4 @@ def test_construction_refusals_are_kept():
 def test_gaussian_parts_are_normalised_at_construction():
     value = GaussianScalar(Fraction(4, 2), True)
     assert type(value.re) is int and type(value.im) is int and value == GaussianScalar(2, 1)
-    assert gaussian.GaussianScalar.of("1/2").re == Fraction(1, 2)
+    assert GaussianScalar.of("1/2").re == Fraction(1, 2)
