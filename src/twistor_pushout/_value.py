@@ -1,11 +1,11 @@
-"""Frozen value classes: equality, hashing and repr by declared fields.
+"""Frozen value classes: construction, equality, hashing and repr by declared fields.
 
 Every immutable value type of the package derives from :class:`Value`, which
-gives it value semantics from its field names alone: no code is generated per
-class and no annotation is evaluated, and nothing beyond ``operator`` is
-imported, so a fresh process pays neither for a class decorator's code
-generation nor for the ``inspect``, ``ast``, ``dis`` and ``tokenize`` modules
-such a decorator loads.
+gives it a constructor and value semantics from its field names alone: no code
+is generated per class and no annotation is evaluated, and nothing beyond
+``operator`` is imported, so a fresh process pays neither for a class
+decorator's code generation nor for the ``inspect``, ``ast``, ``dis`` and
+``tokenize`` modules such a decorator loads.
 """
 
 from __future__ import annotations
@@ -16,11 +16,16 @@ from operator import attrgetter
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass declares its fields as class annotations, in order, and its
-    ``__init__`` sets them with :meth:`_assign` (or ``object.__setattr__``).
-    A name that starts with an underscore is private state, set the same way
-    but left out of equality, hashing and ``repr``.  Annotations are read as
-    names only, never evaluated.
+    A subclass declares its fields as class annotations, in order; a value
+    assigned in the class body is that field's default.  The constructor binds
+    positional and then keyword arguments to the fields, in that order, and
+    raises ``TypeError`` naming the class on too many arguments, an unknown
+    keyword, a field given twice or a missing field without a default.  A
+    subclass that validates or derives state defines ``__init__`` and calls
+    ``super().__init__``; one with ``__slots__`` sets its fields with
+    ``object.__setattr__``.  A name that starts with an underscore is private
+    state, set the same way but left out of construction, equality, hashing
+    and ``repr``.  Annotations are read as names only, never evaluated.
 
     Instances are equal when they are of the same class with equal field
     tuples, hash as their field tuple, print as ``Name(field=value, ...)``,
@@ -34,13 +39,34 @@ class Value:
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
         get = attrgetter(*fields)
+        body = vars(cls)
+        slots = body.get("__slots__", ())
         cls._fields = fields
+        cls._defaults = {name: body[name] for name in fields if name in body and name not in slots}
         # the field tuple, also for one field, so hashes match a tuple's
         cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
 
-    def _assign(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values of a call that does not give every field positionally."""
+        fields, defaults, name = self._fields, self._defaults, type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        rest = fields[len(args):]
+        for key in kwargs:
+            if key not in rest:
+                problem = "multiple values for" if key in fields else "an unexpected keyword"
+                raise TypeError(f"{name}() got {problem} argument {key!r}")
+        given = {**defaults, **kwargs}
+        for field in rest:
+            if field not in given:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        return [*args, *(given[field] for field in rest)]
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

@@ -25,9 +25,6 @@ class CentralFibreCycle(Value):
     pair: ComponentPair
     matched: bool
 
-    def __init__(self, pair: ComponentPair, matched: bool) -> None:
-        self._assign(pair=pair, matched=matched)
-
 
 def specialize(geometry: PushoutPair, pair: ComponentPair) -> CentralFibreCycle:
     """Record a homogeneous component pair as a central-fibre cycle.
@@ -96,23 +93,8 @@ class GluedBundleData(Value):
     restriction_to_quadric_trivial: bool
     h2_end_dims: tuple[int, int]
 
-    def __init__(
-        self,
-        geometry: PushoutPair,
-        rank: int,
-        c1_pair: ComponentPair,
-        c2_pair: ComponentPair,
-        restriction_to_quadric_trivial: bool,
-        h2_end_dims: tuple[int, int],
-    ) -> None:
-        self._assign(
-            geometry=geometry,
-            rank=rank,
-            c1_pair=c1_pair,
-            c2_pair=c2_pair,
-            restriction_to_quadric_trivial=restriction_to_quadric_trivial,
-            h2_end_dims=h2_end_dims,
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         for degree, pair, what in ((1, self.c1_pair, "c1"), (2, self.c2_pair, "c2")):

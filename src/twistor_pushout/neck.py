@@ -29,9 +29,6 @@ class CircleBundleClass(Value):
 
     c1_class: QuadricClass
 
-    def __init__(self, c1_class: QuadricClass) -> None:
-        self._assign(c1_class=c1_class)
-
     @classmethod
     def over_quadric(cls, c1: QuadricClass) -> "CircleBundleClass":
         return cls(c1)
@@ -41,10 +38,7 @@ class RestrictedBundle(Value):
     """A restriction to a curve, by its integer first Chern class; ``curve=None`` is a ruling fibre."""
 
     c1_int: int
-    curve: Bidegree | None
-
-    def __init__(self, c1_int: int, curve: Bidegree | None = None) -> None:
-        self._assign(c1_int=c1_int, curve=curve)
+    curve: Bidegree | None = None
 
 
 def kn_fixed_phase_bundle() -> CircleBundleClass:
@@ -115,13 +109,13 @@ class PhasePair(Value):
     rho2: GaussianScalar
     theta_unit: GaussianScalar
 
-    def __init__(self, rho1: GaussianScalar, rho2: GaussianScalar, theta_unit: GaussianScalar) -> None:
-        for name, value in (("rho1", rho1), ("rho2", rho2), ("theta", theta_unit)):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        for name, value in (("rho1", self.rho1), ("rho2", self.rho2), ("theta", self.theta_unit)):
             if not value.is_unit():
                 raise ValueError(f"{name} must have unit squared modulus")
-        if rho1 * rho2 != theta_unit:
+        if self.rho1 * self.rho2 != self.theta_unit:
             raise ValueError("phase pair must satisfy rho1 * rho2 = theta")
-        self._assign(rho1=rho1, rho2=rho2, theta_unit=theta_unit)
 
     def to_json_dict(self) -> dict:
         return {"rho1": self.rho1.to_json_dict(), "rho2": self.rho2.to_json_dict()}
@@ -139,9 +133,6 @@ class BranchCoordinate(Value):
 
     modulus_sq: Fraction
     phase: GaussianScalar
-
-    def __init__(self, modulus_sq: Fraction, phase: GaussianScalar) -> None:
-        self._assign(modulus_sq=modulus_sq, phase=phase)
 
 
 def neck_point(
@@ -172,9 +163,6 @@ class PhaseDecoration(Value):
 
     theta_unit: GaussianScalar
     points: tuple[tuple[str, PhasePair], ...]
-
-    def __init__(self, theta_unit: GaussianScalar, points: tuple[tuple[str, PhasePair], ...]) -> None:
-        self._assign(theta_unit=theta_unit, points=points)
 
     def to_json_dict(self) -> dict:
         return {

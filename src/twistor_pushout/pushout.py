@@ -72,16 +72,9 @@ class TwistorChow(Value):
     twistor_degrees: tuple[int, ...]
     point_class: RingElement
 
-    def __init__(
-        self,
-        ring: GradedRing,
-        line_class: RingElement,
-        twistor_degrees: tuple[int, ...],
-        point_class: RingElement,
-    ) -> None:
-        self._assign(
-            ring=ring, line_class=line_class, twistor_degrees=twistor_degrees, point_class=point_class
-        )
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        ring = self.ring
         if ring.top_degree != TWISTOR_TOP:
             raise ValueError("twistor base rings have top degree 3")
         if ring.degree_functional is None:
@@ -189,22 +182,6 @@ class BlownUpChow(Value):
     restriction_to_quadric_map: GradedMap
     pushforward_from_quadric: GradedMap
 
-    def __init__(
-        self,
-        base: TwistorChow,
-        ring: GradedRing,
-        quadric: GradedRing,
-        restriction_to_quadric_map: GradedMap,
-        pushforward_from_quadric: GradedMap,
-    ) -> None:
-        self._assign(
-            base=base,
-            ring=ring,
-            quadric=quadric,
-            restriction_to_quadric_map=restriction_to_quadric_map,
-            pushforward_from_quadric=pushforward_from_quadric,
-        )
-
     # -- distinguished elements -------------------------------------------------
 
     def exceptional_class(self) -> RingElement:
@@ -306,16 +283,9 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
     q_square = [-c for c in line_vec] + [2]
     products[(1, q_idx, 1, q_idx)] = tuple(q_square)
 
-    # Q . f*b = 0 for degree-2 b (the line has no degree-2 classes)
-    for i in range(r2):
-        products[(1, q_idx, 2, i)] = tuple([0] * len(labels[3]))
-
-    # Q . j*b = -[pt]
+    # Q . j*b = -[pt]; the ring zero-fills Q . f*b = 0 for degree-2 b (the line has
+    # no degree-2 classes) and f*a . j*b = 0 for degree-1 a
     products[(1, q_idx, 2, jb_idx)] = tuple(-c for c in point_vec)
-
-    # f*a . j*b = 0 for degree-1 a
-    for i in range(r1):
-        products[(1, i, 2, jb_idx)] = tuple([0] * len(labels[3]))
 
     ring = GradedRing(
         top_degree=TWISTOR_TOP,
@@ -342,16 +312,7 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
 
     # pushforward: 1 -> Q, b -> j*b, w -> f*[line] - j*b, pt -> f*[point]
     push_d0 = [[1] if k == q_idx else [0] for k in range(len(labels[1]))]
-    push_d1 = []
-    for k in range(len(labels[2])):
-        b_col = 1 if k == jb_idx else 0
-        if k == jb_idx:
-            w_col = -1
-        elif k < r2:
-            w_col = line_vec[k]
-        else:
-            w_col = 0
-        push_d1.append([b_col, w_col])
+    push_d1 = [[0, c] for c in line_vec] + [[1, -1]]  # rows f*b then j*b
     push_d2 = [[point_vec[k]] for k in range(len(labels[3]))]
     pushforward = GradedMap(
         quad,
@@ -387,9 +348,6 @@ class ComponentPair(Value):
     first: RingElement
     second: RingElement
 
-    def __init__(self, first: RingElement, second: RingElement) -> None:
-        self._assign(first=first, second=second)
-
     def supported_degrees(self) -> tuple[int, ...]:
         """Degrees in which either component is nonzero."""
         return tuple(
@@ -413,9 +371,6 @@ class ComponentPair(Value):
         if len(set(degrees)) > 1:
             raise DegreeError("pair components have different codimension")
         return degrees[0]
-
-    def __neg__(self) -> "ComponentPair":
-        return ComponentPair(-self.first, -self.second)
 
 
 class PushoutPair:
@@ -476,14 +431,7 @@ class PushoutPair:
         for degree in range(TWISTOR_TOP + 1):
             n1 = self.branch1.ring.rank(degree)
             n2 = self.branch2.ring.rank(degree)
-            matrix = self.matching_matrix(degree)
-            if not matrix:
-                basis = [
-                    tuple(int(k == i) for k in range(n1 + n2)) for i in range(n1 + n2)
-                ]
-            else:
-                basis = kernel_basis(matrix, ncols=n1 + n2)
-            lattices.append(tuple(basis))
+            lattices.append(tuple(kernel_basis(self.matching_matrix(degree), ncols=n1 + n2)))
         return EqualizerRing(self, tuple(lattices))
 
 
@@ -501,15 +449,9 @@ class EqualizerRing(Value):
     lattices: tuple[tuple[Vector, ...], ...]
     _members: tuple[SparseLattice, ...]
 
-    def __init__(self, geometry: PushoutPair, lattices: tuple[tuple[Vector, ...], ...]) -> None:
-        self._assign(
-            geometry=geometry,
-            lattices=lattices,
-            _members=tuple(SparseLattice(basis) for basis in lattices),
-        )
-
-    def rank(self, degree: int) -> int:
-        return len(self.lattices[degree])
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_members", tuple(SparseLattice(basis) for basis in self.lattices))
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(basis) for basis in self.lattices)

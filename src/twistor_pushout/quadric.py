@@ -61,29 +61,22 @@ class Bidegree(Value):
     m: int
     n: int
 
-    def __init__(self, m: int, n: int) -> None:
-        self._assign(m=m, n=n)
-
 
 class QuadricClass(Value):
     """An element of the quadric ring; equal classes have equal elements."""
 
     element: RingElement
 
-    def __init__(self, element: RingElement) -> None:
-        if element.ring != _RING:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.element.ring != _RING:
             raise ValueError("QuadricClass elements must live in the quadric ring")
-        self._assign(element=element)
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "QuadricClass":
         return cls(_RING.zero())
-
-    @classmethod
-    def one(cls) -> "QuadricClass":
-        return cls(_RING.one())
 
     @classmethod
     def point(cls, multiplicity: int = 1) -> "QuadricClass":

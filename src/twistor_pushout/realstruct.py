@@ -18,9 +18,6 @@ from .gaussian import GaussianScalar
 class _BasePointMarker:
     """Sentinel returned where the pencil is undefined."""
 
-    def __repr__(self) -> str:
-        return "BASEPOINT"
-
 
 BASEPOINT = _BasePointMarker()
 
@@ -40,13 +37,15 @@ def pairs_projectively_equal(p: ProjectivePair, q: ProjectivePair) -> bool:
 class QuadricPoint(Value):
     """A point of P1 x P1 with exact Gaussian-rational coordinates."""
 
+    __slots__ = ("z", "w")  # constructed about three times per sampled point
     z: ProjectivePair
     w: ProjectivePair
 
     def __init__(self, z: ProjectivePair, w: ProjectivePair) -> None:
         _check_pair(z, "first factor")
         _check_pair(w, "second factor")
-        self._assign(z=z, w=w)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "w", w)
 
     def projectively_equal(self, other: "QuadricPoint") -> bool:
         return pairs_projectively_equal(self.z, other.z) and pairs_projectively_equal(
@@ -89,9 +88,6 @@ class Section11(Value):
     b: GaussianScalar
     c: GaussianScalar
     d: GaussianScalar
-
-    def __init__(self, a: GaussianScalar, b: GaussianScalar, c: GaussianScalar, d: GaussianScalar) -> None:
-        self._assign(a=a, b=b, c=c, d=d)
 
     def coefficients(self) -> tuple[GaussianScalar, ...]:
         return (self.a, self.b, self.c, self.d)

@@ -491,14 +491,8 @@ class GradedMap:
             td = d + self.shift
             if not 0 <= td <= self.target.top_degree:
                 continue  # lands in the zero group
-            image = mat_vec(self.matrix(d), vec)
-            if td in out:
-                image = tuple(a + b for a, b in zip(out[td], image))
-            out[td] = image
+            out[td] = mat_vec(self.matrix(d), vec)
         return self.target.element(out)
-
-    def __call__(self, x: RingElement) -> RingElement:
-        return self.apply(x)
 
     def _check_ring_hom(self) -> None:
         if self.shift != 0:
@@ -537,11 +531,7 @@ def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:
     """Saturated basis of the integer kernel of ``f`` in one source degree."""
     if not 0 <= degree <= f.source.top_degree:
         raise DegreeError(f"degree {degree} is out of range for the source ring")
-    n = f.source.rank(degree)
-    matrix = f.matrix(degree)
-    if not matrix:  # map into the zero group: kernel is everything
-        return [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    return kernel_basis(matrix, ncols=n)
+    return kernel_basis(f.matrix(degree), ncols=f.source.rank(degree))
 
 
 def lattice_membership(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:

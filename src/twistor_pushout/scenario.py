@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
 
@@ -44,29 +45,11 @@ class Scenario(Value):
     read of ``geometry``, so a command that never reads it never builds it."""
 
     build: Callable[[], PushoutPair]
-    bundles: tuple[GluedBundleData, ...]
-    polarization: ComponentPair | None
-    surfaces: tuple[SurfaceData, ...]
-    decoration: PhaseDecoration | None
-    assumption_def: bool
-
-    def __init__(
-        self,
-        build: Callable[[], PushoutPair],
-        bundles: tuple[GluedBundleData, ...] = (),
-        polarization: ComponentPair | None = None,
-        surfaces: tuple[SurfaceData, ...] = (),
-        decoration: PhaseDecoration | None = None,
-        assumption_def: bool = False,
-    ) -> None:
-        self._assign(
-            build=build,
-            bundles=bundles,
-            polarization=polarization,
-            surfaces=surfaces,
-            decoration=decoration,
-            assumption_def=assumption_def,
-        )
+    bundles: tuple[GluedBundleData, ...] = ()
+    polarization: ComponentPair | None = None
+    surfaces: tuple[SurfaceData, ...] = ()
+    decoration: PhaseDecoration | None = None
+    assumption_def: bool = False
 
     @cached_property
     def geometry(self) -> PushoutPair:
@@ -87,7 +70,8 @@ class _Json:
         return doc if isinstance(doc, cls) else cls(doc)
 
     def refuse(self, expected: str) -> NoReturn:
-        got = json.dumps(self.value)
+        # the pure-Python encoder yields lazily: 41 chunks cover the preview and nest at most 41 deep
+        got = "".join(islice(json.JSONEncoder().iterencode(self.value), 41))
         got = got if len(got) <= 40 else got[:36] + " ..."
         raise ValueError(f"{self.path or 'the document'} must be {expected}, got {got}")
 
@@ -265,7 +249,7 @@ def read_json(path: str | Path, decode: Callable):
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, LookupError, AttributeError, ZeroDivisionError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 

@@ -26,10 +26,10 @@ class SurfaceData(Value):
     twistor_degree: int
     contains_line: bool
 
-    def __init__(self, twistor_degree: int, contains_line: bool) -> None:
-        if twistor_degree < 1:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        if self.twistor_degree < 1:
             raise ValueError("twistor degree must be at least 1")
-        self._assign(twistor_degree=twistor_degree, contains_line=contains_line)
 
 
 def trace_class(surface: SurfaceData) -> QuadricClass:

@@ -255,3 +255,27 @@ def test_closed_stdout_ends_with_the_verdict_and_no_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert b"Traceback" not in stderr, stderr.decode()
+
+
+def test_a_product_closure_failure_is_reported_and_exits_1(monkeypatch):
+    from twistor_pushout.pushout import EqualizerRing
+
+    closure = EqualizerRing.check_product_closure
+
+    def without_first_degree_2_pair(self):  # the products of degree-1 pairs then leave the lattice
+        lattices = (*self.lattices[:2], self.lattices[2][1:], *self.lattices[3:])
+        closure(EqualizerRing(self.geometry, lattices))
+
+    monkeypatch.setattr(EqualizerRing, "check_product_closure", without_first_degree_2_pair)
+    name = "lattice closed under componentwise product"
+    detail = "product of lattice pairs leaves the lattice in degree 2"
+    code, out = run(["--json", "equalizer"])
+    doc = json.loads(out)
+    assert code == 1
+    assert [entry for entry in doc["identities"] if not entry["passed"]] == [
+        {"name": name, "passed": False, "detail": detail}
+    ]
+    assert doc["all_identities_passed"] is False
+    code, out = run(["equalizer"])
+    assert code == 1
+    assert f"  [FAIL] {name}  ({detail})" in out.splitlines()

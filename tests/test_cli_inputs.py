@@ -8,7 +8,8 @@ replacement per value, cycling through the replacements.
 
 On the same paths, every integer, boolean or string value replaced by one of
 the wrong JSON type exits 2 with an error naming the file and that path, and
-named malformed inputs exit 2 with their exact error line.
+named malformed inputs exit 2 with their exact error line.  A document nested
+deeper than the interpreter's recursion limit exits 2 with one line naming the file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from twistor_pushout import scenario
 from twistor_pushout.cli import run
 from twistor_pushout.pushout import projective_space_base
 
@@ -234,6 +236,40 @@ def test_malformed_input_exits_2_naming_the_file(case, tmp_path):
     code, out = _run_at(argv, target)
     assert code == 2
     assert out == f"error: {target}: {message}"
+
+
+NESTED = "[" * 100_000  # deeper than the decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [SCENARIO_ARGV, ["equalizer", "--member", "{}"], ["neck", "--decorate", "{}"]],
+    ids=["scenario", "member", "decoration"],
+)
+def test_deeply_nested_input_exits_2_naming_the_file(argv, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text(NESTED, encoding="utf-8")
+    code, out = _run_at(argv, target)
+    assert code == 2
+    assert out.startswith(f"error: {target}: ") and "\n" not in out
+
+
+def test_a_deeply_nested_value_is_refused_with_a_preview():
+    value = 0
+    for _ in range(100_000):
+        value = [value]
+    with pytest.raises(ValueError) as refusal:
+        scenario._Json(value, "branch1.builtin").refuse("a string")
+    assert str(refusal.value) == f"branch1.builtin must be a string, got {'[' * 36} ..."
+
+
+def test_a_nested_builtin_name_exits_2_naming_the_file(tmp_path):
+    value = "[" * 985 + "0" + "]" * 985  # near the recursion limit, where a full preview would fail
+    target = tmp_path / "input.json"
+    target.write_text(f'{{"branch1": {{"builtin": {value}}}, "branch2": {{"builtin": "p3"}}}}')
+    code, out = _run_at(SCENARIO_ARGV, target)
+    assert code == 2
+    assert out.startswith(f"error: {target}: ") and "\n" not in out
 
 
 def dotted(path) -> str:

@@ -1,4 +1,4 @@
-"""Value semantics of the frozen value classes: equality, hashing, repr, immutability, refusals."""
+"""Value semantics of the frozen value classes: construction, equality, hashing, repr, immutability, refusals."""
 
 import re
 from fractions import Fraction
@@ -159,6 +159,53 @@ def test_assignment_and_deletion_are_refused(cls, fields, value, other):
 def test_repr_names_every_field_in_order(cls, fields, value, other):
     shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
     assert repr(value) == f"{cls.__name__}({shown})"
+
+
+@pytest.mark.parametrize("cls, fields, value, other", SAMPLES, ids=IDS)
+def test_keyword_construction_equals_positional_construction(cls, fields, value, other):
+    by_keyword = cls(**{name: getattr(value, name) for name in fields})
+    assert by_keyword == _rebuilt(fields, value) == value
+    first, *rest = fields
+    assert cls(getattr(value, first), **{name: getattr(value, name) for name in rest}) == value
+
+
+def test_omitted_fields_take_their_defaults():
+    assert neck.RestrictedBundle(3).curve is None
+    built = scenario.Scenario(_build)
+    assert built.bundles == () and built.surfaces == ()
+    assert built.polarization is None and built.decoration is None and built.assumption_def is False
+    assert built == scenario.Scenario(build=_build) == scenario.Scenario(_build, (), None, (), None, False)
+    assert neck.RestrictedBundle(3, curve=None) == neck.RestrictedBundle(c1_int=3)
+
+
+@pytest.mark.parametrize("cls, fields, value, other", SAMPLES, ids=IDS)
+def test_bad_calls_raise_type_error_naming_the_class(cls, fields, value, other):
+    values = [getattr(value, name) for name in fields]
+    named = rf"\b{cls.__name__}\b"
+    with pytest.raises(TypeError, match=named):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match=named):
+        cls(*values, no_such_field=1)
+    with pytest.raises(TypeError, match=named):
+        cls(*values, **{fields[0]: values[0]})
+    if cls is not GaussianScalar:  # both of its parts default to 0
+        with pytest.raises(TypeError, match=named):
+            cls()
+
+
+def test_generic_constructor_messages():
+    with pytest.raises(TypeError, match=r"^Bidegree\(\) takes 2 arguments, got 3$"):
+        quadric.Bidegree(1, 2, 3)
+    with pytest.raises(TypeError, match=r"^Bidegree\(\) got an unexpected keyword argument 'k'$"):
+        quadric.Bidegree(1, 2, k=3)
+    with pytest.raises(TypeError, match=r"^Bidegree\(\) got multiple values for argument 'm'$"):
+        quadric.Bidegree(1, m=1)
+    with pytest.raises(TypeError, match=r"^Bidegree\(\) missing argument 'n'$"):
+        quadric.Bidegree(1)
+    with pytest.raises(TypeError, match=r"^Scenario\(\) missing argument 'build'$"):
+        scenario.Scenario(bundles=())
+    with pytest.raises(TypeError, match=r"^EqualizerRing\(\) got an unexpected keyword argument '_members'$"):
+        pushout.EqualizerRing(None, (), _members=())
 
 
 def test_repr_keeps_the_field_form():
