@@ -491,7 +491,9 @@ class EqualizerRing(Value):
         structure constants, summed over the nonzero entries of u and v only;
         nothing is assumed about where those entries sit.  A product is matched
         exactly when the matching matrix annihilates it.  Pairs are checked in
-        the order d1, d2 >= d1, u, v.
+        the order d1, d2 >= d1, u, v, with v >= u when d2 = d1: the branch rings
+        are commutative, so the mirror of such a pair, which comes earlier in
+        that order, has the same product.
         """
         rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
         for d1 in range(TWISTOR_TOP + 1):
@@ -501,13 +503,13 @@ class EqualizerRing(Value):
                 # per branch: T[b][a] = e_b.e_a and the rank of degree d1 + d2
                 tables = [(ring.product_table(d2, d1), ring.rank(d1 + d2)) for ring in rings]
                 vs = self._branch_supports(d2)
-                for u in self._branch_supports(d1):
+                for iu, u in enumerate(self._branch_supports(d1)):
                     # per branch: the products u.e_b over b, and their length
                     u_times = [
                         ([_combination(part, row, r12) for row in table], r12)
                         for part, (table, r12) in zip(u, tables)
                     ]
-                    for v in vs:
+                    for v in vs[iu:] if d1 == d2 else vs:
                         uv: Vector = ()
                         for part, (rows, r12) in zip(v, u_times):
                             uv += _combination(part, rows, r12)

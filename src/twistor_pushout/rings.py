@@ -19,12 +19,16 @@ table ``T[i1][i2]``, and equality compares these tables.  The construction-time
 checks work on them directly, and on the images of the basis vectors per
 source degree (the matrix columns).  Each identity is a bilinear sum over
 these tables, checked coordinate by coordinate, so no element is built
-inside a check.  The associativity blocks with a factor of degree 0 are
-summed over supports, the positions of the nonzero entries of each table
-vector, read from the entries themselves: nothing is assumed about a row's
-shape, yet the unit's rows, unit vectors, cost one index each.  The blocks of
-positive degrees, whose tables are mostly nonzero, take one dense dot product
-per output coordinate.
+inside a check.  The checks use the commutativity that construction
+guarantees.  With V_z(x, y) = (x.y).z, the identity (a.b).c = a.(b.c) reads
+V_c(a, b) = V_a(b, c), so all six orderings of a multiset {x, y, z} hold
+exactly when V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once
+per unordered basis pair against every z and compares the three values once
+per unordered triple, and the ring-homomorphism check takes each unordered
+pair once.  Every ordered identity still follows; nothing is sampled or
+skipped, the blocks with a factor of degree 0 included.  The sums run over
+the nonzero entries of the table vectors, read from the entries themselves,
+so the unit's rows, unit vectors, cost one index each.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -33,9 +37,11 @@ the module is safe for unrestricted concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import permutations
+from operator import index
 
 from ._value import Value
-from .intlin import Support, Vector, dot, kernel_basis, lattice_contains, mat_vec, support
+from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
 
@@ -49,7 +55,10 @@ class DegreeError(ValueError):
 
 
 def _as_vec(values: Sequence[int], length: int, what: str) -> Vector:
-    vec = tuple(int(v) for v in values)
+    try:
+        vec = tuple(map(index, values))  # exact: a float or a str is refused, not truncated
+    except TypeError:
+        raise ValueError(f"{what}: expected a sequence of integers") from None
     if len(vec) != length:
         raise ValueError(f"{what}: expected length {length}, got {len(vec)}")
     return vec
@@ -137,62 +146,50 @@ class GradedRing:
         return table
 
     def _check_associativity(self) -> None:
-        # (x.y).z = sum_m (x.y)[m] z.e_m against x.(y.z) = sum_m (y.z)[m] x.e_m on
-        # every basis triple, in the order d1, d2, d3, i1, i2, i3.  z.e_m = e_m.z
-        # because the table is symmetric.  A block with a factor of degree 0 is
-        # summed over the nonzero entries of the table vectors involved, which
-        # the unit's unit-vector rows make one index each; the other blocks
-        # take one dot product per output coordinate.
-        supports: dict[tuple[int, int], list[list[Support]]] = {}  # per table, read once per check
-        for d1 in range(self.top_degree + 1):
-            for d2 in range(self.top_degree + 1 - d1):
-                for d3 in range(self.top_degree + 1 - d1 - d2):
-                    if d1 and d2 and d3:
-                        self._check_block_dense(d1, d2, d3)
-                    else:
-                        self._check_block_sparse(d1, d2, d3, supports)
-
-    def _associativity_error(self, d1: int, i1: int, d2: int, i2: int, d3: int, i3: int) -> ValueError:
-        labels = self.basis_labels
-        return ValueError(f"associativity fails on ({labels[d1][i1]}, {labels[d2][i2]}, {labels[d3][i3]})")
-
-    def _check_block_dense(self, d1: int, d2: int, d3: int) -> None:
-        length = self.rank(d1 + d2 + d3)
-        xy_table = self._products[d1, d2]
-        yz_table = self._products[d2, d3]
-        # times_z[i3 * length + k]: coordinate k of z.e_m over m, for z = e_i3
-        times_z = [c for cols in coordinate_columns(self._products[d3, d1 + d2], length) for c in cols]
-        x_times = coordinate_columns(self._products[d1, d2 + d3], length)
-        for i1, x_cols in enumerate(x_times):
-            for i2, xy in enumerate(xy_table[i1]):
-                # both sides for every i3 at once, i3-major; a mismatch is then
-                # located at its first triple
-                left = [dot(xy, c) for c in times_z]
-                right = [dot(yz, c) for yz in yz_table[i2] for c in x_cols]
-                if left != right:
-                    i3 = next(i for i in range(len(left)) if left[i] != right[i]) // length
-                    raise self._associativity_error(d1, i1, d2, i2, d3, i3)
-
-    def _check_block_sparse(
-        self, d1: int, d2: int, d3: int, supports: dict[tuple[int, int], list[list[Support]]]
-    ) -> None:
-        # The supports of a table are read on first use; several blocks share a table.
-        for key in ((d1, d2), (d2, d3), (d1, d2 + d3)):
-            if key not in supports:
-                supports[key] = [[support(vec) for vec in row] for row in self._products[key]]
-        xy_table, yz_table, x_times = supports[d1, d2], supports[d2, d3], supports[d1, d2 + d3]
-        length = self.rank(d1 + d2 + d3)
-        # times_z[m]: e_m.z for every z = e_i3, concatenated i3-major
-        times_z = [support(sum(row, ())) for row in self._products[d1 + d2, d3]]
-        width = self.rank(d3) * length
-        for i1, x_rows in enumerate(x_times):
-            for i2, xy in enumerate(xy_table[i1]):
-                # both sides for every i3 at once, i3-major, as in the dense block
-                left = combine(xy, times_z, width)
-                right = [a for yz in yz_table[i2] for a in combine(yz, x_rows, length)]
-                if left != right:
-                    i3 = next(i for i in range(width) if left[i] != right[i]) // length
-                    raise self._associativity_error(d1, i1, d2, i2, d3, i3)
+        # V_z(x, y) = (x.y).z is symmetric in x, y because the table is, and
+        # x.(y.z) = (y.z).x = V_x(y, z): the ordered triple (a, b, c) associates
+        # exactly when V_c(a, b) = V_a(b, c), and every ordering of a multiset
+        # {x, y, z} does exactly when V_z(x, y) = V_x(y, z) = V_y(x, z).  V is
+        # summed over the nonzero entries of x.y and of the rows e_m.z.  A
+        # failure is reported at the least failing ordered triple in the order
+        # d1, d2, d3, i1, i2, i3, over every failing multiset.
+        top = self.top_degree
+        values = {}  # (d1, d2, d3), d1 <= d2: [i1][i2][i3] = V_z(x, y), for i1 <= i2 when d1 = d2
+        for d1 in range(top + 1):
+            for d2 in range(d1, top + 1 - d1):
+                for d3 in range(top + 1 - d1 - d2):
+                    length, count = self.rank(d1 + d2 + d3), self.rank(d3)
+                    # times_z[m]: e_m.z for every z = e_i3, concatenated i3-major
+                    times_z = [support(sum(row, ())) for row in self._products[d1 + d2, d3]]
+                    block = values[d1, d2, d3] = [[None] * len(row) for row in self._products[d1, d2]]
+                    for i1, row in enumerate(self._products[d1, d2]):
+                        for i2 in range(i1 if d1 == d2 else 0, len(row)):
+                            out = [0] * (count * length)
+                            for m, c in zip(*support(row[i2])):
+                                for k, e in zip(*times_z[m]):
+                                    out[k] += c * e
+                            block[i1][i2] = [out[i3 * length : (i3 + 1) * length] for i3 in range(count)]
+        failures = []
+        for d1 in range(top + 1):
+            for d2 in range(d1, top + 1 - d1):
+                for d3 in range(d2, top + 1 - d1 - d2):
+                    xy_z, yz_x, xz_y = values[d1, d2, d3], values[d2, d3, d1], values[d1, d3, d2]
+                    for i1 in range(self.rank(d1)):
+                        for i2 in range(i1 if d1 == d2 else 0, self.rank(d2)):
+                            for i3 in range(i2 if d2 == d3 else 0, self.rank(d3)):
+                                # v[p]: the value with the p-th element outside
+                                v = (yz_x[i2][i3][i1], xz_y[i1][i3][i2], xy_z[i1][i2][i3])
+                                if not v[0] == v[1] == v[2]:
+                                    d, i = (d1, d2, d3), (i1, i2, i3)
+                                    failures += [
+                                        (d[p], d[q], d[s], i[p], i[q], i[s])
+                                        for p, q, s in permutations(range(3))
+                                        if v[s] != v[p]
+                                    ]
+        if failures:
+            d1, d2, d3, i1, i2, i3 = min(failures)
+            labels = self.basis_labels
+            raise ValueError(f"associativity fails on ({labels[d1][i1]}, {labels[d2][i2]}, {labels[d3][i3]})")
 
     # -- basic queries ---------------------------------------------------------
 
@@ -323,20 +320,6 @@ def coordinate_columns(table: Sequence[Sequence[Vector]], length: int) -> list[l
     ``length`` is the length of the vectors ``table[i][m]``.
     """
     return [[tuple(vec[k] for vec in row) for k in range(length)] for row in table]
-
-
-def combine(weights: Support, rows: Sequence[Support], length: int) -> list[int]:
-    """``sum_m weights[m] rows[m]`` as a list of ``length`` entries.
-
-    Both the weights and the rows are given by their supports, so the cost is
-    the number of nonzero products, not ``length`` times the number of rows.
-    """
-    out = [0] * length
-    for m, c in zip(*weights):
-        positions, values = rows[m]
-        for k, e in zip(positions, values):
-            out[k] += c * e
-    return out
 
 
 class RingElement(Value):
@@ -501,6 +484,8 @@ class GradedMap:
             raise ValueError("ring homomorphism must preserve the unit")
         # F(x.y) = F T(i1, i2) against F(x).F(y) = sum_ab F[a][i1] F[b][i2] T'(a, b)
         # on basis pairs in the order d1, i1, d2 >= d1, i2, coordinate by coordinate.
+        # Both tables are symmetric, so when d2 = d1 only i2 >= i1 is checked: the
+        # mirror of a pair with i2 < i1 is the same identity and comes earlier.
         source, target = self.source, self.target
         for d1 in range(source.top_degree + 1):
             per_d2 = [
@@ -518,7 +503,8 @@ class GradedMap:
                     # fx_times[k]: coordinate k of F(x).e'_b, over b
                     length = target.rank(d1 + d2)
                     fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(length)]
-                    for i2, fy in enumerate(self._columns[d2]):
+                    for i2 in range(i1 if d2 == d1 else 0, source.rank(d2)):
+                        fy = self._columns[d2][i2]
                         if [dot(row, xy_table[i1][i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
                             raise ValueError(
                                 f"multiplicativity fails on "

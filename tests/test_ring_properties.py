@@ -22,15 +22,18 @@ from __future__ import annotations
 
 import json
 from itertools import combinations_with_replacement
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistor_pushout.pushout import PushoutPair, TwistorChow, blow_up
 from twistor_pushout.quadric import QuadricClass, quadric_ring
 from twistor_pushout.rings import GradedMap, GradedRing
-from twistor_pushout.scenario import ring_from_dict
+from twistor_pushout.scenario import ring_from_dict, twistor_base_from_dict
 
 SETTINGS = settings(max_examples=60, deadline=None)
+SYNTHETIC_R7 = Path(__file__).resolve().parent / "data" / "synthetic_r7.json"
 
 
 class _UncheckedRing(GradedRing):
@@ -94,36 +97,50 @@ def monomial_rings(draw):
     change = {d: _unit(len(surviving[d])) for d in range(top + 1)}
     for d in (1, 2):
         change[d] = draw(_unimodular(len(surviving[d])))
-    standard, dense = {}, {}
+    standard = {}
     for d1 in range(1, top + 1):
         for d2 in range(d1, top + 1 - d1):
-            r12 = len(surviving[d1 + d2])
             for i1, m1 in enumerate(surviving[d1]):
                 for i2, m2 in enumerate(surviving[d2]):
-                    out = [0] * r12
+                    out = [0] * len(surviving[d1 + d2])
                     k = index[d1 + d2].get(tuple(x + y for x, y in zip(m1, m2)))
                     if k is not None:
                         out[k] = 1
                     standard[(d1, i1, d2, i2)] = tuple(out)
-            a1, _ = change[d1]
-            a2, _ = change[d2]
-            _, inv12 = change[d1 + d2]
-            for i1 in range(len(surviving[d1])):
-                for i2 in range(i1 if d1 == d2 else 0, len(surviving[d2])):
-                    old = [0] * r12
-                    for p, x in enumerate(a1[i1]):
-                        for q, y in enumerate(a2[i2]):
-                            if x and y:
-                                for r, e in enumerate(standard[(d1, p, d2, q)]):
-                                    old[r] += x * y * e
-                    new = [sum(old[r] * inv12[r][s] for r in range(r12)) for s in range(r12)]
-                    dense[(d1, i1, d2, i2)] = tuple(new)
+    dense = _rewritten_products(lambda *key: standard[key], [len(m) for m in surviving], change)
     return top, labels, standard, dense, change
 
 
 def _unit(n: int):
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     return eye, [row[:] for row in eye]
+
+
+def _rewritten_products(entry, ranks, change):
+    """The products of positive degrees in the bases f_a = sum_p A[a][p] e_p.
+
+    ``entry(d1, p, d2, q)`` is e_p . e_q in the old bases and ``change[d]`` is
+    (A, A^-1) for degree d; each product is listed once, with (d1, i1) <= (d2, i2).
+    """
+    top = len(ranks) - 1
+    products = {}
+    for d1 in range(1, top + 1):
+        for d2 in range(d1, top + 1 - d1):
+            (a1, _), (a2, _), (_, inv12) = change[d1], change[d2], change[d1 + d2]
+            r12 = ranks[d1 + d2]
+            for i1 in range(ranks[d1]):
+                for i2 in range(i1 if d1 == d2 else 0, ranks[d2]):
+                    old = [0] * r12
+                    for p, x in enumerate(a1[i1]):
+                        for q, y in enumerate(a2[i2]):
+                            if x and y:
+                                for r, e in enumerate(entry(d1, p, d2, q)):
+                                    old[r] += x * y * e
+                    # e_r = sum_s A^-1[r][s] f_s
+                    products[(d1, i1, d2, i2)] = tuple(
+                        sum(old[r] * inv12[r][s] for r in range(r12)) for s in range(r12)
+                    )
+    return products
 
 
 def _isomorphism_matrices(change, top):
@@ -213,6 +230,29 @@ def test_unit_blocks_agree_with_element_oracle_on_a_tampered_unit_row(ring_data,
 
 @SETTINGS
 @given(monomial_rings(), st.data())
+def test_associativity_locator_agrees_with_element_oracle_on_a_tampered_entry(ring_data, data):
+    # One (1,1) or (1,2) entry of a built ring is changed in both orientations,
+    # so the table stays symmetric; the check must name the oracle's first triple.
+    # Below top degree 3 no triple of positive degrees reads such an entry.
+    top, labels, _, dense, _ = ring_data
+    ring = GradedRing(top, labels, dense)
+    blocks = [(1, d2) for d2 in (1, 2) if ring.rank(1) and ring.rank(d2) and ring.rank(1 + d2)]
+    assume(top >= 3 and blocks)
+    d1, d2 = data.draw(st.sampled_from(blocks))
+    i1 = data.draw(st.integers(0, ring.rank(d1) - 1))
+    i2 = data.draw(st.integers(0, ring.rank(d2) - 1))
+    k = data.draw(st.integers(0, ring.rank(d1 + d2) - 1))
+    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    entry = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(d1, i1, d2, i2)))
+    for (e1, e2), (j1, j2) in (((d1, d2), (i1, i2)), ((d2, d1), (i2, i1))):
+        rows = [list(r) for r in ring._products[e1, e2]]
+        rows[j1][j2] = entry
+        ring._products[e1, e2] = tuple(map(tuple, rows))
+    assert _error(ring._check_associativity) == _associativity_oracle(ring)
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
 def test_ring_hom_check_agrees_with_element_oracle(ring_data, data):
     top, labels, standard, dense, change = ring_data
     source = GradedRing(top, labels, standard)
@@ -256,6 +296,43 @@ def test_explicit_zero_products_change_nothing(ring_data, data):
     bare, explicit = GradedRing(top, labels, nonzero), GradedRing(top, labels, padded)
     assert explicit == bare and hash(explicit) == hash(bare)
     assert explicit.to_json_dict() == bare.to_json_dict()
+
+
+def _rewritten_base(base: TwistorChow, change) -> TwistorChow:
+    """The same base in the degree-1 and degree-2 bases that ``change`` gives."""
+    ring = base.ring
+    ranks = [ring.rank(d) for d in range(ring.top_degree + 1)]
+    products = _rewritten_products(ring.table_entry, ranks, change)
+    new = GradedRing(ring.top_degree, ring.basis_labels, products, ring.degree_functional, ring.name)
+    (a1, _), (_, inv2) = change[1], change[2]
+    line = base.line_class.degree_part(2)
+    return TwistorChow(
+        ring=new,
+        line_class=new.homogeneous(2, [sum(c * row[s] for c, row in zip(line, inv2)) for s in range(ranks[2])]),
+        twistor_degrees=tuple(sum(a * t for a, t in zip(row, base.twistor_degrees)) for row in a1),
+        point_class=new.homogeneous(3, base.point_class.degree_part(3)),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_blow_ups_of_random_bases_satisfy_the_projection_formula_and_closure(data):
+    # Both branches of the rank-7 synthetic scenario, each in a random unimodular
+    # change of its degree-1 and degree-2 bases.  blow_up checks associativity,
+    # the ring homomorphism and the projection formula on the new tables.
+    doc = json.loads(SYNTHETIC_R7.read_text())
+    bases = [twistor_base_from_dict(doc[key]) for key in ("branch1", "branch2")]
+    blown = []
+    for base in bases:
+        change = {d: _unit(base.ring.rank(d)) for d in range(base.ring.top_degree + 1)}
+        for d in (1, 2):
+            change[d] = data.draw(_unimodular(base.ring.rank(d)))
+        blown.append(blow_up(_rewritten_base(base, change)))
+        blown[-1].check_projection_formula()
+    equalizer = PushoutPair(*blown).equalizer()
+    equalizer.check_product_closure()
+    # a change of basis moves the lattices but not their ranks
+    assert equalizer.ranks() == PushoutPair(*map(blow_up, bases)).equalizer().ranks()
 
 
 QUADRIC_COEFFS = st.lists(st.integers(-1, 1), min_size=4, max_size=4)  # of 1, b, w, pt

@@ -81,6 +81,25 @@ def test_construction_rejects_non_associative_table():
         )
 
 
+def test_associativity_failure_is_the_first_ordered_triple_over_every_multiset():
+    # The multiset {a0, a1, a2} is checked first and fails only when a1 is
+    # outside: (a0.a2).a1 = q but (a0.a1).a2 = (a1.a2).a0 = 0, so its least
+    # failing ordering is (a0, a2, a1).  {a0, a1, a3} fails when a0 is outside,
+    # at (a0, a1, a3), which comes first in the order i1, i2, i3.
+    with pytest.raises(ValueError, match=re.escape("associativity fails on (a0, a1, a3)")):
+        GradedRing(
+            top_degree=3,
+            basis_labels=[["1"], ["a0", "a1", "a2", "a3"], ["p0", "p1"], ["q"]],
+            products={
+                (1, 0, 1, 2): (1, 0),  # a0.a2 = p0
+                (1, 1, 1, 3): (0, 1),  # a1.a3 = p1
+                (1, 3, 1, 3): (1, 1),  # a3.a3 = p0 + p1
+                (1, 0, 2, 1): (1,),  # a0.p1 = q
+                (1, 1, 2, 0): (1,),  # a1.p0 = q
+            },
+        )
+
+
 def test_construction_rejects_nonsymmetric_table():
     with pytest.raises(ValueError):
         GradedRing(
@@ -88,6 +107,28 @@ def test_construction_rejects_nonsymmetric_table():
             basis_labels=[["1"], ["a", "b"], ["p"]],
             products={(1, 0, 1, 1): (1,), (1, 1, 1, 0): (2,)},
         )
+
+
+NOT_INTEGERS = pytest.mark.parametrize("entry", [2.7, 1.9, "5"])
+
+
+@NOT_INTEGERS
+def test_a_product_entry_that_is_not_an_integer_is_refused(entry):
+    # int() would truncate 1.9 to 1 and parse "5"; the table must stay exact.
+    with pytest.raises(ValueError, match=re.escape("product (1, 0, 1, 0): expected a sequence of integers")):
+        GradedRing(top_degree=2, basis_labels=[["1"], ["t"], ["p"]], products={(1, 0, 1, 0): (entry,)})
+
+
+@NOT_INTEGERS
+def test_an_element_coefficient_that_is_not_an_integer_is_refused(quad, entry):
+    with pytest.raises(ValueError, match=re.escape("degree 1: expected a sequence of integers")):
+        quad.homogeneous(1, [entry, 0])
+
+
+@NOT_INTEGERS
+def test_a_map_matrix_entry_that_is_not_an_integer_is_refused(quad, entry):
+    with pytest.raises(ValueError, match=re.escape("matrix[1] row: expected a sequence of integers")):
+        GradedMap(quad, quad, 0, {1: [[1, 0], [0, entry]]})
 
 
 def test_degree_functional(quad):
