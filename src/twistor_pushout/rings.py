@@ -159,14 +159,17 @@ class GradedRing:
             for d2 in range(d1, top + 1 - d1):
                 for d3 in range(top + 1 - d1 - d2):
                     length, count = self.rank(d1 + d2 + d3), self.rank(d3)
-                    # times_z[m]: e_m.z for every z = e_i3, concatenated i3-major
-                    times_z = [support(sum(row, ())) for row in self._products[d1 + d2, d3]]
+                    # times_z[m]: the nonzero (k, entry) of e_m.z for every z = e_i3, i3-major
+                    times_z = [
+                        [(k, e) for k, e in enumerate(sum(row, ())) if e]
+                        for row in self._products[d1 + d2, d3]
+                    ]
                     block = values[d1, d2, d3] = [[None] * len(row) for row in self._products[d1, d2]]
                     for i1, row in enumerate(self._products[d1, d2]):
                         for i2 in range(i1 if d1 == d2 else 0, len(row)):
                             out = [0] * (count * length)
                             for m, c in zip(*support(row[i2])):
-                                for k, e in zip(*times_z[m]):
+                                for k, e in times_z[m]:
                                     out[k] += c * e
                             block[i1][i2] = [out[i3 * length : (i3 + 1) * length] for i3 in range(count)]
         failures = []

@@ -12,10 +12,15 @@ isomorphism from the monomial presentation.  After one table entry or one
 matrix entry is perturbed they must report the same first failing triple or
 pair as an oracle that walks the documented order with ``RingElement``
 arithmetic, or accept exactly when the oracle finds no failure; so must the
-associativity check of a built ring whose unit row was then tampered with.  Written out
-with ``to_json_dict`` and read back by the scenario decoder, each ring is
-the same ring again; listing some of its zero products explicitly gives the
-same ring, hash and document.
+associativity check of a built ring whose unit row, or one of whose (1,1) or
+(1,2) entries, was then tampered with.  Written out with ``to_json_dict``
+and read back by the scenario decoder, each ring is the same ring again;
+listing some of its zero products explicitly gives the same ring, hash and
+document.
+
+The branches of the rank-7 synthetic scenario, rewritten in the same way,
+blow up with every check passing, and their equalizer is closed under
+products and has the same ranks as before the rewrite.
 """
 
 from __future__ import annotations
