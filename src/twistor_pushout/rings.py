@@ -26,9 +26,9 @@ exactly when V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once
 per unordered basis pair against every z and compares the three values once
 per unordered triple, and the ring-homomorphism check takes each unordered
 pair once.  Every ordered identity still follows; nothing is sampled or
-skipped, the blocks with a factor of degree 0 included.  The sums run over
-the nonzero entries of the table vectors, read from the entries themselves,
-so the unit's rows, unit vectors, cost one index each.
+skipped, the blocks with a factor of degree 0 included.  The associativity
+sums run over the nonzero entries of the table vectors, read from the entries
+themselves, so the unit's rows, unit vectors, cost one index each.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.

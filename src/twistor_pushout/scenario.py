@@ -35,8 +35,8 @@ if TYPE_CHECKING:
     from .surfaces import SurfaceData
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
-# family peaks at rank 19; from a rank-40 pair, a fresh ring-show or equalizer
-# takes about 1.4 s on a shared 2-vCPU host (README.md, same figures).
+# family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
+# 1.1 s and equalizer about 1.3 s on a shared 2-vCPU host (README.md, same figures).
 MAX_DOCUMENT_RANK = 40
 
 

@@ -196,6 +196,17 @@ def _error(build) -> str | None:
     return None
 
 
+def _tamper(ring: GradedRing, data, d1: int, i1: int, d2: int, i2: int) -> None:
+    """Change one coordinate of a built ring's entry (d1, i1) . (d2, i2), in both orientations."""
+    k = data.draw(st.integers(0, ring.rank(d1 + d2) - 1))
+    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    entry = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(d1, i1, d2, i2)))
+    for (e1, e2), (j1, j2) in (((d1, d2), (i1, i2)), ((d2, d1), (i2, i1))):
+        rows = [list(r) for r in ring._products[e1, e2]]
+        rows[j1][j2] = entry
+        ring._products[e1, e2] = tuple(map(tuple, rows))
+
+
 @SETTINGS
 @given(monomial_rings(), st.data())
 def test_associativity_check_agrees_with_element_oracle(ring_data, data):
@@ -223,13 +234,7 @@ def test_unit_blocks_agree_with_element_oracle_on_a_tampered_unit_row(ring_data,
     ring = GradedRing(top, labels, dense)
     d = data.draw(st.sampled_from([d for d in range(top + 1) if ring.rank(d)]))
     i = data.draw(st.integers(0, ring.rank(d) - 1))
-    k = data.draw(st.integers(0, ring.rank(d) - 1))
-    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
-    row = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(0, 0, d, i)))
-    for (d1, d2), (i1, i2) in (((0, d), (0, i)), ((d, 0), (i, 0))):
-        rows = [list(r) for r in ring._products[d1, d2]]
-        rows[i1][i2] = row
-        ring._products[d1, d2] = tuple(map(tuple, rows))
+    _tamper(ring, data, 0, 0, d, i)
     assert _error(ring._check_associativity) == _associativity_oracle(ring)
 
 
@@ -246,13 +251,7 @@ def test_associativity_locator_agrees_with_element_oracle_on_a_tampered_entry(ri
     d1, d2 = data.draw(st.sampled_from(blocks))
     i1 = data.draw(st.integers(0, ring.rank(d1) - 1))
     i2 = data.draw(st.integers(0, ring.rank(d2) - 1))
-    k = data.draw(st.integers(0, ring.rank(d1 + d2) - 1))
-    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
-    entry = tuple(v + delta * (j == k) for j, v in enumerate(ring.table_entry(d1, i1, d2, i2)))
-    for (e1, e2), (j1, j2) in (((d1, d2), (i1, i2)), ((d2, d1), (i2, i1))):
-        rows = [list(r) for r in ring._products[e1, e2]]
-        rows[j1][j2] = entry
-        ring._products[e1, e2] = tuple(map(tuple, rows))
+    _tamper(ring, data, d1, i1, d2, i2)
     assert _error(ring._check_associativity) == _associativity_oracle(ring)
 
 
