@@ -24,27 +24,25 @@ products; the (-(b+w)) convention breaks all three.
 Two blown-up branches glue along their quadrics through the ruling swap, and
 the operational classes of the glued space are the pairs whose restrictions
 match; they form, degree by degree, a saturated integer lattice computed by
-an exact kernel, with componentwise product.  Its product closure is summed
-over the supports of the lattice vectors (the positions of their nonzero
-entries, read from each vector, so nothing is assumed about where they sit),
-and lattice membership walks only the nonzero entries of the Hermite rows.
+an exact kernel, with componentwise product.  Its product closure applies
+each branch ring's ``multiplication`` to the lattice vectors, summing over
+their nonzero entries, read from each vector, so nothing is assumed about
+where they sit; lattice membership walks only the nonzero entries of the
+Hermite rows.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from ._value import Value
 from .intlin import (
     SparseLattice,
-    Support,
     Vector,
     dot,
     hermite_row_basis,
     kernel_basis,
     lattice_contains,
     mat_mul,
-    support,
+    mat_vec,
 )
 from .quadric import _RING, _SWAP, QuadricClass, ruling_swap_map
 from .rings import (
@@ -53,7 +51,7 @@ from .rings import (
     GradedRing,
     RingElement,
     RingMismatchError,
-    coordinate_columns,
+    combination,
 )
 
 TWISTOR_TOP = 3
@@ -218,26 +216,24 @@ class BlownUpChow(Value):
     def check_projection_formula(self) -> None:
         """j_*(j^*(x) . g) = x . j_*(g) on all basis pairs; raises on failure.
 
-        Both sides are sums over the structure constants and the map columns,
-        compared coordinate by coordinate on the pairs in the order d1, i1, d2,
-        i2.  The restriction is a ring homomorphism, so it keeps degrees.
+        The left side pushes forward ``multiplication`` of j^*(x) on the
+        quadric, the right side combines the row of x . e_m upstairs by j_*(g),
+        compared on the pairs in the order d1, i1, d2, i2.  The restriction is
+        a ring homomorphism, so it keeps degrees.
         """
         ring, quad = self.ring, self.quadric
         push = self.pushforward_from_quadric
         for d1 in range(ring.top_degree + 1):
-            per_d2 = []
-            for d2 in range(quad.top_degree + 1):
-                up = d2 + push.shift  # degree of j_*(g)
-                # times_g[i2][k]: coordinate k of e_a . g over a, on the quadric;
-                # x_times[i1][k]: coordinate k of x . e_m over m, upstairs
-                times_g = coordinate_columns(quad.product_table(d2, d1), quad.rank(d1 + d2))
-                x_times = coordinate_columns(ring.product_table(d1, up), ring.rank(d1 + up))
-                per_d2.append((times_g, push.matrix(d1 + d2), x_times, push.columns(d2)))
+            # per degree d2 of g: u -> u.g over g on the quadric, j_* after it, x.e_m upstairs
+            per_d2 = [
+                (quad.multiplication(d1, d2), push.matrix(d1 + d2), ring.product_table(d1, d2 + push.shift))
+                for d2 in range(quad.top_degree + 1)
+            ]
             for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
-                for d2, (times_g, push_rows, x_times, pushed) in enumerate(per_d2):
-                    for i2, pushed_g in enumerate(pushed):
-                        jx_g = [dot(jx, c) for c in times_g[i2]]
-                        if [dot(row, jx_g) for row in push_rows] != [dot(pushed_g, c) for c in x_times[i1]]:
+                for d2, (times, push_rows, x_table) in enumerate(per_d2):
+                    jx_times, length = times(jx), ring.rank(d1 + d2 + push.shift)
+                    for i2, pushed_g in enumerate(push.columns(d2)):
+                        if mat_vec(push_rows, jx_times[i2]) != combination(pushed_g, x_table[i1], length):
                             raise ValueError(
                                 f"projection formula fails on "
                                 f"({ring.basis_labels[d1][i1]}, "
@@ -466,11 +462,6 @@ class EqualizerRing(Value):
     def _concat(self, degree: int, pair: ComponentPair) -> Vector:
         return tuple(pair.first.degree_part(degree)) + tuple(pair.second.degree_part(degree))
 
-    def _branch_supports(self, degree: int) -> list[tuple[Support, Support]]:
-        """Per lattice vector, the supports of its branch 1 and branch 2 parts."""
-        n1 = self.geometry.branch1.ring.rank(degree)
-        return [(support(vec[:n1]), support(vec[n1:])) for vec in self.lattices[degree]]
-
     def basis_pairs(self, degree: int) -> list[ComponentPair]:
         return [self._split(degree, vec) for vec in self.lattices[degree]]
 
@@ -487,32 +478,27 @@ class EqualizerRing(Value):
         """Verify products of lattice basis pairs stay matched and in the lattice.
 
         The componentwise product of two concatenated pair vectors u, v is,
-        branch by branch, ``sum_ab u[a] v[b] T[a][b]`` over that branch's
-        structure constants, summed over the nonzero entries of u and v only;
-        nothing is assumed about where those entries sit.  A product is matched
-        exactly when the matching matrix annihilates it.  Pairs are checked in
-        the order d1, d2 >= d1, u, v, with v >= u when d2 = d1: the branch rings
-        are commutative, so the mirror of such a pair, which comes earlier in
-        that order, has the same product.
+        branch by branch, the combination by v's part of that branch's
+        ``multiplication`` of u's part, so the sums run over the nonzero
+        entries of u and v only; nothing is assumed about where those entries
+        sit.  A product is matched exactly when the matching matrix annihilates
+        it.  Pairs are checked in the order d1, d2 >= d1, u, v, with v >= u
+        when d2 = d1: the branch rings are commutative, so the mirror of such a
+        pair, which comes earlier in that order, has the same product.
         """
         rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
         for d1 in range(TWISTOR_TOP + 1):
             for d2 in range(d1, TWISTOR_TOP + 1 - d1):
                 matching = self.geometry.matching_matrix(d1 + d2)
                 lattice = self._members[d1 + d2]
-                # per branch: T[b][a] = e_b.e_a and the rank of degree d1 + d2
-                tables = [(ring.product_table(d2, d1), ring.rank(d1 + d2)) for ring in rings]
-                vs = self._branch_supports(d2)
-                for iu, u in enumerate(self._branch_supports(d1)):
-                    # per branch: the products u.e_b over b, and their length
-                    u_times = [
-                        ([_combination(part, row, r12) for row in table], r12)
-                        for part, (table, r12) in zip(u, tables)
-                    ]
-                    for v in vs[iu:] if d1 == d2 else vs:
-                        uv: Vector = ()
-                        for part, (rows, r12) in zip(v, u_times):
-                            uv += _combination(part, rows, r12)
+                times1, times2 = (ring.multiplication(d1, d2) for ring in rings)
+                length1, length2 = (ring.rank(d1 + d2) for ring in rings)
+                n1, m1 = rings[0].rank(d1), rings[0].rank(d2)  # where branch 2 starts
+                vs = [(v[:m1], v[m1:]) for v in self.lattices[d2]]
+                for iu, u in enumerate(self.lattices[d1]):
+                    u1_times, u2_times = times1(u[:n1]), times2(u[n1:])
+                    for v1, v2 in vs[iu:] if d1 == d2 else vs:
+                        uv = combination(v1, u1_times, length1) + combination(v2, u2_times, length2)
                         if any(dot(row, uv) for row in matching):
                             raise ValueError(
                                 f"product of matched pairs is unmatched in degree {d1 + d2}"
@@ -521,17 +507,6 @@ class EqualizerRing(Value):
                             raise ValueError(
                                 f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
                             )
-
-
-def _combination(weights: Support, vectors: Sequence[Vector], length: int) -> Vector:
-    """``sum_m weights[m] vectors[m]`` over the support of the weights."""
-    positions, values = weights
-    if len(positions) == 1 and values[0] == 1:
-        return vectors[positions[0]]
-    out: Sequence[int] = (0,) * length
-    for m, c in zip(positions, values):
-        out = [a + c * b for a, b in zip(out, vectors[m])]
-    return tuple(out)
 
 
 def brute_force_matched_lattice(

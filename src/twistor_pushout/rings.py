@@ -15,20 +15,21 @@ A map flagged as a ring homomorphism is verified to be multiplicative on all
 basis pairs and to preserve the unit.
 
 A ring stores its structure constants once, per degree pair as the product
-table ``T[i1][i2]``, and equality compares these tables.  The construction-time
-checks work on them directly, and on the images of the basis vectors per
-source degree (the matrix columns).  Each identity is a bilinear sum over
-these tables, checked coordinate by coordinate, so no element is built
-inside a check.  The checks use the commutativity that construction
-guarantees.  With V_z(x, y) = (x.y).z, the identity (a.b).c = a.(b.c) reads
-V_c(a, b) = V_a(b, c), so all six orderings of a multiset {x, y, z} hold
-exactly when V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once
-per unordered basis pair against every z and compares the three values once
-per unordered triple, and the ring-homomorphism check takes each unordered
-pair once.  Every ordered identity still follows; nothing is sampled or
-skipped, the blocks with a factor of degree 0 included.  The associativity
-sums run over the nonzero entries of the table vectors, read from the entries
-themselves, so the unit's rows, unit vectors, cost one index each.
+table ``T[i1][i2]``, and equality compares these tables.  Every check on them
+(associativity here, the ring-homomorphism check of a map, and in ``pushout``
+the projection formula and product closure) reads them through one map,
+``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis,
+summed over the nonzero entries of u and of the table rows, with the table row
+itself for a basis vector.  With ``combination`` and ``mat_vec`` that is every
+sum a check takes, so no element is built inside a check.  The checks use the
+commutativity that construction guarantees.  With V_z(x, y) = (x.y).z, the
+identity (a.b).c = a.(b.c) reads V_c(a, b) = V_a(b, c), so all six orderings
+of a multiset {x, y, z} hold exactly when V_z(x, y) = V_x(y, z) = V_y(x, z):
+associativity computes V once per unordered basis pair against every z and
+compares the three values once per unordered triple, and the
+ring-homomorphism check takes each unordered pair once.  Every ordered
+identity still follows; nothing is sampled or skipped, the blocks with a
+factor of degree 0 included.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -36,12 +37,12 @@ the module is safe for unrestricted concurrent read-only use.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-from itertools import permutations
+from collections.abc import Callable, Mapping, Sequence
+from itertools import chain, permutations
 from operator import index
 
 from ._value import Value
-from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec, support
+from .intlin import Vector, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
 
@@ -56,6 +57,8 @@ class DegreeError(ValueError):
 
 def _as_vec(values: Sequence[int], length: int, what: str) -> Vector:
     try:
+        if bool in map(type, values):  # index() reads True as 1
+            raise TypeError
         vec = tuple(map(index, values))  # exact: a float or a str is refused, not truncated
     except TypeError:
         raise ValueError(f"{what}: expected a sequence of integers") from None
@@ -149,29 +152,21 @@ class GradedRing:
         # V_z(x, y) = (x.y).z is symmetric in x, y because the table is, and
         # x.(y.z) = (y.z).x = V_x(y, z): the ordered triple (a, b, c) associates
         # exactly when V_c(a, b) = V_a(b, c), and every ordering of a multiset
-        # {x, y, z} does exactly when V_z(x, y) = V_x(y, z) = V_y(x, z).  V is
-        # summed over the nonzero entries of x.y and of the rows e_m.z.  A
-        # failure is reported at the least failing ordered triple in the order
-        # d1, d2, d3, i1, i2, i3, over every failing multiset.
+        # {x, y, z} does exactly when V_z(x, y) = V_x(y, z) = V_y(x, z).  V_z(x, y)
+        # over every z is multiplication(d1 + d2, d3) of x.y.  A failure is
+        # reported at the least failing ordered triple in the order d1, d2, d3,
+        # i1, i2, i3, over every failing multiset.
         top = self.top_degree
+        times = {(d, d3): self.multiplication(d, d3) for d in range(top + 1) for d3 in range(top + 1 - d)}
         values = {}  # (d1, d2, d3), d1 <= d2: [i1][i2][i3] = V_z(x, y), for i1 <= i2 when d1 = d2
         for d1 in range(top + 1):
             for d2 in range(d1, top + 1 - d1):
                 for d3 in range(top + 1 - d1 - d2):
-                    length, count = self.rank(d1 + d2 + d3), self.rank(d3)
-                    # times_z[m]: the nonzero (k, entry) of e_m.z for every z = e_i3, i3-major
-                    times_z = [
-                        [(k, e) for k, e in enumerate(sum(row, ())) if e]
-                        for row in self._products[d1 + d2, d3]
+                    xy_times = times[d1 + d2, d3]
+                    values[d1, d2, d3] = [
+                        [xy_times(xy) if d1 != d2 or i2 >= i1 else None for i2, xy in enumerate(row)]
+                        for i1, row in enumerate(self._products[d1, d2])
                     ]
-                    block = values[d1, d2, d3] = [[None] * len(row) for row in self._products[d1, d2]]
-                    for i1, row in enumerate(self._products[d1, d2]):
-                        for i2 in range(i1 if d1 == d2 else 0, len(row)):
-                            out = [0] * (count * length)
-                            for m, c in zip(*support(row[i2])):
-                                for k, e in times_z[m]:
-                                    out[k] += c * e
-                            block[i1][i2] = [out[i3 * length : (i3 + 1) * length] for i3 in range(count)]
         failures = []
         for d1 in range(top + 1):
             for d2 in range(d1, top + 1 - d1):
@@ -215,6 +210,27 @@ class GradedRing:
 
     def table_entry(self, d1: int, i1: int, d2: int, i2: int) -> Vector:
         return self.product_table(d1, d2)[i1][i2]
+
+    def multiplication(self, d1: int, d2: int) -> Callable[[Sequence[int]], tuple[Vector, ...]]:
+        """The map ``u -> (u.e_b over the degree-d2 basis)`` on degree-``d1`` vectors.
+
+        Each row of ``product_table(d1, d2)`` is read once, flattened, as its
+        nonzero (position, entry) pairs; a basis vector ``u`` gets its row itself."""
+        table = self.product_table(d1, d2)
+        length, count = self.rank(d1 + d2), self.rank(d2)
+        rows = [[(k, e) for k, e in enumerate(chain.from_iterable(row)) if e] for row in table]
+
+        def times(u: Sequence[int]) -> tuple[Vector, ...]:
+            positions, values = support(u)
+            if len(positions) == 1 and values[0] == 1:
+                return table[positions[0]]
+            out = [0] * (count * length)
+            for m, c in zip(positions, values):
+                for k, e in rows[m]:
+                    out[k] += c * e
+            return tuple(tuple(out[b * length : (b + 1) * length]) for b in range(count))
+
+        return times
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -316,13 +332,15 @@ class GradedRing:
         return doc
 
 
-def coordinate_columns(table: Sequence[Sequence[Vector]], length: int) -> list[list[Vector]]:
-    """``out[i][k]`` is the tuple of ``table[i][m][k]`` over ``m``.
-
-    Coordinate ``k`` of ``sum_m c[m] table[i][m]`` is then ``dot(c, out[i][k])``;
-    ``length`` is the length of the vectors ``table[i][m]``.
-    """
-    return [[tuple(vec[k] for vec in row) for k in range(length)] for row in table]
+def combination(weights: Sequence[int], vectors: Sequence[Vector], length: int) -> Vector:
+    """``sum_m weights[m] vectors[m]`` over the nonzero weights, as a ``length`` vector."""
+    terms = [(c, vec) for c, vec in zip(weights, vectors) if c]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    out: Sequence[int] = (0,) * length
+    for c, vec in terms:
+        out = [a + c * b for a, b in zip(out, vec)]
+    return tuple(out)
 
 
 class RingElement(Value):
@@ -485,30 +503,22 @@ class GradedMap:
             raise ValueError("a ring homomorphism cannot shift degrees")
         if self.matrix(0) != ((1,),):  # the image of the unit is the unit
             raise ValueError("ring homomorphism must preserve the unit")
-        # F(x.y) = F T(i1, i2) against F(x).F(y) = sum_ab F[a][i1] F[b][i2] T'(a, b)
-        # on basis pairs in the order d1, i1, d2 >= d1, i2, coordinate by coordinate.
-        # Both tables are symmetric, so when d2 = d1 only i2 >= i1 is checked: the
-        # mirror of a pair with i2 < i1 is the same identity and comes earlier.
+        # F(x.y) = F T(i1, i2) against F(x).F(y), the combination of F(x).e'_b by
+        # F(y), on basis pairs in the order d1, i1, d2 >= d1, i2.  Both tables are
+        # symmetric, so when d2 = d1 only i2 >= i1 is checked: the mirror of a
+        # pair with i2 < i1 is the same identity and comes earlier.
         source, target = self.source, self.target
         for d1 in range(source.top_degree + 1):
             per_d2 = [
-                (
-                    d2,
-                    self.matrix(d1 + d2),
-                    source.product_table(d1, d2),
-                    # columns[b][k]: coordinate k of e'_a . e'_b, over a
-                    coordinate_columns(target.product_table(d2, d1), target.rank(d1 + d2)),
-                )
+                (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))
                 for d2 in range(d1, source.top_degree + 1)
             ]
             for i1, fx in enumerate(self._columns[d1]):
-                for d2, rows, xy_table, columns in per_d2:
-                    # fx_times[k]: coordinate k of F(x).e'_b, over b
-                    length = target.rank(d1 + d2)
-                    fx_times = [tuple(dot(fx, col[k]) for col in columns) for k in range(length)]
+                for d2, rows, xy_table, times in per_d2:
+                    fx_times, length = times(fx), target.rank(d1 + d2)  # F(x).e'_b over b
                     for i2 in range(i1 if d2 == d1 else 0, source.rank(d2)):
                         fy = self._columns[d2][i2]
-                        if [dot(row, xy_table[i1][i2]) for row in rows] != [dot(fy, c) for c in fx_times]:
+                        if mat_vec(rows, xy_table[i1][i2]) != combination(fy, fx_times, length):
                             raise ValueError(
                                 f"multiplicativity fails on "
                                 f"({self.source.basis_labels[d1][i1]}, "

@@ -452,3 +452,48 @@ def test_closure_kernel_agrees_with_element_reference(name, kind, data):
     except ValueError as exc:
         found = str(exc)
     assert found == expected
+
+
+def _projection_formula_reference(blown):
+    """The first projection-formula failure found with ring elements and
+    ``GradedMap.apply``, in the check's (d1, i1, d2, i2) order, as its message;
+    None when every pair holds."""
+    ring, quad = blown.ring, blown.quadric
+    push, restrict = blown.pushforward_from_quadric, blown.restriction_to_quadric_map
+    for d1 in range(ring.top_degree + 1):
+        for i1 in range(ring.rank(d1)):
+            x = ring.basis_element(d1, i1)
+            for d2 in range(quad.top_degree + 1):
+                for i2 in range(quad.rank(d2)):
+                    g = quad.basis_element(d2, i2)
+                    if push.apply(restrict.apply(x) * g) != x * push.apply(g):
+                        labels = (ring.basis_labels[d1][i1], quad.basis_labels[d2][i2])
+                        return "projection formula fails on ({}, {})".format(*labels)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_SCENARIOS)), st.sampled_from(["branch1", "branch2"]), st.data())
+def test_projection_formula_locator_agrees_with_element_reference(name, branch, data):
+    # One entry of the pushforward of a p3, flag or rank-7 synthetic blow-up changes.
+    blown = getattr(_closure_geometry(name)[0], branch)
+    push = blown.pushforward_from_quadric
+    matrices = {d: [list(row) for row in rows] for d, rows in push.matrices.items()}
+    d = data.draw(st.sampled_from(sorted(matrices)))
+    row = data.draw(st.integers(0, len(matrices[d]) - 1))
+    col = data.draw(st.integers(0, len(matrices[d][row]) - 1))
+    matrices[d][row][col] += data.draw(st.sampled_from((-2, -1, 1, 3)))
+    bad = BlownUpChow(
+        base=blown.base,
+        ring=blown.ring,
+        quadric=blown.quadric,
+        restriction_to_quadric_map=blown.restriction_to_quadric_map,
+        pushforward_from_quadric=GradedMap(blown.quadric, blown.ring, 1, matrices),
+    )
+    expected = _projection_formula_reference(bad)
+    try:
+        bad.check_projection_formula()
+        found = None
+    except ValueError as exc:
+        found = str(exc)
+    assert found == expected

@@ -13,7 +13,8 @@ matrix entry is perturbed they must report the same first failing triple or
 pair as an oracle that walks the documented order with ``RingElement``
 arithmetic, or accept exactly when the oracle finds no failure; so must the
 associativity check of a built ring whose unit row, or one of whose (1,1) or
-(1,2) entries, was then tampered with.  Written out with ``to_json_dict``
+(1,2) entries, was then tampered with.  ``multiplication`` must give the
+products that ``RingElement`` arithmetic gives, for every degree pair.  Written out with ``to_json_dict``
 and read back by the scenario decoder, each ring is the same ring again;
 listing some of its zero products explicitly gives the same ring, hash and
 document.
@@ -271,6 +272,24 @@ def test_ring_hom_check_agrees_with_element_oracle(ring_data, data):
     perturbed[d][row][col] += delta
     expected = _ring_hom_oracle(GradedMap(source, target, 0, perturbed))
     assert _error(lambda: GradedMap(source, target, 0, perturbed, is_ring_hom=True)) == expected
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
+def test_multiplication_agrees_with_element_products(ring_data, data):
+    # For every degree pair, above the top degree too, u -> u.e_b over the
+    # degree-d2 basis; u is zero, a basis vector (the table row itself) or random.
+    top, labels, _, dense, _ = ring_data
+    ring = GradedRing(top, labels, dense)
+    for d1 in range(top + 2):
+        for d2 in range(top + 2):
+            n = ring.rank(d1)
+            zero = st.just([0] * n)
+            basis = st.integers(0, n - 1).map(lambda i: [int(k == i) for k in range(n)])
+            u = data.draw(zero | basis | st.lists(st.integers(-3, 3), min_size=n, max_size=n) if n else zero)
+            x = ring.homogeneous(d1, u)
+            expected = tuple((x * ring.basis_element(d2, b)).degree_part(d1 + d2) for b in range(ring.rank(d2)))
+            assert ring.multiplication(d1, d2)(u) == expected
 
 
 @SETTINGS

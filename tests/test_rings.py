@@ -109,12 +109,12 @@ def test_construction_rejects_nonsymmetric_table():
         )
 
 
-NOT_INTEGERS = pytest.mark.parametrize("entry", [2.7, 1.9, "5"])
+NOT_INTEGERS = pytest.mark.parametrize("entry", [2.7, 1.9, "5", True])
 
 
 @NOT_INTEGERS
 def test_a_product_entry_that_is_not_an_integer_is_refused(entry):
-    # int() would truncate 1.9 to 1 and parse "5"; the table must stay exact.
+    # int() would truncate 1.9 to 1, parse "5" and read True as 1; the table must stay exact.
     with pytest.raises(ValueError, match=re.escape("product (1, 0, 1, 0): expected a sequence of integers")):
         GradedRing(top_degree=2, basis_labels=[["1"], ["t"], ["p"]], products={(1, 0, 1, 0): (entry,)})
 
