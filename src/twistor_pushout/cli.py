@@ -102,8 +102,6 @@ def _render_value(value, indent: int) -> list[str]:
                 lines.extend(_render_value(sub, indent))
             else:
                 lines.append(f"{pad}- {sub}")
-    else:
-        lines.append(f"{pad}{value}")
     return lines
 
 

@@ -26,9 +26,9 @@ the operational classes of the glued space are the pairs whose restrictions
 match; they form, degree by degree, a saturated integer lattice computed by
 an exact kernel, with componentwise product.  Its product closure applies
 each branch ring's ``multiplication`` to the lattice vectors, summing over
-their nonzero entries, read from each vector, so nothing is assumed about
-where they sit; lattice membership walks only the nonzero entries of the
-Hermite rows.
+their nonzero entries, read once per vector and block, so nothing is assumed
+about where they sit; lattice membership walks only the nonzero entries of
+the rows that are not unit rows.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .intlin import (
     lattice_contains,
     mat_mul,
     mat_vec,
+    support,
 )
 from .quadric import _RING, _SWAP, QuadricClass, ruling_swap_map
 from .rings import (
@@ -223,6 +224,7 @@ class BlownUpChow(Value):
         """
         ring, quad = self.ring, self.quadric
         push = self.pushforward_from_quadric
+        pushed = [[support(g) for g in push.columns(d2)] for d2 in range(quad.top_degree + 1)]  # j_*(g)
         for d1 in range(ring.top_degree + 1):
             # per degree d2 of g: u -> u.g over g on the quadric, j_* after it, x.e_m upstairs
             per_d2 = [
@@ -232,7 +234,7 @@ class BlownUpChow(Value):
             for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
                 for d2, (times, push_rows, x_table) in enumerate(per_d2):
                     jx_times, length = times(jx), ring.rank(d1 + d2 + push.shift)
-                    for i2, pushed_g in enumerate(push.columns(d2)):
+                    for i2, pushed_g in enumerate(pushed[d2]):
                         if mat_vec(push_rows, jx_times[i2]) != combination(pushed_g, x_table[i1], length):
                             raise ValueError(
                                 f"projection formula fails on "
@@ -479,9 +481,9 @@ class EqualizerRing(Value):
 
         The componentwise product of two concatenated pair vectors u, v is,
         branch by branch, the combination by v's part of that branch's
-        ``multiplication`` of u's part, so the sums run over the nonzero
-        entries of u and v only; nothing is assumed about where those entries
-        sit.  A product is matched exactly when the matching matrix annihilates
+        ``multiplication`` of u's part, so the sums run over the nonzero entries
+        of u and v only, v's read once per block, and over the table rows they
+        touch.  A product is matched exactly when the matching matrix annihilates
         it.  Pairs are checked in the order d1, d2 >= d1, u, v, with v >= u
         when d2 = d1: the branch rings are commutative, so the mirror of such a
         pair, which comes earlier in that order, has the same product.
@@ -494,7 +496,7 @@ class EqualizerRing(Value):
                 times1, times2 = (ring.multiplication(d1, d2) for ring in rings)
                 length1, length2 = (ring.rank(d1 + d2) for ring in rings)
                 n1, m1 = rings[0].rank(d1), rings[0].rank(d2)  # where branch 2 starts
-                vs = [(v[:m1], v[m1:]) for v in self.lattices[d2]]
+                vs = [(support(v[:m1]), support(v[m1:])) for v in self.lattices[d2]]
                 for iu, u in enumerate(self.lattices[d1]):
                     u1_times, u2_times = times1(u[:n1]), times2(u[n1:])
                     for v1, v2 in vs[iu:] if d1 == d2 else vs:

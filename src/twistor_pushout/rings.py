@@ -18,18 +18,18 @@ A ring stores its structure constants once, per degree pair as the product
 table ``T[i1][i2]``, and equality compares these tables.  Every check on them
 (associativity here, the ring-homomorphism check of a map, and in ``pushout``
 the projection formula and product closure) reads them through one map,
-``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis,
-summed over the nonzero entries of u and of the table rows, with the table row
-itself for a basis vector.  With ``combination`` and ``mat_vec`` that is every
-sum a check takes, so no element is built inside a check.  The checks use the
-commutativity that construction guarantees.  With V_z(x, y) = (x.y).z, the
-identity (a.b).c = a.(b.c) reads V_c(a, b) = V_a(b, c), so all six orderings
-of a multiset {x, y, z} hold exactly when V_z(x, y) = V_x(y, z) = V_y(x, z):
-associativity computes V once per unordered basis pair against every z and
-compares the three values once per unordered triple, and the
-ring-homomorphism check takes each unordered pair once.  Every ordered
-identity still follows; nothing is sampled or skipped, the blocks with a
-factor of degree 0 included.
+``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis, the
+table row itself for a basis vector, else summed over the nonzero entries of u
+and of the rows it touches, each flattened when first touched.  With
+``mat_vec`` and ``combination``, over a support read once, that is every sum a
+check takes.  The checks use the commutativity that construction guarantees.
+With V_z(x, y) = (x.y).z, the identity (a.b).c = a.(b.c) reads V_c(a, b) =
+V_a(b, c), so all six orderings of a multiset {x, y, z} hold exactly when
+V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once per unordered
+basis pair against every z and compares the three values once per unordered
+triple, and the ring-homomorphism check takes each unordered pair once.  Every
+ordered identity still follows; nothing is sampled or skipped, the blocks with
+a factor of degree 0 included.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -42,7 +42,7 @@ from itertools import chain, permutations
 from operator import index
 
 from ._value import Value
-from .intlin import Vector, kernel_basis, lattice_contains, mat_vec, support
+from .intlin import Support, Vector, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
 
@@ -214,11 +214,11 @@ class GradedRing:
     def multiplication(self, d1: int, d2: int) -> Callable[[Sequence[int]], tuple[Vector, ...]]:
         """The map ``u -> (u.e_b over the degree-d2 basis)`` on degree-``d1`` vectors.
 
-        Each row of ``product_table(d1, d2)`` is read once, flattened, as its
-        nonzero (position, entry) pairs; a basis vector ``u`` gets its row itself."""
+        A basis vector ``u`` gets its row of ``product_table(d1, d2)``; any other sums the
+        rows at its nonzero entries, each flattened to its nonzero pairs when first read."""
         table = self.product_table(d1, d2)
         length, count = self.rank(d1 + d2), self.rank(d2)
-        rows = [[(k, e) for k, e in enumerate(chain.from_iterable(row)) if e] for row in table]
+        rows: list[list[tuple[int, int]] | None] = [None] * len(table)  # flattened when first read
 
         def times(u: Sequence[int]) -> tuple[Vector, ...]:
             positions, values = support(u)
@@ -226,9 +226,11 @@ class GradedRing:
                 return table[positions[0]]
             out = [0] * (count * length)
             for m, c in zip(positions, values):
+                if rows[m] is None:
+                    rows[m] = [(k, e) for k, e in enumerate(chain.from_iterable(table[m])) if e]
                 for k, e in rows[m]:
                     out[k] += c * e
-            return tuple(tuple(out[b * length : (b + 1) * length]) for b in range(count))
+            return tuple(zip(*[iter(out)] * length)) if length else ((),) * count
 
         return times
 
@@ -332,14 +334,15 @@ class GradedRing:
         return doc
 
 
-def combination(weights: Sequence[int], vectors: Sequence[Vector], length: int) -> Vector:
-    """``sum_m weights[m] vectors[m]`` over the nonzero weights, as a ``length`` vector."""
-    terms = [(c, vec) for c, vec in zip(weights, vectors) if c]
-    if len(terms) == 1 and terms[0][0] == 1:
-        return terms[0][1]
+def combination(weights: Support, vectors: Sequence[Vector], length: int) -> Vector:
+    """``sum_m c_m vectors[m]`` over the support ``(positions, values)`` of the weights,
+    as a ``length`` vector; a caller reads each support once, with ``intlin.support``."""
+    positions, values = weights
+    if len(positions) == 1 and values[0] == 1:
+        return vectors[positions[0]]
     out: Sequence[int] = (0,) * length
-    for c, vec in terms:
-        out = [a + c * b for a, b in zip(out, vec)]
+    for m, c in zip(positions, values):
+        out = [a + c * b for a, b in zip(out, vectors[m])]
     return tuple(out)
 
 
@@ -508,6 +511,7 @@ class GradedMap:
         # symmetric, so when d2 = d1 only i2 >= i1 is checked: the mirror of a
         # pair with i2 < i1 is the same identity and comes earlier.
         source, target = self.source, self.target
+        fys = {d: [support(fy) for fy in columns] for d, columns in self._columns.items()}  # F(y)
         for d1 in range(source.top_degree + 1):
             per_d2 = [
                 (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))
@@ -517,8 +521,7 @@ class GradedMap:
                 for d2, rows, xy_table, times in per_d2:
                     fx_times, length = times(fx), target.rank(d1 + d2)  # F(x).e'_b over b
                     for i2 in range(i1 if d2 == d1 else 0, source.rank(d2)):
-                        fy = self._columns[d2][i2]
-                        if mat_vec(rows, xy_table[i1][i2]) != combination(fy, fx_times, length):
+                        if mat_vec(rows, xy_table[i1][i2]) != combination(fys[d2][i2], fx_times, length):
                             raise ValueError(
                                 f"multiplicativity fails on "
                                 f"({self.source.basis_labels[d1][i1]}, "

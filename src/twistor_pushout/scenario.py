@@ -6,9 +6,10 @@ decoration, and the deformation-assumption flag that decides whether
 charge outputs may be labelled as smooth-fibre charges.  This module also
 decodes the CLI's ``--member`` and ``--decorate`` files; it reads every input.
 
-Decoding is strict: an integer is a JSON integer (not a float, string or ``true``), a
-flag a boolean, a label, id or name a string, and a vector has its declared length.
-A refusal names the JSON path: ``branch1.mult[3].out[1] must be an integer, got 1.5``.
+Decoding is strict: an integer is a JSON integer (not a float, string or ``true``), a flag
+a boolean, a label, id or name a string, and a vector has its declared length; a valid
+integer list or ``mult`` key set is read in one pass.  A refusal names the JSON path:
+``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
 Decoding loads only what the document holds: ``pushout`` for the branches, and
 ``charges``, ``surfaces``, ``neck`` with ``gaussian`` only for bundle, surface and
@@ -101,6 +102,8 @@ class _Json:
         return [_Json(value, f"{self.path}[{i}]") for i, value in enumerate(values)]
 
     def integers(self, length: int | None) -> list[int]:
+        if type(self.value) is list and len(self.value) == length and set(map(type, self.value)) <= {int}:
+            return self.value  # types read in one pass; a refusal takes the per-item path below
         return [item.read(int) for item in self.items(length)]
 
 
@@ -123,7 +126,9 @@ def ring_from_dict(doc) -> GradedRing:
         basis.append([label.read(str) for label in labels])
     products = {}
     for entry in doc.get("mult", []).items():
-        key = tuple(entry[k].read(int) for k in ("d1", "i1", "d2", "i2"))
+        key = tuple(map(entry.read(dict).get, ("d1", "i1", "d2", "i2")))
+        if set(map(type, key)) != {int}:  # a missing key reads None; refused with its path below
+            key = tuple(entry[k].read(int) for k in ("d1", "i1", "d2", "i2"))
         if key in products:
             raise ValueError(f"{entry.path} repeats the product {key}")
         d = key[0] + key[2]  # above the top degree, GradedRing checks that the product is zero
