@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
-# 1.1 s and equalizer about 1.3 s on a shared 2-vCPU host (README.md, same figures).
+# 0.7 s and equalizer about 0.8 s on a shared 2-vCPU host (README.md, same figures).
 MAX_DOCUMENT_RANK = 40
 
 

@@ -105,6 +105,15 @@ MEMBER_ARGV = ["--scenario", str(P3_P3), "equalizer", "--member", "{}"]
 SCENARIO_ARGV = ["--scenario", "{}", "charge"]
 # p3_p3.json with branch1 written out as an inline ring document
 INLINE_P3 = {**_load("scenarios/p3_p3.json"), "branch1": projective_space_base().to_json_dict()}
+
+
+def with_product(d1, i1, d2, i2, out):
+    """INLINE_P3 with one more ``mult`` entry in branch1, after the two it has."""
+    doc = copy.deepcopy(INLINE_P3)
+    doc["branch1"]["mult"].append({"d1": d1, "i1": i1, "d2": d2, "i2": i2, "out": out})
+    return doc
+
+
 # case -> (document, argv running it at {}, the error after "error: <file>: ")
 NAMED = {
     "bundle-without-c1": (
@@ -187,6 +196,41 @@ NAMED = {
         SCENARIO_ARGV,
         "branch1.mult[0].out[0] must be an integer, got true",
     ),
+    "inline-mult-output-too-short-and-bool": (
+        mutated(INPUTS["synthetic_r7"][0], ("branch1", "mult", 0, "out"), [26, True]),
+        SCENARIO_ARGV,
+        "branch1.mult[0].out must be a list of length 6, got [26, true]",
+    ),
+    "inline-mult-degree-out-of-range": (
+        with_product(4, 0, 1, 0, []),
+        SCENARIO_ARGV,
+        "table degree out of range: (4, 0, 1, 0)",
+    ),
+    "inline-mult-index-out-of-range": (
+        with_product(1, 3, 1, 0, [0]),
+        SCENARIO_ARGV,
+        "table index out of range: (1, 3, 1, 0)",
+    ),
+    "inline-mult-nonzero-above-top-degree": (
+        with_product(2, 0, 2, 0, [1]),
+        SCENARIO_ARGV,
+        "product (2, 0, 2, 0) lands above top degree",
+    ),
+    "inline-line-class-zero": (
+        mutated(INLINE_P3, ("branch1", "line_class"), [0]),
+        SCENARIO_ARGV,
+        "line_class must be a nonzero degree-2 class",
+    ),
+    "inline-point-class-zero": (
+        mutated(INLINE_P3, ("branch1", "point_class"), [0]),
+        SCENARIO_ARGV,
+        "point_class must be a degree-3 class",
+    ),
+    "inline-point-class-of-degree-2": (
+        mutated(INLINE_P3, ("branch1", "point_class"), [2]),
+        SCENARIO_ARGV,
+        "point_class must have degree 1",
+    ),
     "inline-mult-entry-repeated": (
         mutated(
             INLINE_P3,
@@ -236,6 +280,15 @@ def test_malformed_input_exits_2_naming_the_file(case, tmp_path):
     code, out = _run_at(argv, target)
     assert code == 2
     assert out == f"error: {target}: {message}"
+
+
+def test_an_all_zero_product_above_the_top_degree_is_accepted(tmp_path):
+    outputs = []
+    for name, doc in (("plain", INLINE_P3), ("with-zero", with_product(2, 0, 2, 0, [0]))):
+        target = tmp_path / f"{name}.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+        outputs.append(_run_at(SCENARIO_ARGV, target))
+    assert outputs[1] == outputs[0] and outputs[0][0] == 0
 
 
 NESTED = "[" * 100_000  # deeper than the decoder's recursion limit

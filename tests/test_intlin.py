@@ -216,3 +216,42 @@ def test_mat_mul_and_vec():
     assert mat_vec(a, [1, 1]) == (3, 7)
     with pytest.raises(ValueError):
         mat_vec(a, [1, 1, 1])
+
+
+@st.composite
+def echelon_bases_and_vectors(draw):
+    """An echelon basis that is not in Hermite form, which ``SparseLattice`` keeps
+    as given: rows e_p and -e_p, 2.e_p and -2.e_p, and dense rows whose pivots
+    may be negative.  Also a vector in its lattice, and that vector moved at one
+    column and at every column."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    basis = []
+    for p in sorted(draw(st.sets(st.integers(0, n - 1)))):
+        kind = draw(st.sampled_from(((1, -1), (2, -2), (-3, -2, -1, 1, 2, 3))))
+        tail = draw(st.lists(entry, min_size=n - p - 1, max_size=n - p - 1)) if len(kind) > 2 else [0] * (n - p - 1)
+        basis.append([0] * p + [draw(st.sampled_from(kind))] + tail)
+    member = [0] * n
+    for row in basis:
+        c = draw(st.integers(-4, 4))
+        member = [a + c * b for a, b in zip(member, row)]
+    at_one = list(member)
+    at_one[draw(st.integers(0, n - 1))] += draw(st.integers(1, 3))
+    offset = draw(st.lists(entry, min_size=n, max_size=n))
+    return basis, member, [at_one, [a + b for a, b in zip(member, offset)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(echelon_bases_and_vectors())
+def test_membership_agrees_with_rational_oracle_on_unit_rows_kept_as_given(case):
+    basis, member, moved = case
+    lattice = SparseLattice(basis)
+    pivots = [next(k for k, a in enumerate(row) if a) for row in basis]
+    kept = [(p, row[p]) for p, row in zip(pivots, basis) if row[p] not in (1, -1) or any(row[p + 1 :])]
+    assert [row[:2] for row in lattice.rows] == kept  # as given, less the unit rows
+    assert lattice_contains(lattice, member)
+    for vec in moved:
+        coords = rational_coordinates(basis, vec)
+        expected = coords is not None and all(c.denominator == 1 for c in coords)
+        assert lattice_contains(basis, vec) == expected
+        assert lattice_contains(lattice, vec) == expected
