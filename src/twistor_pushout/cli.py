@@ -100,8 +100,6 @@ def _render_value(value, indent: int) -> list[str]:
                     lines.extend(rendered[1:])
             elif isinstance(sub, list):
                 lines.extend(_render_value(sub, indent))
-            else:
-                lines.append(f"{pad}- {sub}")
     return lines
 
 
@@ -213,12 +211,15 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
     report = Report("surfaces", {"dmax": args.dmax, "pair": args.pair})
     if args.pair:
         d1, f1, d2, f2 = args.pair
-        integers = all(d.removeprefix("-").isdecimal() for d in (d1, d2))
-        if not integers or not {f1, f2} <= {"in", "out"}:
+        try:  # int() refuses a degree beyond the interpreter's digit limit
+            degrees = [int(d) for d in (d1, d2) if d.removeprefix("-").isdecimal()]
+        except ValueError:
+            degrees = []
+        if len(degrees) < 2 or not {f1, f2} <= {"in", "out"}:
             shape = "D1 IN1 D2 IN2, an integer degree then in or out for each surface"
             raise ValueError(f"--pair takes {shape}, got {' '.join(args.pair)!r}")
-        s1 = SurfaceData(int(d1), f1 == "in")
-        s2 = SurfaceData(int(d2), f2 == "in")
+        s1 = SurfaceData(degrees[0], f1 == "in")
+        s2 = SurfaceData(degrees[1], f2 == "in")
         ok = glue_check(s1, s2)
         trace1 = trace_class(s1)
         report.results["pair"] = {

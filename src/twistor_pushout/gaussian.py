@@ -27,8 +27,6 @@ RationalLike = Fraction | int | str
 
 def _part(value: RationalLike) -> int | Fraction:
     """``value`` as an exact int when its denominator is 1, else as a Fraction."""
-    if type(value) is int:
-        return value
     value = value if isinstance(value, Fraction) else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 

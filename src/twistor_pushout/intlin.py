@@ -107,9 +107,9 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
 
     Saturated means every integral solution is an integer combination of the
     returned vectors, not merely a rational one.  Implemented by reducing the
-    augmented matrix [A^T | I]: rows whose A^T-part vanishes carry a kernel
+    augmented matrix [A^T | I] once: rows whose A^T-part vanishes carry a kernel
     vector in their identity part, and unimodularity of the reduction makes the
-    collection a basis of the full solution lattice.
+    collection a basis of the full solution lattice, already in Hermite form.
     """
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -119,14 +119,10 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
         ncols = len(mat[0])
     if any(len(r) != ncols for r in mat):
         raise ValueError("ragged matrix")
-    if ncols == 0:
-        return []
-    augmented = []
-    for i in range(ncols):
-        augmented.append([mat[r][i] for r in range(m)] + [int(k == i) for k in range(ncols)])
-    reduced = hermite_row_basis(augmented)
-    kernel = [row[m:] for row in reduced if not any(row[:m])]
-    return hermite_row_basis(kernel)
+    augmented = [[row[i] for row in mat] + [int(k == i) for k in range(ncols)] for i in range(ncols)]
+    # The zero-A^T rows come last, with positive echelon pivots and each entry
+    # above a pivot reduced over the whole row: their tails are already Hermite.
+    return [row[m:] for row in hermite_row_basis(augmented) if not any(row[:m])]
 
 
 class SparseLattice:

@@ -45,7 +45,7 @@ from .intlin import (
     mat_vec,
     support,
 )
-from .quadric import _RING, _SWAP, QuadricClass, ruling_swap_map
+from .quadric import _RING, _SWAP, QuadricClass
 from .rings import (
     DegreeError,
     GradedMap,
@@ -305,7 +305,6 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
         shift=0,
         matrices={0: [[1]], 1: restrict_d1, 2: restrict_d2},
         is_ring_hom=True,
-        name="restriction to exceptional quadric",
     )
 
     # pushforward: 1 -> Q, b -> j*b, w -> f*[line] - j*b, pt -> f*[point]
@@ -317,7 +316,6 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
         ring,
         shift=1,
         matrices={0: push_d0, 1: push_d1, 2: push_d2},
-        name="pushforward from exceptional quadric",
     )
 
     blown = BlownUpChow(
@@ -385,7 +383,7 @@ class PushoutPair:
         self.branch1 = branch1
         self.branch2 = branch2
         self.quadric = branch1.quadric
-        self.swap = _SWAP if self.quadric is _RING else ruling_swap_map(self.quadric)
+        self.swap = _SWAP
 
     def pair(self, first: RingElement, second: RingElement) -> ComponentPair:
         if first.ring != self.branch1.ring or second.ring != self.branch2.ring:
@@ -416,13 +414,10 @@ class PushoutPair:
         """Matrix of (a1, a2) -> j1*(a1) - swap(j2*(a2)) on the degree-k bases."""
         if not 0 <= degree <= TWISTOR_TOP:
             raise DegreeError(f"degree {degree} out of range")
-        rows = self.quadric.rank(degree) if degree <= self.quadric.top_degree else 0
-        if rows == 0:
-            return []
         j1 = self.branch1.restriction_to_quadric_map.matrix(degree)
         j2 = self.branch2.restriction_to_quadric_map.matrix(degree)
         swapped = mat_mul(self.swap.matrix(degree), j2)
-        return [list(j1[r]) + [-c for c in swapped[r]] for r in range(rows)]
+        return [list(j1[r]) + [-c for c in swapped[r]] for r in range(self.quadric.rank(degree))]
 
     def equalizer(self) -> "EqualizerRing":
         lattices = []

@@ -35,20 +35,18 @@ def quadric_ring() -> GradedRing:
 _RING = quadric_ring()
 
 
-def ruling_swap_map(ring: GradedRing | None = None) -> GradedMap:
+def ruling_swap_map(ring: GradedRing) -> GradedMap:
     """The ring isomorphism exchanging the two rulings (b <-> w, fixing 1 and pt).
 
     The two exceptional quadrics of a glued pair are identified through this
     swap; since it is an involution, pushforward and pullback coincide.
     """
-    ring = ring if ring is not None else _RING
     return GradedMap(
         ring,
         ring,
         shift=0,
         matrices={0: [[1]], 1: [[0, 1], [1, 0]], 2: [[1]]},
         is_ring_hom=True,
-        name="ruling swap",
     )
 
 

@@ -9,8 +9,9 @@ so it is commutative by construction, and associativity is verified on every
 basis triple.  Elements carry exact (unbounded) integer coefficients, one
 vector per degree.
 
-Graded maps are families of integer matrices, one per source degree, with an
-optional degree shift: pullbacks shift by 0, pushforwards by the codimension.
+Graded maps are families of integer matrices, one per source degree, each
+stored once at construction (zero if omitted, ``()`` outside the target), with
+an optional degree shift: pullbacks shift by 0, pushforwards by the codimension.
 A map flagged as a ring homomorphism is verified to be multiplicative on all
 basis pairs and to preserve the unit.
 
@@ -439,8 +440,9 @@ class GradedMap:
 
     ``matrices[d]`` sends the degree-``d`` component of the source into degree
     ``d + shift`` of the target (rows indexed by target basis, columns by
-    source basis).  A missing matrix is the zero map; source degrees landing
-    outside the target's range map into the zero group.
+    source basis).  Every source degree gets its stored matrix at
+    construction: an omitted one is stored as the zero matrix, and one whose
+    ``d + shift`` lies outside the target's range as ``()``, the zero group.
     """
 
     def __init__(
@@ -450,13 +452,14 @@ class GradedMap:
         shift: int,
         matrices: Mapping[int, Sequence[Sequence[int]]],
         is_ring_hom: bool = False,
-        name: str = "",
     ) -> None:
         self.source = source
         self.target = target
         self.shift = shift
-        self.name = name
-        mats: dict[int, tuple[Vector, ...]] = {}
+        # target.rank is 0 outside the target, so such a degree stores ()
+        self.matrices = {
+            d: ((0,) * source.rank(d),) * target.rank(d + shift) for d in range(source.top_degree + 1)
+        }
         for d, matrix in matrices.items():
             if not 0 <= d <= source.top_degree:
                 raise ValueError(f"matrix for out-of-range source degree {d}")
@@ -468,22 +471,16 @@ class GradedMap:
             rows = tuple(_as_vec(row, source.rank(d), f"matrix[{d}] row") for row in matrix)
             if len(rows) != target.rank(td):
                 raise ValueError(f"matrix[{d}] must have {target.rank(td)} rows")
-            mats[d] = rows
-        self.matrices = mats
-        self._columns = {
-            d: tuple(tuple(row[j] for row in self.matrix(d)) for j in range(source.rank(d)))
-            for d in range(source.top_degree + 1)
-        }
+            self.matrices[d] = rows
+        self._columns = {d: tuple(zip(*rows)) or ((),) * source.rank(d) for d, rows in self.matrices.items()}
         self.is_ring_hom = bool(is_ring_hom)
         if self.is_ring_hom:
             self._check_ring_hom()
 
     def matrix(self, degree: int) -> tuple[Vector, ...]:
-        td = degree + self.shift
-        if degree in self.matrices:
+        if 0 <= degree <= self.source.top_degree:
             return self.matrices[degree]
-        rows = self.target.rank(td) if 0 <= td <= self.target.top_degree else 0
-        return tuple(tuple([0] * self.source.rank(degree)) for _ in range(rows))
+        return ((),) * self.target.rank(degree + self.shift)
 
     def columns(self, degree: int) -> tuple[Vector, ...]:
         """Images of the degree-``degree`` basis elements, as degree ``degree + shift``
@@ -493,13 +490,8 @@ class GradedMap:
     def apply(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
             raise RingMismatchError("element does not live in the source ring")
-        out: dict[int, Vector] = {}
-        for d, vec in enumerate(x.coeffs):
-            td = d + self.shift
-            if not 0 <= td <= self.target.top_degree:
-                continue  # lands in the zero group
-            out[td] = mat_vec(self.matrix(d), vec)
-        return self.target.element(out)
+        shift, mats = self.shift, self.matrices  # target.element drops degrees outside its range
+        return self.target.element({d + shift: mat_vec(mats[d], vec) for d, vec in enumerate(x.coeffs)})
 
     def _check_ring_hom(self) -> None:
         if self.shift != 0:

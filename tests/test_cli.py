@@ -126,7 +126,9 @@ def test_surfaces_pair_mode():
     assert "swapped_trace1" in doc["results"]["pair"]
 
 
-@pytest.mark.parametrize("pair", [["1.5", "in", "1", "out"], ["1", "in", "1", "maybe"]])
+@pytest.mark.parametrize(
+    "pair", [["1.5", "in", "1", "out"], ["1", "in", "1", "maybe"], ["9" * 4301, "in", "1", "out"]]
+)
 def test_surfaces_pair_refusal_names_the_flag_and_its_shape(pair):
     code, out = run(["surfaces", "--pair", *pair])
     assert code == 2

@@ -95,10 +95,13 @@ def test_kernel_of_zero_map_is_everything():
 
 def test_kernel_vectors_annihilate_and_saturate():
     rng = random.Random(23)
-    for _ in range(60):
-        m, n = rng.randint(1, 4), rng.randint(1, 5)
-        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    shapes = [(0, n) for n in range(6)] + [(m, 0) for m in range(1, 5)]
+    shapes += [(rng.randint(0, 4), rng.randint(0, 5)) for _ in range(200)]
+    for m, n in shapes:
+        bound = rng.choice((4, 10**6))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
         kernel = kernel_basis(rows, ncols=n)
+        assert hermite_row_basis(kernel) == kernel
         for vec in kernel:
             assert all(v == 0 for v in mat_vec(rows, vec))
         oracle = rational_kernel(rows, n)

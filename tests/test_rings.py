@@ -3,6 +3,8 @@
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistor_pushout.pushout import projective_space_base
 from twistor_pushout.quadric import quadric_ring, ruling_swap_map
@@ -182,6 +184,44 @@ def test_ring_hom_validation_catches_bad_map(quad):
 def test_map_rejects_wrong_shape(quad):
     with pytest.raises(ValueError):
         GradedMap(quad, quad, 0, {1: [[1, 0]]})  # needs two rows in degree 1
+    with pytest.raises(ValueError, match=re.escape("matrix for out-of-range source degree 3")):
+        GradedMap(quad, quad, 0, {3: []})
+    with pytest.raises(ValueError, match=re.escape("matrix for out-of-range source degree -1")):
+        GradedMap(quad, quad, 0, {-1: []})
+    with pytest.raises(ValueError, match=re.escape("nonzero matrix into missing target degree 3")):
+        GradedMap(quad, quad, 1, {2: [[1]]})
+    # an all-zero matrix into a missing degree is accepted and stored as the zero group
+    drop = GradedMap(quad, quad, 1, {2: [[0]]})
+    assert drop.matrix(2) == ()
+    assert drop.columns(2) == ((),)
+    assert drop.apply(quad.basis_element(2, 0)).is_zero()
+
+
+@given(st.sampled_from([0, 1, 2]), st.data())
+def test_every_source_degree_stores_one_matrix(shift, data):
+    # the property holds for any subset of given degrees: omitted ones are zero
+    quad = quadric_ring()
+    given_degrees = data.draw(st.sets(st.integers(0, 2)))
+    rows = {d: st.lists(st.integers(-5, 5), min_size=quad.rank(d), max_size=quad.rank(d)) for d in range(3)}
+    matrices = {d: [data.draw(rows[d]) for _ in range(quad.rank(d + shift))] for d in given_degrees}
+    f = GradedMap(quad, quad, shift, matrices)
+    for d in range(5):
+        matrix = f.matrix(d)
+        assert len(matrix) == quad.rank(d + shift)
+        assert all(len(row) == quad.rank(d) for row in matrix)
+        if d > quad.top_degree:
+            continue
+        expected = matrices.get(d, [[0] * quad.rank(d)] * quad.rank(d + shift))
+        assert matrix == tuple(map(tuple, expected))
+        columns = f.columns(d)
+        assert len(columns) == quad.rank(d)
+        assert all(column == tuple(row[i] for row in matrix) for i, column in enumerate(columns))
+        for i, column in enumerate(columns):
+            image = f.apply(quad.basis_element(d, i))
+            if column:
+                assert image == quad.homogeneous(d + shift, column)
+            else:
+                assert image.is_zero()
 
 
 def test_map_out_of_range_degrees_drop(quad):
