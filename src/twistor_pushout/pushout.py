@@ -193,12 +193,8 @@ class BlownUpChow(Value):
         """Embed a base-ring class into the blown-up ring (the map f*)."""
         if x.ring != self.base.ring:
             raise RingMismatchError("element does not live in the base ring")
-        coeffs = {}
-        for d in range(TWISTOR_TOP + 1):
-            vec = list(x.degree_part(d))
-            extra = self.ring.rank(d) - len(vec)
-            coeffs[d] = vec + [0] * extra
-        return self.ring.element(coeffs)
+        ring = self.ring
+        return ring.element({d: vec + (0,) * (ring.rank(d) - len(vec)) for d, vec in enumerate(x.coeffs)})
 
     def pulled_back_line(self) -> RingElement:
         return self.pulled_back(self.base.line_class)
@@ -244,7 +240,10 @@ class BlownUpChow(Value):
 
 
 def blow_up(base: TwistorChow) -> BlownUpChow:
-    """Blow up the base along the chosen twistor line and build the full table."""
+    """Blow up the base along the chosen twistor line and build the full table.
+
+    Its associativity check compares only the multisets with Q or j.b, once a subring pass
+    finds the pulled-back products equal to the base's: every identity follows, none sampled."""
     R = base.ring
     quad = _RING
     labels = [
@@ -258,18 +257,14 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
     line_vec = base.line_class.degree_part(2)
     point_vec = base.point_class.degree_part(3)
 
-    def lift(d: int, vec: Vector) -> tuple[int, ...]:
-        extra = len(labels[d]) - len(vec)
-        return tuple(vec) + (0,) * extra
-
-    products: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-
-    # pulled-back classes multiply as in the base
-    for d1 in range(1, TWISTOR_TOP + 1):
-        for d2 in range(d1, TWISTOR_TOP + 1 - d1):
-            for i1 in range(R.rank(d1)):
-                for i2 in range(R.rank(d2)):
-                    products[(d1, i1, d2, i2)] = lift(d1 + d2, R.table_entry(d1, i1, d2, i2))
+    # pulled-back classes multiply as in the base: its entries padded with zeros
+    products = {
+        (d1, i1, d2, i2): ab + (0,) * (len(labels[d1 + d2]) - len(ab))
+        for d1 in range(1, TWISTOR_TOP + 1)
+        for d2 in range(d1, TWISTOR_TOP + 1 - d1)
+        for i1, row in enumerate(R.product_table(d1, d2))
+        for i2, ab in enumerate(row)
+    }
 
     # Q . f*a = (twistor degree of a) . j*b   for degree-1 a
     for i, deg in enumerate(base.twistor_degrees):
@@ -291,6 +286,7 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
         products=products,
         degree_functional=list(R.degree_functional or ()),
         name=f"CH(Bl {R.name or 'base'})",
+        _base=R,
     )
 
     # restriction to the quadric: f*a -> deg(a) b, Q -> b - w, f*b -> 0, j*b -> -pt

@@ -24,13 +24,14 @@ table row itself for a basis vector, else summed over the nonzero entries of u
 and of the rows it touches, each flattened when first touched.  With
 ``mat_vec`` and ``combination``, over a support read once, that is every sum a
 check takes.  The checks use the commutativity that construction guarantees.
-With V_z(x, y) = (x.y).z, the identity (a.b).c = a.(b.c) reads V_c(a, b) =
-V_a(b, c), so all six orderings of a multiset {x, y, z} hold exactly when
-V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once per unordered
-basis pair against every z and compares the three values once per unordered
-triple, and the ring-homomorphism check takes each unordered pair once.  Every
-ordered identity still follows; nothing is sampled or skipped, the blocks with
-a factor of degree 0 included.
+With V_z(x, y) = (x.y).z, all six orderings of a multiset {x, y, z} associate
+exactly when V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once
+per unordered basis pair and compares once per unordered triple, and the
+ring-homomorphism check takes each unordered pair once.  A ring built by
+``pushout.blow_up`` lists its base ring's classes first; once a subring pass
+finds their products equal to the base's, padded with zeros, it compares only
+the multisets with an exceptional element, as the base's own check proves the
+rest.  Every identity still follows; none is sampled, degree-0 blocks included.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -39,7 +40,7 @@ the module is safe for unrestricted concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from itertools import chain, permutations
+from itertools import chain, compress, permutations
 from operator import index
 
 from ._value import Value
@@ -95,6 +96,8 @@ class GradedRing:
         products: Mapping[TableKey, Sequence[int]],
         degree_functional: Sequence[int] | None = None,
         name: str = "",
+        *,
+        _base: GradedRing | None = None,
     ) -> None:
         if top_degree < 0:
             raise ValueError("top_degree must be non-negative")
@@ -120,7 +123,10 @@ class GradedRing:
             for d1 in range(top_degree + 1)
             for d2 in range(top_degree + 1)
         }
-        self._check_associativity()
+        if _base is None:
+            self._check_associativity()
+        else:  # blow_up's branch ring: each degree lists _base's classes first, pulled back
+            self._check_associativity(_base)
 
     # -- construction helpers -------------------------------------------------
 
@@ -140,32 +146,55 @@ class GradedRing:
                 if key in table and table[key] != vec:
                     raise ValueError(f"conflicting table entries for {key}")
                 table[key] = vec
-        # The unit acts as the identity; fill or verify its row.
-        for d in range(self.top_degree + 1):
-            for i in range(self.rank(d)):
-                unit_vec = tuple(int(k == i) for k in range(self.rank(d)))
+        for d, n in enumerate(map(self.rank, range(self.top_degree + 1))):  # the unit acts as the identity
+            units = (0,) * n + (1,) + (0,) * n  # e_i is units[n - i : 2n - i]
+            for i in range(n):
+                unit_vec = units[n - i : 2 * n - i]
                 for key in ((0, 0, d, i), (d, i, 0, 0)):
                     if table.setdefault(key, unit_vec) != unit_vec:
                         raise ValueError(f"unit does not act as identity on {key}")
         return table
 
-    def _check_associativity(self) -> None:
-        # V_z(x, y) = (x.y).z is symmetric in x, y because the table is, and
-        # x.(y.z) = (y.z).x = V_x(y, z): the ordered triple (a, b, c) associates
-        # exactly when V_c(a, b) = V_a(b, c), and every ordering of a multiset
-        # {x, y, z} does exactly when V_z(x, y) = V_x(y, z) = V_y(x, z).  V_z(x, y)
-        # over every z is multiplication(d1 + d2, d3) of x.y.  A failure is
-        # reported at the least failing ordered triple in the order d1, d2, d3,
-        # i1, i2, i3, over every failing multiset.
+    def _check_associativity(self, base: GradedRing | None = None) -> None:
+        # V_z(x, y) = (x.y).z, over every z multiplication(d1 + d2, d3) of x.y, is
+        # symmetric in x, y because the table is, and x.(y.z) = (y.z).x = V_x(y, z), so
+        # every ordering of a multiset {x, y, z} associates exactly when V_z(x, y) =
+        # V_x(y, z) = V_y(x, z).  A failure is reported at the least failing ordered
+        # triple in the order d1, d2, d3, i1, i2, i3, over every failing multiset.
+        # With ``base``, whose classes come first in each degree (pulled back by f),
+        # the subring pass gives f*a.f*b = pad(a.b) on basis pairs; by linearity
+        # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base
+        # passed this check.  So only multisets with an exceptional element can fail and
+        # are compared, and a pulled-back pair gets V only against the exceptional z,
+        # summed along the nonzero entries of z.e_m over m.
         top = self.top_degree
+        old = [0 if base is None else base.rank(d) for d in range(top + 1)]  # pulled-back classes
+        for d1 in range(0 if base is None else top + 1):  # the subring pass; d1 <= d2 by symmetry
+            for d2 in range(d1, top + 1 - d1):
+                pad = (0,) * (self.rank(d1 + d2) - old[d1 + d2])
+                for i1, row in enumerate(base._products[d1, d2]):
+                    for i2, ab in enumerate(row):
+                        if self._products[d1, d2][i1][i2] != ab + pad:
+                            x, y = self.basis_labels[d1][i1], self.basis_labels[d2][i2]
+                            raise ValueError(f"product ({x}, {y}) is not the pulled-back base product")
         times = {(d, d3): self.multiplication(d, d3) for d in range(top + 1) for d3 in range(top + 1 - d)}
         values = {}  # (d1, d2, d3), d1 <= d2: [i1][i2][i3] = V_z(x, y), for i1 <= i2 when d1 = d2
         for d1 in range(top + 1):
             for d2 in range(d1, top + 1 - d1):
                 for d3 in range(top + 1 - d1 - d2):
-                    xy_times = times[d1 + d2, d3]
+                    xy_times, length = times[d1 + d2, d3], self.rank(d1 + d2 + d3)
+                    exc = [  # each exceptional z with the nonzero entries of z.e_m over m
+                        (z, list(compress(range(len(row)), map(any, row))), tuple(filter(any, row)))
+                        for z, row in enumerate(self._products[d3, d1 + d2][old[d3] :], old[d3])
+                        if old[d1] and old[d2]  # read only by pulled-back pairs
+                    ]
                     values[d1, d2, d3] = [
-                        [xy_times(xy) if d1 != d2 or i2 >= i1 else None for i2, xy in enumerate(row)]
+                        [
+                            None if d1 == d2 and i2 < i1
+                            else xy_times(xy) if i1 >= old[d1] or i2 >= old[d2]
+                            else {z: combination(support([xy[m] for m in at]), e, length) for z, at, e in exc}
+                            for i2, xy in enumerate(row)
+                        ]
                         for i1, row in enumerate(self._products[d1, d2])
                     ]
         failures = []
@@ -175,7 +204,8 @@ class GradedRing:
                     xy_z, yz_x, xz_y = values[d1, d2, d3], values[d2, d3, d1], values[d1, d3, d2]
                     for i1 in range(self.rank(d1)):
                         for i2 in range(i1 if d1 == d2 else 0, self.rank(d2)):
-                            for i3 in range(i2 if d2 == d3 else 0, self.rank(d3)):
+                            first = old[d3] if i1 < old[d1] and i2 < old[d2] else 0
+                            for i3 in range(max(i2 if d2 == d3 else 0, first), self.rank(d3)):
                                 # v[p]: the value with the p-th element outside
                                 v = (yz_x[i2][i3][i1], xz_y[i1][i3][i2], xy_z[i1][i2][i3])
                                 if not v[0] == v[1] == v[2]:
@@ -463,12 +493,11 @@ class GradedMap:
         for d, matrix in matrices.items():
             if not 0 <= d <= source.top_degree:
                 raise ValueError(f"matrix for out-of-range source degree {d}")
-            td = d + shift
+            td, rows = d + shift, tuple(_as_vec(row, source.rank(d), f"matrix[{d}] row") for row in matrix)
             if not 0 <= td <= target.top_degree:
-                if any(any(row) for row in matrix):
+                if any(map(any, rows)):
                     raise ValueError(f"nonzero matrix into missing target degree {td}")
                 continue
-            rows = tuple(_as_vec(row, source.rank(d), f"matrix[{d}] row") for row in matrix)
             if len(rows) != target.rank(td):
                 raise ValueError(f"matrix[{d}] must have {target.rank(td)} rows")
             self.matrices[d] = rows

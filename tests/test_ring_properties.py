@@ -21,7 +21,11 @@ document.
 
 The branches of the rank-7 synthetic scenario, rewritten in the same way,
 blow up with every check passing, and their equalizer is closed under
-products and has the same ranks as before the rewrite.
+products and has the same ranks as before the rewrite.  The associativity
+check that ``blow_up`` runs, on the multisets with an exceptional element after
+the subring pass, gives the full check's and the oracle's verdict on each blown
+ring, also after one entry with an exceptional factor is tampered with, and
+the subring pass refuses a tampered product of two pulled-back classes.
 """
 
 from __future__ import annotations
@@ -337,25 +341,67 @@ def _rewritten_base(base: TwistorChow, change) -> TwistorChow:
     )
 
 
+def _synthetic_r7_branches() -> list[TwistorChow]:
+    doc = json.loads(SYNTHETIC_R7.read_text())
+    return [twistor_base_from_dict(doc[key]) for key in ("branch1", "branch2")]
+
+
+def _drawn_rewrite(base: TwistorChow, data) -> TwistorChow:
+    """``base`` in a random unimodular change of its degree-1 and degree-2 bases."""
+    change = {d: _unit(base.ring.rank(d)) for d in range(base.ring.top_degree + 1)}
+    for d in (1, 2):
+        change[d] = data.draw(_unimodular(base.ring.rank(d)))
+    return _rewritten_base(base, change)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_blow_ups_of_random_bases_satisfy_the_projection_formula_and_closure(data):
     # Both branches of the rank-7 synthetic scenario, each in a random unimodular
     # change of its degree-1 and degree-2 bases.  blow_up checks associativity,
     # the ring homomorphism and the projection formula on the new tables.
-    doc = json.loads(SYNTHETIC_R7.read_text())
-    bases = [twistor_base_from_dict(doc[key]) for key in ("branch1", "branch2")]
+    bases = _synthetic_r7_branches()
     blown = []
     for base in bases:
-        change = {d: _unit(base.ring.rank(d)) for d in range(base.ring.top_degree + 1)}
-        for d in (1, 2):
-            change[d] = data.draw(_unimodular(base.ring.rank(d)))
-        blown.append(blow_up(_rewritten_base(base, change)))
+        blown.append(blow_up(_drawn_rewrite(base, data)))
         blown[-1].check_projection_formula()
     equalizer = PushoutPair(*blown).equalizer()
     equalizer.check_product_closure()
     # a change of basis moves the lattices but not their ranks
     assert equalizer.ranks() == PushoutPair(*map(blow_up, bases)).equalizer().ranks()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_blown_ring_check_agrees_with_the_full_check_and_the_oracle(data):
+    # blow_up compares only the multisets with Q or j.b, after the subring pass;
+    # one entry with an exceptional factor is then changed in both orientations.
+    base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
+    ring = blow_up(base).ring
+    assert ring_from_dict(ring.to_json_dict()) == ring  # rebuilt with the full check
+    assert _error(ring._check_associativity) is None
+    q, jb = base.ring.rank(1), base.ring.rank(2)  # the exceptional indices
+    exceptional = [(1, q, d2, i2) for d2 in (1, 2) for i2 in range(ring.rank(d2))]
+    exceptional += [(d1, i1, 2, jb) for d1 in (0, 1) for i1 in range(ring.rank(d1))]
+    exceptional += [(0, 0, 1, q)]
+    _tamper(ring, data, *data.draw(st.sampled_from(exceptional)))
+    restricted = _error(lambda: ring._check_associativity(base.ring))
+    assert restricted == _error(ring._check_associativity) == _associativity_oracle(ring)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_subring_pass_refuses_a_tampered_pulled_back_product(data):
+    base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
+    ring = blow_up(base).ring
+    d1, d2 = data.draw(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]))
+    i1, i2 = (data.draw(st.integers(0, base.ring.rank(d) - 1)) for d in (d1, d2))
+    _tamper(ring, data, d1, i1, d2, i2)
+    if d1 == d2:  # both orientations changed: the pass meets the lesser first
+        i1, i2 = sorted((i1, i2))
+    x, y = ring.basis_labels[d1][i1], ring.basis_labels[d2][i2]
+    message = f"product ({x}, {y}) is not the pulled-back base product"
+    assert _error(lambda: ring._check_associativity(base.ring)) == message
 
 
 QUADRIC_COEFFS = st.lists(st.integers(-1, 1), min_size=4, max_size=4)  # of 1, b, w, pt

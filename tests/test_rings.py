@@ -190,6 +190,11 @@ def test_map_rejects_wrong_shape(quad):
         GradedMap(quad, quad, 0, {-1: []})
     with pytest.raises(ValueError, match=re.escape("nonzero matrix into missing target degree 3")):
         GradedMap(quad, quad, 1, {2: [[1]]})
+    # every given row is read as a source vector, into a missing degree too
+    with pytest.raises(ValueError, match=re.escape("matrix[2] row: expected length 1, got 2")):
+        GradedMap(quad, quad, 1, {2: [[0], [0, 0]]})
+    with pytest.raises(ValueError, match=re.escape("matrix[2] row: expected a sequence of integers")):
+        GradedMap(quad, quad, 1, {2: [[0.0]]})
     # an all-zero matrix into a missing degree is accepted and stored as the zero group
     drop = GradedMap(quad, quad, 1, {2: [[0]]})
     assert drop.matrix(2) == ()
