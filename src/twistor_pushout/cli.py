@@ -25,6 +25,7 @@ from .scenario import (
     default_scenario,
     load_scenario,
     member_from_dict,
+    preview,
     read_json,
 )
 
@@ -129,13 +130,9 @@ def cmd_ring_show(scenario: Scenario, args) -> Report:
     for d1 in range(1, ring.top_degree + 1):
         for i1 in range(ring.rank(d1)):
             for d2 in range(d1, ring.top_degree + 1 - d1):
-                for i2 in range(ring.rank(d2)):
-                    if d1 == d2 and i2 < i1:
-                        continue
+                for i2 in range(i1 if d1 == d2 else 0, ring.rank(d2)):
                     product = ring.homogeneous(d1 + d2, ring.table_entry(d1, i1, d2, i2))
-                    table.append(
-                        f"{ring.basis_labels[d1][i1]} . {ring.basis_labels[d2][i2]} = {product}"
-                    )
+                    table.append(f"{ring.basis_labels[d1][i1]} . {ring.basis_labels[d2][i2]} = {product}")
     report.results["products"] = table
 
     # blow_up refuses (exit 2) a ring failing this or the projection formula below
@@ -217,7 +214,7 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
             degrees = []
         if len(degrees) < 2 or not {f1, f2} <= {"in", "out"}:
             shape = "D1 IN1 D2 IN2, an integer degree then in or out for each surface"
-            raise ValueError(f"--pair takes {shape}, got {' '.join(args.pair)!r}")
+            raise ValueError(f"--pair takes {shape}, got {preview(repr(' '.join(args.pair)))}")
         s1 = SurfaceData(degrees[0], f1 == "in")
         s2 = SurfaceData(degrees[1], f2 == "in")
         ok = glue_check(s1, s2)
@@ -246,17 +243,11 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
             }
         )
     report.results["surfaces"] = rows
-    glue_rows = []
-    for a in range(len(surfaces)):
-        for b in range(a, len(surfaces)):
-            glue_rows.append(
-                {
-                    "first": a,
-                    "second": b,
-                    "glues": glue_check(surfaces[a], surfaces[b]),
-                }
-            )
-    report.results["glue_checks"] = glue_rows
+    report.results["glue_checks"] = [
+        {"first": a, "second": b, "glues": glue_check(surfaces[a], surfaces[b])}
+        for a in range(len(surfaces))
+        for b in range(a, len(surfaces))
+    ]
     table = classify_all(args.dmax)
     report.results["admissible"] = [list(row) for row in table]
     report.check(

@@ -242,7 +242,7 @@ class BlownUpChow(Value):
 def blow_up(base: TwistorChow) -> BlownUpChow:
     """Blow up the base along the chosen twistor line and build the full table.
 
-    Its associativity check compares only the multisets with Q or j.b, once a subring pass
+    Its associativity check compares only the degree-1 multisets with Q, once a subring pass
     finds the pulled-back products equal to the base's: every identity follows, none sampled."""
     R = base.ring
     quad = _RING

@@ -5,15 +5,16 @@ explicit multiplication table; a product whose degree exceeds the top degree
 is zero and is simply absent from the table.  This keeps commutativity and
 associativity finitely checkable, and both hold from construction on: the
 table is filled in both argument orders and conflicting entries are refused,
-so it is commutative by construction, and associativity is verified on every
-basis triple.  Elements carry exact (unbounded) integer coefficients, one
-vector per degree.
+so it is commutative by construction; a unit row other than the unit vector is
+refused as it is built, which proves every identity with a degree-0 factor;
+and associativity is verified on every basis triple of positive degrees.
+Elements carry exact (unbounded) integer coefficients, one vector per degree.
 
 Graded maps are families of integer matrices, one per source degree, each
 stored once at construction (zero if omitted, ``()`` outside the target), with
 an optional degree shift: pullbacks shift by 0, pushforwards by the codimension.
-A map flagged as a ring homomorphism is verified to be multiplicative on all
-basis pairs and to preserve the unit.
+A map flagged as a ring homomorphism is verified to preserve the unit and to
+be multiplicative on all basis pairs of positive degrees.
 
 A ring stores its structure constants once, per degree pair as the product
 table ``T[i1][i2]``, and equality compares these tables.  Every check on them
@@ -31,7 +32,7 @@ ring-homomorphism check takes each unordered pair once.  A ring built by
 ``pushout.blow_up`` lists its base ring's classes first; once a subring pass
 finds their products equal to the base's, padded with zeros, it compares only
 the multisets with an exceptional element, as the base's own check proves the
-rest.  Every identity still follows; none is sampled, degree-0 blocks included.
+rest.  Every identity still follows; none is sampled.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -161,15 +162,16 @@ class GradedRing:
         # every ordering of a multiset {x, y, z} associates exactly when V_z(x, y) =
         # V_x(y, z) = V_y(x, z).  A failure is reported at the least failing ordered
         # triple in the order d1, d2, d3, i1, i2, i3, over every failing multiset.
-        # With ``base``, whose classes come first in each degree (pulled back by f),
-        # the subring pass gives f*a.f*b = pad(a.b) on basis pairs; by linearity
+        # _build_table refused unit rows but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
+        # With ``base``, whose classes come first in each degree (pulled back by f), the
+        # subring pass and the unit rows give f*a.f*b = pad(a.b) on basis pairs; by linearity
         # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base
         # passed this check.  So only multisets with an exceptional element can fail and
         # are compared, and a pulled-back pair gets V only against the exceptional z,
         # summed along the nonzero entries of z.e_m over m.
         top = self.top_degree
         old = [0 if base is None else base.rank(d) for d in range(top + 1)]  # pulled-back classes
-        for d1 in range(0 if base is None else top + 1):  # the subring pass; d1 <= d2 by symmetry
+        for d1 in range(1, 1 if base is None else top + 1):  # the subring pass; d1 <= d2 by symmetry
             for d2 in range(d1, top + 1 - d1):
                 pad = (0,) * (self.rank(d1 + d2) - old[d1 + d2])
                 for i1, row in enumerate(base._products[d1, d2]):
@@ -177,12 +179,11 @@ class GradedRing:
                         if self._products[d1, d2][i1][i2] != ab + pad:
                             x, y = self.basis_labels[d1][i1], self.basis_labels[d2][i2]
                             raise ValueError(f"product ({x}, {y}) is not the pulled-back base product")
-        times = {(d, d3): self.multiplication(d, d3) for d in range(top + 1) for d3 in range(top + 1 - d)}
         values = {}  # (d1, d2, d3), d1 <= d2: [i1][i2][i3] = V_z(x, y), for i1 <= i2 when d1 = d2
-        for d1 in range(top + 1):
+        for d1 in range(1, top + 1):
             for d2 in range(d1, top + 1 - d1):
-                for d3 in range(top + 1 - d1 - d2):
-                    xy_times, length = times[d1 + d2, d3], self.rank(d1 + d2 + d3)
+                for d3 in range(1, top + 1 - d1 - d2):
+                    xy_times, length = self.multiplication(d1 + d2, d3), self.rank(d1 + d2 + d3)
                     exc = [  # each exceptional z with the nonzero entries of z.e_m over m
                         (z, list(compress(range(len(row)), map(any, row))), tuple(filter(any, row)))
                         for z, row in enumerate(self._products[d3, d1 + d2][old[d3] :], old[d3])
@@ -198,7 +199,7 @@ class GradedRing:
                         for i1, row in enumerate(self._products[d1, d2])
                     ]
         failures = []
-        for d1 in range(top + 1):
+        for d1 in range(1, top + 1):
             for d2 in range(d1, top + 1 - d1):
                 for d3 in range(d2, top + 1 - d1 - d2):
                     xy_z, yz_x, xz_y = values[d1, d2, d3], values[d2, d3, d1], values[d1, d3, d2]
@@ -527,13 +528,13 @@ class GradedMap:
             raise ValueError("a ring homomorphism cannot shift degrees")
         if self.matrix(0) != ((1,),):  # the image of the unit is the unit
             raise ValueError("ring homomorphism must preserve the unit")
-        # F(x.y) = F T(i1, i2) against F(x).F(y), the combination of F(x).e'_b by
-        # F(y), on basis pairs in the order d1, i1, d2 >= d1, i2.  Both tables are
-        # symmetric, so when d2 = d1 only i2 >= i1 is checked: the mirror of a
-        # pair with i2 < i1 is the same identity and comes earlier.
+        # F(x.y) = F T(i1, i2) against F(x).F(y), the combination of F(x).e'_b by F(y), on basis
+        # pairs in the order d1 >= 1, i1, d2 >= d1, i2: F(1.y) = F(y) = 1'.F(y) by F(1) = 1' and
+        # the unit rows.  Both tables are symmetric, so when d2 = d1 only i2 >= i1 is checked:
+        # the mirror of a pair with i2 < i1 is the same identity and comes earlier.
         source, target = self.source, self.target
         fys = {d: [support(fy) for fy in columns] for d, columns in self._columns.items()}  # F(y)
-        for d1 in range(source.top_degree + 1):
+        for d1 in range(1, source.top_degree + 1):
             per_d2 = [
                 (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))
                 for d2 in range(d1, source.top_degree + 1)

@@ -60,6 +60,11 @@ class Scenario(Value):
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
 
 
+def preview(text: str) -> str:
+    """``text`` as an error message echoes it: at most 40 characters, the first 36 then " ..."."""
+    return text if len(text) <= 40 else text[:36] + " ..."
+
+
 class _Json:
     """A value in a JSON document and its path there, such as ``branch1.mult[3].out[1]``."""
 
@@ -72,8 +77,7 @@ class _Json:
 
     def refuse(self, expected: str) -> NoReturn:
         # the pure-Python encoder yields lazily: 41 chunks cover the preview and nest at most 41 deep
-        got = "".join(islice(json.JSONEncoder().iterencode(self.value), 41))
-        got = got if len(got) <= 40 else got[:36] + " ..."
+        got = preview("".join(islice(json.JSONEncoder().iterencode(self.value), 41)))
         raise ValueError(f"{self.path or 'the document'} must be {expected}, got {got}")
 
     def read(self, kind: type, span: range | None = None):

@@ -12,20 +12,23 @@ isomorphism from the monomial presentation.  After one table entry or one
 matrix entry is perturbed they must report the same first failing triple or
 pair as an oracle that walks the documented order with ``RingElement``
 arithmetic, or accept exactly when the oracle finds no failure; so must the
-associativity check of a built ring whose unit row, or one of whose (1,1) or
-(1,2) entries, was then tampered with.  ``multiplication`` must give the
-products that ``RingElement`` arithmetic gives, for every degree pair.  Written out with ``to_json_dict``
-and read back by the scenario decoder, each ring is the same ring again;
-listing some of its zero products explicitly gives the same ring, hash and
-document.
+associativity check of a built ring one of whose (1,1) or (1,2) entries was
+then tampered with.  Identities with a degree-0 factor are proved by the table
+builder alone and never sampled by the checks: a unit entry other than the
+unit vector, given in either orientation, is refused at construction.
+``multiplication`` must give the products that ``RingElement`` arithmetic
+gives, for every degree pair.  Written out with ``to_json_dict`` and read back
+by the scenario decoder, each ring is the same ring again; listing some of its
+zero products explicitly gives the same ring, hash and document.
 
 The branches of the rank-7 synthetic scenario, rewritten in the same way,
 blow up with every check passing, and their equalizer is closed under
 products and has the same ranks as before the rewrite.  The associativity
-check that ``blow_up`` runs, on the multisets with an exceptional element after
-the subring pass, gives the full check's and the oracle's verdict on each blown
-ring, also after one entry with an exceptional factor is tampered with, and
-the subring pass refuses a tampered product of two pulled-back classes.
+check that ``blow_up`` runs, on the degree-1 multisets with Q after the
+subring pass, gives the full check's and the oracle's verdict on each blown
+ring, also after one positive-degree entry with an exceptional factor is
+tampered with, and the subring pass refuses a tampered product of two
+pulled-back classes of positive degree.
 """
 
 from __future__ import annotations
@@ -232,15 +235,18 @@ def test_associativity_check_agrees_with_element_oracle(ring_data, data):
 
 @SETTINGS
 @given(monomial_rings(), st.data())
-def test_unit_blocks_agree_with_element_oracle_on_a_tampered_unit_row(ring_data, data):
-    # The constructor refuses a unit row that is not a unit vector, so the
-    # blocks with a degree-0 factor are made to fail by tampering with a built ring.
+def test_construction_refuses_a_unit_entry_other_than_the_unit_vector(ring_data, data):
+    # The table builder is the one check of the identities with a degree-0 factor:
+    # a unit entry given in either orientation must be e_i, else it is refused.
     top, labels, _, dense, _ = ring_data
-    ring = GradedRing(top, labels, dense)
-    d = data.draw(st.sampled_from([d for d in range(top + 1) if ring.rank(d)]))
-    i = data.draw(st.integers(0, ring.rank(d) - 1))
-    _tamper(ring, data, 0, 0, d, i)
-    assert _error(ring._check_associativity) == _associativity_oracle(ring)
+    d = data.draw(st.sampled_from([d for d in range(top + 1) if labels[d]]))
+    n = len(labels[d])
+    i = data.draw(st.integers(0, n - 1))
+    e_i = [int(k == i) for k in range(n)]
+    out = data.draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(lambda v: v != e_i))
+    key = (d, i, 0, 0) if data.draw(st.booleans()) else (0, 0, d, i)
+    message = f"unit does not act as identity on {(0, 0, d, i)}"
+    assert _error(lambda: GradedRing(top, labels, {**dense, key: out})) == message
 
 
 @SETTINGS
@@ -374,16 +380,16 @@ def test_blow_ups_of_random_bases_satisfy_the_projection_formula_and_closure(dat
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_blown_ring_check_agrees_with_the_full_check_and_the_oracle(data):
-    # blow_up compares only the multisets with Q or j.b, after the subring pass;
-    # one entry with an exceptional factor is then changed in both orientations.
+    # blow_up compares only the degree-1 multisets with Q, after the subring pass;
+    # one positive-degree entry with an exceptional factor is then changed in both
+    # orientations (the table builder refuses a unit row other than the unit vector).
     base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
     ring = blow_up(base).ring
     assert ring_from_dict(ring.to_json_dict()) == ring  # rebuilt with the full check
     assert _error(ring._check_associativity) is None
     q, jb = base.ring.rank(1), base.ring.rank(2)  # the exceptional indices
     exceptional = [(1, q, d2, i2) for d2 in (1, 2) for i2 in range(ring.rank(d2))]
-    exceptional += [(d1, i1, 2, jb) for d1 in (0, 1) for i1 in range(ring.rank(d1))]
-    exceptional += [(0, 0, 1, q)]
+    exceptional += [(1, i1, 2, jb) for i1 in range(ring.rank(1))]
     _tamper(ring, data, *data.draw(st.sampled_from(exceptional)))
     restricted = _error(lambda: ring._check_associativity(base.ring))
     assert restricted == _error(ring._check_associativity) == _associativity_oracle(ring)
@@ -394,7 +400,7 @@ def test_blown_ring_check_agrees_with_the_full_check_and_the_oracle(data):
 def test_subring_pass_refuses_a_tampered_pulled_back_product(data):
     base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
     ring = blow_up(base).ring
-    d1, d2 = data.draw(st.sampled_from([(0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]))
+    d1, d2 = data.draw(st.sampled_from([(1, 1), (1, 2)]))  # unit rows: the table builder
     i1, i2 = (data.draw(st.integers(0, base.ring.rank(d) - 1)) for d in (d1, d2))
     _tamper(ring, data, d1, i1, d2, i2)
     if d1 == d2:  # both orientations changed: the pass meets the lesser first
