@@ -162,7 +162,7 @@ class GradedRing:
         # every ordering of a multiset {x, y, z} associates exactly when V_z(x, y) =
         # V_x(y, z) = V_y(x, z).  A failure is reported at the least failing ordered
         # triple in the order d1, d2, d3, i1, i2, i3, over every failing multiset.
-        # _build_table refused unit rows but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
+        # _build_table refused every unit row but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
         # With ``base``, whose classes come first in each degree (pulled back by f), the
         # subring pass and the unit rows give f*a.f*b = pad(a.b) on basis pairs; by linearity
         # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base
