@@ -3,11 +3,13 @@
 The goldens pin all six subcommands on the default scenario and the two
 shipped scenarios, with fixed ``--member``, ``--curve``, ``--character`` and
 ``--samples`` arguments, and ``ring-show --branch 1|2|quadric`` and
-``equalizer`` on a dense synthetic scenario.  ``data/synthetic_r7.json`` holds
-two successive draws of ``bench/gen.py``'s ``synthetic_base(7, rng)`` with
+``equalizer`` on a dense synthetic scenario, and ``ring-show --branch 1`` and
+``equalizer`` on a larger one.  ``data/synthetic_r7.json`` holds two successive
+draws of ``bench/gen.py``'s ``synthetic_base(7, rng)`` with
 ``rng = random.Random(7)``: benchmark-only bases of blown-up degree-1 rank 7 in
-dense unimodular bases.  Any change that must keep the reports as they are is
-checked against these files.
+dense unimodular bases; ``data/synthetic_r11.json`` holds the same two draws at
+rank 11.  Any change that must keep the reports as they are is checked against
+these files.
 
 After a deliberate change of output, rewrite the goldens from the repository
 root with
@@ -36,6 +38,7 @@ SCENARIOS = {
     "flag_flag": (["--scenario", "scenarios/flag_flag.json"], "tests/data/member_flag.json"),
 }
 SYNTHETIC = ["--scenario", "tests/data/synthetic_r7.json"]
+SYNTHETIC_R11 = ["--scenario", "tests/data/synthetic_r11.json"]
 
 
 def golden_cases() -> dict[str, list[str]]:
@@ -55,6 +58,8 @@ def golden_cases() -> dict[str, list[str]]:
     for branch in ("1", "2", "quadric"):
         cases[f"synthetic_r7-ring-show-{branch}"] = ["--json", *SYNTHETIC, "ring-show", "--branch", branch]
     cases["synthetic_r7-equalizer"] = ["--json", *SYNTHETIC, "equalizer"]
+    cases["synthetic_r11-ring-show-1"] = ["--json", *SYNTHETIC_R11, "ring-show", "--branch", "1"]
+    cases["synthetic_r11-equalizer"] = ["--json", *SYNTHETIC_R11, "equalizer"]
     return cases
 
 
