@@ -17,22 +17,26 @@ A map flagged as a ring homomorphism is verified to preserve the unit and to
 be multiplicative on all basis pairs of positive degrees.
 
 A ring stores its structure constants once, per degree pair as the product
-table ``T[i1][i2]``, and equality compares these tables.  Every check on them
-(associativity here, the ring-homomorphism check of a map, and in ``pushout``
-the projection formula and product closure) reads them through one map,
+table ``T[i1][i2]``, and equality compares these tables.  The checks use the
+commutativity that construction guarantees.  With V_z(x, y) = (x.y).z, an
+ordered triple associates exactly when V_z(x, y) = V_x(y, z).  Associativity
+sums V once per unordered basis pair by Kronecker substitution: each flattened
+row of the (d1 + d2, d3) table is packed into one integer, in fields as wide as
+an exact bound read from the tables, so V_z(x, y) over all z is one big-integer
+multiply-add per entry of x.y and one ``to_bytes``.  For each ordered pair the
+row (V_z(x, y))_z is then compared whole with (V_x(y, z))_z, a row of a
+transpose, and only a row that differs is opened.  The other checks (the
+ring-homomorphism check of a map, and in ``pushout`` the projection formula and
+product closure) read the tables through one map,
 ``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis, the
 table row itself for a basis vector, else summed over the nonzero entries of u
-and of the rows it touches, each flattened when first touched.  With
-``mat_vec`` and ``combination``, over a support read once, that is every sum a
-check takes.  The checks use the commutativity that construction guarantees.
-With V_z(x, y) = (x.y).z, all six orderings of a multiset {x, y, z} associate
-exactly when V_z(x, y) = V_x(y, z) = V_y(x, z): associativity computes V once
-per unordered basis pair and compares once per unordered triple, and the
+and of the rows it touches, each flattened when first touched; with ``dot``,
+``mat_vec`` and ``combination`` that is every sum they take.  The
 ring-homomorphism check takes each unordered pair once.  A ring built by
 ``pushout.blow_up`` lists its base ring's classes first; once a subring pass
-finds their products equal to the base's, padded with zeros, it compares only
-the multisets with an exceptional element, as the base's own check proves the
-rest.  Every identity still follows; none is sampled.
+finds their products equal to the base's, padded with zeros, a pair of
+pulled-back classes is summed only against the exceptional z, as the base's
+own check proves the rest.  Every identity still follows; none is sampled.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -41,11 +45,11 @@ the module is safe for unrestricted concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Callable, Mapping, Sequence
-from itertools import chain, compress, permutations
-from operator import index
+from itertools import chain, product, repeat
+from operator import index, lshift, mul
 
 from ._value import Value
-from .intlin import Support, Vector, kernel_basis, lattice_contains, mat_vec, support
+from .intlin import Support, Vector, dot, kernel_basis, lattice_contains, mat_vec, support
 
 TableKey = tuple[int, int, int, int]
 
@@ -58,15 +62,16 @@ class DegreeError(ValueError):
     """Raised when an element has the wrong degree for an operation."""
 
 
-def _as_vec(values: Sequence[int], length: int, what: str) -> Vector:
+def _as_vec(values: Sequence[int], length: int, what: str, *args: object) -> Vector:
+    # a refusal names ``what.format(*args)``, formatted only when it is raised
     try:
         if bool in map(type, values):  # index() reads True as 1
             raise TypeError
         vec = tuple(map(index, values))  # exact: a float or a str is refused, not truncated
     except TypeError:
-        raise ValueError(f"{what}: expected a sequence of integers") from None
+        raise ValueError(f"{what.format(*args)}: expected a sequence of integers") from None
     if len(vec) != length:
-        raise ValueError(f"{what}: expected length {length}, got {len(vec)}")
+        raise ValueError(f"{what.format(*args)}: expected length {length}, got {len(vec)}")
     return vec
 
 
@@ -142,7 +147,7 @@ class GradedRing:
                 if any(out):
                     raise ValueError(f"product {(d1, i1, d2, i2)} lands above top degree")
                 continue
-            vec = _as_vec(out, self.rank(d1 + d2), f"product {(d1, i1, d2, i2)}")
+            vec = _as_vec(out, self.rank(d1 + d2), "product {}", (d1, i1, d2, i2))
             for key in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
                 if key in table and table[key] != vec:
                     raise ValueError(f"conflicting table entries for {key}")
@@ -157,65 +162,71 @@ class GradedRing:
         return table
 
     def _check_associativity(self, base: GradedRing | None = None) -> None:
-        # V_z(x, y) = (x.y).z, over every z multiplication(d1 + d2, d3) of x.y, is
-        # symmetric in x, y because the table is, and x.(y.z) = (y.z).x = V_x(y, z), so
-        # every ordering of a multiset {x, y, z} associates exactly when V_z(x, y) =
-        # V_x(y, z) = V_y(x, z).  A failure is reported at the least failing ordered
-        # triple in the order d1, d2, d3, i1, i2, i3, over every failing multiset.
+        # V_z(x, y) = (x.y).z is symmetric in x, y because the table is, and x.(y.z) = (y.z).x =
+        # V_x(y, z): an ordered triple associates exactly when V_z(x, y) = V_x(y, z).  For each
+        # ordered basis pair, (V_z(x, y))_z is compared whole with (V_x(y, z))_z, from a transpose
+        # of y's values; only a differing row is opened, and the least failing ordered triple in
+        # the order d1, d2, d3, i1, i2, i3 is reported.  V is summed once per unordered pair by
+        # Kronecker substitution: each flattened row e_m.z of the (d1 + d2, d3) table is one int
+        # of w-byte fields, so V_z(x, y) over all z is one multiply-add per entry of x.y and one
+        # to_bytes.  Each field is biased by 2^(8w - 1) > max |x.y| times the largest absolute
+        # column sum >= |V|, so two fields have equal bytes exactly when their values are equal.
         # _build_table refused every unit row but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
         # With ``base``, whose classes come first in each degree (pulled back by f), the
         # subring pass and the unit rows give f*a.f*b = pad(a.b) on basis pairs; by linearity
-        # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base
-        # passed this check.  So only multisets with an exceptional element can fail and
-        # are compared, and a pulled-back pair gets V only against the exceptional z,
-        # summed along the nonzero entries of z.e_m over m.
-        top = self.top_degree
+        # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base passed
+        # this check.  So a pulled-back pair packs only the exceptional z, and a triple of
+        # pulled-back classes reads None on both sides of its comparison.
+        top, table = self.top_degree, self._products
         old = [0 if base is None else base.rank(d) for d in range(top + 1)]  # pulled-back classes
         for d1 in range(1, 1 if base is None else top + 1):  # the subring pass; d1 <= d2 by symmetry
             for d2 in range(d1, top + 1 - d1):
                 pad = (0,) * (self.rank(d1 + d2) - old[d1 + d2])
                 for i1, row in enumerate(base._products[d1, d2]):
                     for i2, ab in enumerate(row):
-                        if self._products[d1, d2][i1][i2] != ab + pad:
+                        if table[d1, d2][i1][i2] != ab + pad:
                             x, y = self.basis_labels[d1][i1], self.basis_labels[d2][i2]
                             raise ValueError(f"product ({x}, {y}) is not the pulled-back base product")
-        values = {}  # (d1, d2, d3), d1 <= d2: [i1][i2][i3] = V_z(x, y), for i1 <= i2 when d1 = d2
-        for d1 in range(1, top + 1):
-            for d2 in range(d1, top + 1 - d1):
-                for d3 in range(1, top + 1 - d1 - d2):
-                    xy_times, length = self.multiplication(d1 + d2, d3), self.rank(d1 + d2 + d3)
-                    exc = [  # each exceptional z with the nonzero entries of z.e_m over m
-                        (z, list(compress(range(len(row)), map(any, row))), tuple(filter(any, row)))
-                        for z, row in enumerate(self._products[d3, d1 + d2][old[d3] :], old[d3])
-                        if old[d1] and old[d2]  # read only by pulled-back pairs
-                    ]
-                    values[d1, d2, d3] = [
-                        [
-                            None if d1 == d2 and i2 < i1
-                            else xy_times(xy) if i1 >= old[d1] or i2 >= old[d2]
-                            else {z: combination(support([xy[m] for m in at]), e, length) for z, at, e in exc}
-                            for i2, xy in enumerate(row)
-                        ]
-                        for i1, row in enumerate(self._products[d1, d2])
-                    ]
+        blocks = [d for d in product(range(1, top), repeat=3) if d[0] <= d[1] and sum(d) <= top]  # d1 <= d2
+        bound = 0  # max |entry of x.y| over the pairs summed, times the largest absolute column sum
+        for d1, d2, d3 in blocks:
+            pairs = chain.from_iterable(r[i1 * (d1 == d2) :] for i1, r in enumerate(table[d1, d2]))
+            xy = list(chain.from_iterable(pairs)) or [0]
+            columns = zip(*(map(abs, chain.from_iterable(r)) for r in table[d1 + d2, d3]))
+            bound = max(bound, max(max(xy), -min(xy)) * max(map(sum, columns), default=0))
+        w = (bound.bit_length() + 8) // 8  # bytes per field: 2^(8w - 1) > bound
+        values = {}  # (d1, d2, d3): [i1][i2][i3] = V_z(x, y), the bytes of its biased fields
+        for d1, d2, d3 in blocks:
+            size = w * self.rank(d1 + d2 + d3)  # bytes per vector
+            packs = []  # for every z, then for the exceptional z: padding, packed rows, bias, slices
+            for z0 in (0, old[d3]):
+                slices = [slice(size * z, size * z + size) for z in range(self.rank(d3) - z0)]
+                shifts = range(0, 8 * size * len(slices), 8 * w)
+                packed = [sum(map(lshift, chain.from_iterable(r[z0:]), shifts)) for r in table[d1 + d2, d3]]
+                bias = int.from_bytes((bytes(w - 1) + b"\x80") * len(shifts), "little")
+                packs.append(((None,) * z0, packed, bias, slices))
+            rows = [[None] * self.rank(d2) for _ in range(self.rank(d1))]
+            for i1, xys in enumerate(table[d1, d2]):
+                for i2 in range(i1 if d1 == d2 else 0, self.rank(d2)):
+                    none, packed, bias, slices = packs[i1 < old[d1] and i2 < old[d2]]
+                    data = sum(map(mul, xys[i2], packed), bias).to_bytes(size * len(slices), "little")
+                    rows[i1][i2] = none + tuple(map(data.__getitem__, slices))
+                    if d1 == d2:
+                        rows[i2][i1] = rows[i1][i2]
+            values[d1, d2, d3] = tuple(map(tuple, rows))
+            values[d2, d1, d3] = tuple(zip(*rows)) or ((),) * self.rank(d2)
         failures = []
-        for d1 in range(1, top + 1):
-            for d2 in range(d1, top + 1 - d1):
-                for d3 in range(d2, top + 1 - d1 - d2):
-                    xy_z, yz_x, xz_y = values[d1, d2, d3], values[d2, d3, d1], values[d1, d3, d2]
-                    for i1 in range(self.rank(d1)):
-                        for i2 in range(i1 if d1 == d2 else 0, self.rank(d2)):
-                            first = old[d3] if i1 < old[d1] and i2 < old[d2] else 0
-                            for i3 in range(max(i2 if d2 == d3 else 0, first), self.rank(d3)):
-                                # v[p]: the value with the p-th element outside
-                                v = (yz_x[i2][i3][i1], xz_y[i1][i3][i2], xy_z[i1][i2][i3])
-                                if not v[0] == v[1] == v[2]:
-                                    d, i = (d1, d2, d3), (i1, i2, i3)
-                                    failures += [
-                                        (d[p], d[q], d[s], i[p], i[q], i[s])
-                                        for p, q, s in permutations(range(3))
-                                        if v[s] != v[p]
-                                    ]
+        for d1, d2, d3 in values:
+            y_x_z, y_z_x = values[d2, d1, d3], values[d2, d3, d1]
+            for i2 in range(self.rank(d2)):
+                x_z = tuple(zip(*y_z_x[i2])) or ((),) * self.rank(d1)  # [i1][i3] = V_x(y, z)
+                if y_x_z[i2] != x_z:  # [i1][i3] = V_z(x, y)
+                    failures += [
+                        (d1, d2, d3, i1, i2, i3)
+                        for i1, (left, right) in enumerate(zip(y_x_z[i2], x_z))
+                        for i3 in range(self.rank(d3))
+                        if left[i3] != right[i3]
+                    ]
         if failures:
             d1, d2, d3, i1, i2, i3 = min(failures)
             labels = self.basis_labels
@@ -308,7 +319,7 @@ class GradedRing:
         for d in range(self.top_degree + 1):
             given = coeffs_by_degree.get(d)
             coeffs.append(
-                tuple([0] * self.rank(d)) if given is None else _as_vec(given, self.rank(d), f"degree {d}")
+                tuple([0] * self.rank(d)) if given is None else _as_vec(given, self.rank(d), "degree {}", d)
             )
         return RingElement(self, tuple(coeffs))
 
@@ -494,7 +505,7 @@ class GradedMap:
         for d, matrix in matrices.items():
             if not 0 <= d <= source.top_degree:
                 raise ValueError(f"matrix for out-of-range source degree {d}")
-            td, rows = d + shift, tuple(_as_vec(row, source.rank(d), f"matrix[{d}] row") for row in matrix)
+            td, rows = d + shift, tuple(_as_vec(row, source.rank(d), "matrix[{}] row", d) for row in matrix)
             if not 0 <= td <= target.top_degree:
                 if any(map(any, rows)):
                     raise ValueError(f"nonzero matrix into missing target degree {td}")
@@ -528,22 +539,22 @@ class GradedMap:
             raise ValueError("a ring homomorphism cannot shift degrees")
         if self.matrix(0) != ((1,),):  # the image of the unit is the unit
             raise ValueError("ring homomorphism must preserve the unit")
-        # F(x.y) = F T(i1, i2) against F(x).F(y), the combination of F(x).e'_b by F(y), on basis
-        # pairs in the order d1 >= 1, i1, d2 >= d1, i2: F(1.y) = F(y) = 1'.F(y) by F(1) = 1' and
-        # the unit rows.  Both tables are symmetric, so when d2 = d1 only i2 >= i1 is checked:
-        # the mirror of a pair with i2 < i1 is the same identity and comes earlier.
-        source, target = self.source, self.target
-        fys = {d: [support(fy) for fy in columns] for d, columns in self._columns.items()}  # F(y)
+        # F(x.y), F's rows dotted with T(i1, i2), against F(x).F(y), F(y) dotted with each coordinate
+        # of F(x).e'_b over b, on basis pairs in the order d1 >= 1, i1, d2 >= d1, i2: F(1.y) = F(y) =
+        # 1'.F(y) by F(1) = 1' and the unit rows.  Both tables are symmetric, so when d2 = d1 only
+        # i2 >= i1 is checked: the mirror of a pair with i2 < i1 is the same identity and comes earlier.
+        source, target, columns = self.source, self.target, self._columns
         for d1 in range(1, source.top_degree + 1):
             per_d2 = [
                 (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))
                 for d2 in range(d1, source.top_degree + 1)
             ]
-            for i1, fx in enumerate(self._columns[d1]):
+            for i1, fx in enumerate(columns[d1]):
                 for d2, rows, xy_table, times in per_d2:
-                    fx_times, length = times(fx), target.rank(d1 + d2)  # F(x).e'_b over b
-                    for i2 in range(i1 if d2 == d1 else 0, source.rank(d2)):
-                        if mat_vec(rows, xy_table[i1][i2]) != combination(fys[d2][i2], fx_times, length):
+                    fx_cols = tuple(zip(*times(fx))) or ((),) * len(rows)  # F(x).e'_b, by coordinate
+                    start = i1 if d2 == d1 else 0
+                    for i2, (xy, fy) in enumerate(zip(xy_table[i1][start:], columns[d2][start:]), start):
+                        if tuple(map(dot, rows, repeat(xy))) != tuple(map(dot, fx_cols, repeat(fy))):
                             raise ValueError(
                                 f"multiplicativity fails on "
                                 f"({self.source.basis_labels[d1][i1]}, "

@@ -235,6 +235,32 @@ def test_associativity_check_agrees_with_element_oracle(ring_data, data):
 
 @SETTINGS
 @given(monomial_rings(), st.data())
+def test_packed_associativity_check_agrees_with_element_oracle_at_wide_entries(ring_data, data):
+    # Scaling every product of positive degrees by c keeps the ring associative, as
+    # (x*y)*z = c^2 (x.y).z.  In the monomial table each (x.y).z is then c^2 or 0, which is
+    # exactly the bound the packed fields are sized from, so a field one byte too narrow
+    # overflows; the dense table carries the same values in a unimodular change of basis.
+    top, labels, standard, dense, _ = ring_data
+    magnitude = data.draw(st.sampled_from((2**63, 2**64)) | st.integers(2**299, 2**400))
+    c = data.draw(st.sampled_from((1, -1))) * magnitude
+    standard, dense = ({key: tuple(c * v for v in out) for key, out in t.items()} for t in (standard, dense))
+    for products in (standard, dense):
+        assert _error(lambda: GradedRing(top, labels, products)) is None
+        assert _associativity_oracle(_UncheckedRing(top, labels, products)) is None
+    keys = [key for key, out in sorted(dense.items()) if out]
+    if not keys:
+        return
+    key = data.draw(st.sampled_from(keys))
+    k = data.draw(st.integers(0, len(dense[key]) - 1))
+    delta = data.draw(st.sampled_from((-1, 1, c, -c, magnitude**2)))
+    perturbed = dict(dense)
+    perturbed[key] = tuple(v + delta * (j == k) for j, v in enumerate(dense[key]))
+    expected = _associativity_oracle(_UncheckedRing(top, labels, perturbed))
+    assert _error(lambda: GradedRing(top, labels, perturbed)) == expected
+
+
+@SETTINGS
+@given(monomial_rings(), st.data())
 def test_construction_refuses_a_unit_entry_other_than_the_unit_vector(ring_data, data):
     # The table builder is the one check of the identities with a degree-0 factor:
     # a unit entry given in either orientation must be e_i, else it is refused.
