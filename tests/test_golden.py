@@ -58,8 +58,9 @@ def golden_cases() -> dict[str, list[str]]:
     for branch in ("1", "2", "quadric"):
         cases[f"synthetic_r7-ring-show-{branch}"] = ["--json", *SYNTHETIC, "ring-show", "--branch", branch]
     cases["synthetic_r7-equalizer"] = ["--json", *SYNTHETIC, "equalizer"]
-    cases["synthetic_r11-ring-show-1"] = ["--json", *SYNTHETIC_R11, "ring-show", "--branch", "1"]
-    cases["synthetic_r11-equalizer"] = ["--json", *SYNTHETIC_R11, "equalizer"]
+    # named to sort after the rank-7 cases, whose test ids carry their sorted position
+    cases["synthetic_rank11-ring-show-1"] = ["--json", *SYNTHETIC_R11, "ring-show", "--branch", "1"]
+    cases["synthetic_rank11-equalizer"] = ["--json", *SYNTHETIC_R11, "equalizer"]
     return cases
 
 
