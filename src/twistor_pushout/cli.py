@@ -474,6 +474,13 @@ def cmd_real(scenario: Scenario, args) -> Report:
 DMAX_BOUND, SAMPLES_BOUND = 200, 10_000
 
 
+def _int(text: str) -> int:
+    try:  # a refusal echoes at most 40 characters, also of a value past the digit limit
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {preview(repr(text))}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistor-pushout",
@@ -496,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     equalizer.add_argument("--member", help="JSON file with a pair to test for membership")
 
     surfaces = command("surfaces", "gluing classification for surface traces")
-    surfaces.add_argument("--dmax", type=int, default=50)
+    surfaces.add_argument("--dmax", type=_int, default=50)
     surfaces.add_argument(
         "--pair",
         nargs=4,
@@ -507,12 +514,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("charge", "branch degrees and polarized charges")
 
     neck = command("neck", "fixed-phase circle bundle arithmetic")
-    neck.add_argument("--curve", nargs=2, type=int, metavar=("A", "B"))
-    neck.add_argument("--character", nargs=2, type=int, metavar=("A", "B"))
+    neck.add_argument("--curve", nargs=2, type=_int, metavar=("A", "B"))
+    neck.add_argument("--character", nargs=2, type=_int, metavar=("A", "B"))
     neck.add_argument("--decorate", help="JSON file with theta and per-point eta choices")
 
     real = command("real", "real structure checks on the quadric")
-    real.add_argument("--samples", type=int, default=100)
+    real.add_argument("--samples", type=_int, default=100)
 
     return parser
 
@@ -532,8 +539,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     parser = build_parser()
     args = parser.parse_args(argv)
     for flag, low, high in (("dmax", 1, DMAX_BOUND), ("samples", 1, SAMPLES_BOUND)):
-        if not low <= getattr(args, flag, low) <= high:
-            return 2, f"error: --{flag} must lie in {low}..{high}, got {getattr(args, flag)}"
+        if not low <= (value := getattr(args, flag, low)) <= high:
+            return 2, f"error: --{flag} must lie in {low}..{high}, got {preview(str(value))}"
     path = args.scenario or args.scenario_path
     try:
         scenario = load_scenario(path) if path else default_scenario()

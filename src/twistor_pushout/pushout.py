@@ -216,16 +216,17 @@ class BlownUpChow(Value):
         The left side pushes forward ``multiplication`` of j^*(x) on the
         quadric, the right side combines the row of x . e_m upstairs by j_*(g),
         compared on the pairs in the order d1, i1, d2, i2.  The restriction is
-        a ring homomorphism, so it keeps degrees.
+        a ring homomorphism, so it keeps degrees; where d1 + d2 is above the
+        quadric's top degree both sides are zero, so those pairs are left out.
         """
         ring, quad = self.ring, self.quadric
         push = self.pushforward_from_quadric
         pushed = [[support(g) for g in push.columns(d2)] for d2 in range(quad.top_degree + 1)]  # j_*(g)
-        for d1 in range(ring.top_degree + 1):
+        for d1 in range(quad.top_degree + 1):
             # per degree d2 of g: u -> u.g over g on the quadric, j_* after it, x.e_m upstairs
             per_d2 = [
                 (quad.multiplication(d1, d2), push.matrix(d1 + d2), ring.product_table(d1, d2 + push.shift))
-                for d2 in range(quad.top_degree + 1)
+                for d2 in range(quad.top_degree + 1 - d1)
             ]
             for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
                 for d2, (times, push_rows, x_table) in enumerate(per_d2):
@@ -242,8 +243,9 @@ class BlownUpChow(Value):
 def blow_up(base: TwistorChow) -> BlownUpChow:
     """Blow up the base along the chosen twistor line and build the full table.
 
-    Its associativity check compares only the degree-1 multisets with Q, once a subring pass
-    finds the pulled-back products equal to the base's: every identity follows, none sampled."""
+    The ring extends the base ring, whose products it builds padded with zeros, so only the
+    products with Q or j.b are given here and only the degree-1 multisets with Q are checked
+    for associativity: every identity follows, none sampled."""
     R = base.ring
     quad = _RING
     labels = [
@@ -257,15 +259,7 @@ def blow_up(base: TwistorChow) -> BlownUpChow:
     line_vec = base.line_class.degree_part(2)
     point_vec = base.point_class.degree_part(3)
 
-    # pulled-back classes multiply as in the base: its entries padded with zeros
-    products = {
-        (d1, i1, d2, i2): ab + (0,) * (len(labels[d1 + d2]) - len(ab))
-        for d1 in range(1, TWISTOR_TOP + 1)
-        for d2 in range(d1, TWISTOR_TOP + 1 - d1)
-        for i1, row in enumerate(R.product_table(d1, d2))
-        for i2, ab in enumerate(row)
-    }
-
+    products = {}  # the ring extends R: only the products with Q are given
     # Q . f*a = (twistor degree of a) . j*b   for degree-1 a
     for i, deg in enumerate(base.twistor_degrees):
         out = [0] * len(labels[2])

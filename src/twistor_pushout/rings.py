@@ -33,10 +33,11 @@ table row itself for a basis vector, else summed over the nonzero entries of u
 and of the rows it touches, each flattened when first touched; with ``dot``,
 ``mat_vec`` and ``combination`` that is every sum they take.  The
 ring-homomorphism check takes each unordered pair once.  A ring built by
-``pushout.blow_up`` lists its base ring's classes first; once a subring pass
-finds their products equal to the base's, padded with zeros, a pair of
-pulled-back classes is summed only against the exceptional z, as the base's
-own check proves the rest.  Every identity still follows; none is sampled.
+``pushout.blow_up`` extends its base ring: each degree lists the base's
+classes first, and their products are built as the base's, padded with zeros,
+so the base is a subring by construction and a pair of pulled-back classes is
+summed only against the exceptional z, as the base's own check proves the
+rest.  Every identity still follows; none is sampled.
 
 All values are immutable after construction and all operations are pure, so
 the module is safe for unrestricted concurrent read-only use.
@@ -119,7 +120,7 @@ class GradedRing:
             if degree_functional is None
             else _as_vec(degree_functional, self.rank(top_degree), "degree_functional")
         )
-        table = self._build_table(products)  # refuses a unit that is not the identity
+        table = self._build_table(products, _base)  # refuses a unit that is not the identity
         zeros = [tuple([0] * self.rank(d)) for d in range(2 * top_degree + 1)]  # () above the top
         self._products = {  # the only store of the structure constants
             (d1, d2): tuple(
@@ -129,15 +130,19 @@ class GradedRing:
             for d1 in range(top_degree + 1)
             for d2 in range(top_degree + 1)
         }
-        if _base is None:
-            self._check_associativity()
-        else:  # blow_up's branch ring: each degree lists _base's classes first, pulled back
-            self._check_associativity(_base)
+        self._check_associativity(_base)
 
     # -- construction helpers -------------------------------------------------
 
-    def _build_table(self, products: Mapping[TableKey, Sequence[int]]) -> dict[TableKey, Vector]:
+    def _build_table(
+        self, products: Mapping[TableKey, Sequence[int]], base: GradedRing | None
+    ) -> dict[TableKey, Vector]:
         table: dict[TableKey, Vector] = {}
+        for (d1, d2), rows in () if base is None else base._products.items():  # its classes come first
+            if d1 and d2 and d1 + d2 <= self.top_degree:  # in both orientations; unit rows come below
+                pad = (0,) * (self.rank(d1 + d2) - base.rank(d1 + d2))
+                for i1, row in enumerate(rows):
+                    table.update(((d1, i1, d2, i2), ab + pad) for i2, ab in enumerate(row))
         for (d1, i1, d2, i2), out in products.items():
             if not (0 <= d1 <= self.top_degree and 0 <= d2 <= self.top_degree):
                 raise ValueError(f"table degree out of range: {(d1, i1, d2, i2)}")
@@ -172,21 +177,13 @@ class GradedRing:
         # to_bytes.  Each field is biased by 2^(8w - 1) > max |x.y| times the largest absolute
         # column sum >= |V|, so two fields have equal bytes exactly when their values are equal.
         # _build_table refused every unit row but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
-        # With ``base``, whose classes come first in each degree (pulled back by f), the
-        # subring pass and the unit rows give f*a.f*b = pad(a.b) on basis pairs; by linearity
-        # (f*a.f*b).f*c = pad((a.b).c) and f*a.(f*b.f*c) = pad(a.(b.c)), equal as base passed
-        # this check.  So a pulled-back pair packs only the exceptional z, and a triple of
-        # pulled-back classes reads None on both sides of its comparison.
+        # With ``base``, whose classes come first in each degree (pulled back by f), _build_table
+        # built f*a.f*b = pad(a.b) on basis pairs; by linearity (f*a.f*b).f*c = pad((a.b).c) and
+        # f*a.(f*b.f*c) = pad(a.(b.c)), equal as base passed this check.  So a pulled-back pair
+        # packs only the exceptional z, and a triple of pulled-back classes reads None on both
+        # sides of its comparison.
         top, table = self.top_degree, self._products
         old = [0 if base is None else base.rank(d) for d in range(top + 1)]  # pulled-back classes
-        for d1 in range(1, 1 if base is None else top + 1):  # the subring pass; d1 <= d2 by symmetry
-            for d2 in range(d1, top + 1 - d1):
-                pad = (0,) * (self.rank(d1 + d2) - old[d1 + d2])
-                for i1, row in enumerate(base._products[d1, d2]):
-                    for i2, ab in enumerate(row):
-                        if table[d1, d2][i1][i2] != ab + pad:
-                            x, y = self.basis_labels[d1][i1], self.basis_labels[d2][i2]
-                            raise ValueError(f"product ({x}, {y}) is not the pulled-back base product")
         blocks = [d for d in product(range(1, top), repeat=3) if d[0] <= d[1] and sum(d) <= top]  # d1 <= d2
         bound = 0  # max |entry of x.y| over the pairs summed, times the largest absolute column sum
         for d1, d2, d3 in blocks:
@@ -543,11 +540,12 @@ class GradedMap:
         # of F(x).e'_b over b, on basis pairs in the order d1 >= 1, i1, d2 >= d1, i2: F(1.y) = F(y) =
         # 1'.F(y) by F(1) = 1' and the unit rows.  Both tables are symmetric, so when d2 = d1 only
         # i2 >= i1 is checked: the mirror of a pair with i2 < i1 is the same identity and comes earlier.
+        # Above the target's top degree both sides are (), so d2 stops at target.top_degree - d1.
         source, target, columns = self.source, self.target, self._columns
         for d1 in range(1, source.top_degree + 1):
             per_d2 = [
                 (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))
-                for d2 in range(d1, source.top_degree + 1)
+                for d2 in range(d1, min(source.top_degree, target.top_degree - d1) + 1)
             ]
             for i1, fx in enumerate(columns[d1]):
                 for d2, rows, xy_table, times in per_d2:

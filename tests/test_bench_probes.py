@@ -3,16 +3,35 @@
 The tracer wraps package functions and methods by name, so renaming or
 deleting one of them breaks only a traced benchmark run.  Here the probes are
 installed around one CLI run: every name must resolve, the traced output must
-equal the untraced one, and every wrapped attribute must be restored on exit.
+equal the untraced one, the run must reach the probes its command passes
+through, and every wrapped attribute must be restored on exit.  ``neck`` runs
+the circle-bundle probes; ``equalizer`` on ``flag_flag`` runs the ring-build,
+``blow_up``, ring-hom, projection-formula, closure and oracle probes.
 """
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from twistor_pushout.cli import run
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
-ARGV = ["--json", "neck", "--curve", "3", "1"]
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
+RUNS = {
+    "neck": (["--json", "neck", "--curve", "3", "1"], ["neck"]),
+    "equalizer": (
+        ["--json", "equalizer", str(ROOT / "scenarios" / "flag_flag.json")],
+        [
+            "rings.ring_build",
+            "pushout.blow_up",
+            "rings.hom_check",
+            "pushout.projection_formula",
+            "pushout.closure",
+            "pushout.oracle",
+        ],
+    ),
+}
 
 
 def _tracer():
@@ -22,15 +41,17 @@ def _tracer():
     return module
 
 
-def test_probes_wrap_a_run_without_changing_it_and_come_off():
+@pytest.mark.parametrize("argv, spans", list(RUNS.values()), ids=list(RUNS))
+def test_probes_wrap_a_run_without_changing_it_and_come_off(argv, spans):
     tracer = _tracer()
-    expected = run(ARGV)
+    expected = run(argv)
     recorder = tracer.Recorder()
     instrumentation = tracer.Instrumentation(recorder)
     with instrumentation:
         wrapped = list(instrumentation.undo)
         assert all(getattr(owner, attr) is not original for owner, attr, original in wrapped)
-        traced = run(ARGV)
-    assert traced == expected
-    assert recorder.totals()["neck"]["calls"] > 0
+        traced = run(argv)
+    assert traced == expected and expected[0] == 0
+    totals = recorder.totals()
+    assert all(totals.get(name, {}).get("calls", 0) > 0 for name in spans)
     assert wrapped and all(getattr(owner, attr) is original for owner, attr, original in wrapped)

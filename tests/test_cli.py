@@ -141,6 +141,31 @@ def test_surfaces_pair_refusal_names_the_flag_and_its_shape(pair):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["surfaces", "--dmax"],
+        ["real", "--samples"],
+        ["neck", "--curve", "1"],
+        ["neck", "--character", "1"],
+    ],
+    ids=["dmax", "samples", "curve", "character"],
+)
+@pytest.mark.parametrize("value", ["12x", "9" * 5000], ids=["short", "past-digit-limit"])
+def test_integer_flag_refusal_echoes_at_most_40_characters(argv, value, capsys):
+    # argparse's own message for a short value; a long one ends after 36 characters
+    with pytest.raises(SystemExit) as exit_info:
+        run([*argv[:2], value, *argv[2:]] if len(argv) > 2 else [*argv, value])
+    echo = repr(value) if len(repr(value)) <= 40 else "'" + "9" * 35 + " ..."
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument {argv[1]}: invalid int value: {echo}\n")
+
+
+def test_work_flag_out_of_bounds_echoes_at_most_40_characters():
+    code, out = run(["surfaces", "--dmax", "9" * 4000])
+    assert (code, out) == (2, "error: --dmax must lie in 1..200, got " + "9" * 36 + " ...")
+
+
 def test_neck_character_flag():
     code, out = run(["--json", "neck", "--character", "1", "-1"])
     assert code == 0

@@ -23,12 +23,16 @@ zero products explicitly gives the same ring, hash and document.
 
 The branches of the rank-7 synthetic scenario, rewritten in the same way,
 blow up with every check passing, and their equalizer is closed under
-products and has the same ranks as before the rewrite.  The associativity
-check that ``blow_up`` runs, on the degree-1 multisets with Q after the
-subring pass, gives the full check's and the oracle's verdict on each blown
-ring, also after one positive-degree entry with an exceptional factor is
-tampered with, and the subring pass refuses a tampered product of two
-pulled-back classes of positive degree.
+products and has the same ranks as before the rewrite.  A blown ring is
+built as an extension of its base ring: every product of two pulled-back
+classes of positive degree is the base's padded with zeros, and a given
+product of two such classes that differs is refused as a conflicting table
+entry.  The associativity check that ``blow_up`` runs, on the degree-1
+multisets with Q, gives the full check's and the oracle's verdict on each
+blown ring, also after one positive-degree entry with an exceptional factor
+is tampered with.  The restriction of the p3, flag and rank-7 blow-ups to the
+quadric, whose top degree is one less, is checked as the oracle finds after
+one of its entries is perturbed.
 """
 
 from __future__ import annotations
@@ -40,7 +44,13 @@ from pathlib import Path
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twistor_pushout.pushout import PushoutPair, TwistorChow, blow_up
+from twistor_pushout.pushout import (
+    PushoutPair,
+    TwistorChow,
+    blow_up,
+    flag_threefold_base,
+    projective_space_base,
+)
 from twistor_pushout.quadric import QuadricClass, quadric_ring
 from twistor_pushout.rings import GradedMap, GradedRing
 from twistor_pushout.scenario import ring_from_dict, twistor_base_from_dict
@@ -52,7 +62,7 @@ SYNTHETIC_R7 = Path(__file__).resolve().parent / "data" / "synthetic_r7.json"
 class _UncheckedRing(GradedRing):
     """A ring whose table is taken as given, for the oracle's own arithmetic."""
 
-    def _check_associativity(self) -> None:
+    def _check_associativity(self, base: GradedRing | None = None) -> None:
         pass
 
 
@@ -406,7 +416,7 @@ def test_blow_ups_of_random_bases_satisfy_the_projection_formula_and_closure(dat
 @settings(max_examples=15, deadline=None)
 @given(st.data())
 def test_blown_ring_check_agrees_with_the_full_check_and_the_oracle(data):
-    # blow_up compares only the degree-1 multisets with Q, after the subring pass;
+    # blow_up compares only the degree-1 multisets with Q, as its ring extends the base;
     # one positive-degree entry with an exceptional factor is then changed in both
     # orientations (the table builder refuses a unit row other than the unit vector).
     base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
@@ -423,17 +433,57 @@ def test_blown_ring_check_agrees_with_the_full_check_and_the_oracle(data):
 
 @settings(max_examples=15, deadline=None)
 @given(st.data())
-def test_subring_pass_refuses_a_tampered_pulled_back_product(data):
+def test_blown_ring_extends_its_base_and_refuses_a_conflicting_pulled_back_product(data):
+    # The blown ring is built on its base ring: every product of two pulled-back classes
+    # of positive degree, in either order, is the base's padded with zeros.  Given only
+    # the products with Q or j.b, the constructor builds the same ring; given one
+    # pulled-back product other than that, in either order, it refuses the conflict.
     base = _drawn_rewrite(data.draw(st.sampled_from(_synthetic_r7_branches())), data)
-    ring = blow_up(base).ring
-    d1, d2 = data.draw(st.sampled_from([(1, 1), (1, 2)]))  # unit rows: the table builder
-    i1, i2 = (data.draw(st.integers(0, base.ring.rank(d) - 1)) for d in (d1, d2))
-    _tamper(ring, data, d1, i1, d2, i2)
-    if d1 == d2:  # both orientations changed: the pass meets the lesser first
-        i1, i2 = sorted((i1, i2))
-    x, y = ring.basis_labels[d1][i1], ring.basis_labels[d2][i2]
-    message = f"product ({x}, {y}) is not the pulled-back base product"
-    assert _error(lambda: ring._check_associativity(base.ring)) == message
+    ring, old = blow_up(base).ring, [base.ring.rank(d) for d in range(4)]
+    pulled_back, exceptional = {}, {}
+    for d1 in range(1, 4):
+        for d2 in range(1, 4 - d1):
+            for i1 in range(ring.rank(d1)):
+                for i2 in range(ring.rank(d2)):
+                    key, entry = (d1, i1, d2, i2), ring.table_entry(d1, i1, d2, i2)
+                    if i1 < old[d1] and i2 < old[d2]:
+                        pulled_back[key] = entry
+                        pad = (0,) * (ring.rank(d1 + d2) - old[d1 + d2])
+                        assert entry == base.ring.table_entry(*key) + pad
+                    else:
+                        exceptional[key] = entry
+
+    def build(products):
+        return GradedRing(3, ring.basis_labels, products, ring.degree_functional, ring.name, _base=base.ring)
+
+    assert build(exceptional) == ring
+    key = data.draw(st.sampled_from(sorted(pulled_back)))
+    assert build({**exceptional, key: pulled_back[key]}) == ring  # the built entry, given again
+    k = data.draw(st.integers(0, len(pulled_back[key]) - 1))
+    delta = data.draw(st.sampled_from((-2, -1, 1, 3)))
+    wrong = tuple(v + delta * (j == k) for j, v in enumerate(pulled_back[key]))
+    assert _error(lambda: build({**exceptional, key: wrong})) == f"conflicting table entries for {key}"
+
+
+_BLOW_UPS = [
+    blow_up(base)
+    for base in (projective_space_base(), flag_threefold_base(), *_synthetic_r7_branches())
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_BLOW_UPS), st.data())
+def test_ring_hom_check_agrees_with_element_oracle_on_a_perturbed_restriction(blown, data):
+    # The restriction to the quadric (top degree 2) from a ring of top degree 3: the
+    # check leaves out the pairs whose product lies above the quadric's top degree.
+    f = blown.restriction_to_quadric_map
+    d = data.draw(st.sampled_from((1, 2)))
+    row = data.draw(st.integers(0, len(f.matrix(d)) - 1))
+    col = data.draw(st.integers(0, len(f.matrix(d)[row]) - 1))
+    perturbed = {e: [list(r) for r in f.matrix(e)] for e in range(3)}
+    perturbed[d][row][col] += data.draw(st.sampled_from((-1, 1, 2)))
+    expected = _ring_hom_oracle(GradedMap(f.source, f.target, 0, perturbed))
+    assert _error(lambda: GradedMap(f.source, f.target, 0, perturbed, is_ring_hom=True)) == expected
 
 
 QUADRIC_COEFFS = st.lists(st.integers(-1, 1), min_size=4, max_size=4)  # of 1, b, w, pt
