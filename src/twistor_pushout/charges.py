@@ -66,9 +66,8 @@ def practical_lift(
         term1 = geometry.branch1.ring.one()
         term2 = geometry.branch2.ring.one()
         for pair, power in zip(divisor_pairs, exponents):
-            for _ in range(power):
-                term1 = term1 * pair.first
-                term2 = term2 * pair.second
+            term1 = term1 * pair.first**power
+            term2 = term2 * pair.second**power
         first = first + coefficient * term1
         second = second + coefficient * term2
     pair = ComponentPair(first, second)

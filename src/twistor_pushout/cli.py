@@ -1,8 +1,11 @@
 """Command-line front end: load a scenario, dispatch, emit a report.
 
-Every command produces a deterministic report (sorted keys, exact integers)
-that embeds the list of identities it verified; the process exits 1 exactly
-when some identity fails and 2 on bad input, so logged runs double as certificates.
+``run`` owns each report: it makes it with the subcommand's parsed flags as
+its options, hands it to that subcommand's ``cmd_*`` handler to fill, renders
+it and sets the exit code.  A report is deterministic (sorted keys, exact
+integers) and lists the identities it verified.  The exit code is 1 exactly when
+one fails and 2 on bad input, including a result past the interpreter's
+4,300-digit limit for printing an integer, so logged runs double as certificates.
 
 Each ``cmd_*`` handler imports the modules it runs when it is called, and the
 default scenario builds its pair only when a handler reads it, so one process
@@ -107,8 +110,7 @@ def _render_value(value, indent: int) -> list[str]:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_ring_show(scenario: Scenario, args) -> Report:
-    report = Report("ring-show", {"branch": args.branch})
+def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
     geometry = scenario.geometry
     blown = {"1": geometry.branch1, "2": geometry.branch2}.get(args.branch)
     ring = geometry.quadric if blown is None else blown.ring
@@ -125,7 +127,7 @@ def cmd_ring_show(scenario: Scenario, args) -> Report:
         ]
         report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
         report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
-        return report
+        return
     table = []
     for d1 in range(1, ring.top_degree + 1):
         for i1 in range(ring.rank(d1)):
@@ -148,13 +150,11 @@ def cmd_ring_show(scenario: Scenario, args) -> Report:
         exceptional * exceptional
         == 2 * blown.pushed_fibre_class() - blown.pulled_back_line(),
     )
-    return report
 
 
-def cmd_equalizer(scenario: Scenario, args) -> Report:
+def cmd_equalizer(scenario: Scenario, args, report: Report) -> None:
     from .pushout import brute_force_matched_lattice
 
-    report = Report("equalizer", {"member": args.member})
     geometry = scenario.geometry
     member = None
     if args.member:
@@ -192,10 +192,9 @@ def cmd_equalizer(scenario: Scenario, args) -> Report:
             "matched": geometry.is_matched(pair),
             "in_lattice": equalizer.contains(pair),
         }
-    return report
 
 
-def cmd_surfaces(scenario: Scenario, args) -> Report:
+def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
     from .quadric import (
         Bidegree,
         arithmetic_genus,
@@ -205,7 +204,6 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
     )
     from .surfaces import SurfaceData, classify_all, glue_check, trace_class
 
-    report = Report("surfaces", {"dmax": args.dmax, "pair": args.pair})
     if args.pair:
         d1, f1, d2, f2 = args.pair
         try:  # int() refuses a degree beyond the interpreter's digit limit
@@ -226,7 +224,7 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
             "swapped_trace1": str(ruling_swap_pushforward(trace1)),
         }
         report.check("glue check is symmetric", ok == glue_check(s2, s1))
-        return report
+        return
     surfaces = scenario.surfaces or tuple(
         SurfaceData(d, flag) for d in (1, 2) for flag in (True, False)
     )
@@ -266,14 +264,11 @@ def cmd_surfaces(scenario: Scenario, args) -> Report:
         "contained-line traces are rational",
         all(row["genus"] == 0 for row in rows if row["contains_line"]),
     )
-    return report
 
 
-def cmd_charge(scenario: Scenario, args) -> Report:
-    report = Report("charge", {})
+def cmd_charge(scenario: Scenario, args, report: Report) -> None:
     if not scenario.bundles or scenario.polarization is None:
-        path = args.scenario or args.scenario_path
-        where = f"{path}: " if path else ""
+        where = f"{args.scenario}: " if args.scenario else ""
         raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")
     from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
 
@@ -319,10 +314,9 @@ def cmd_charge(scenario: Scenario, args) -> Report:
             if "obstruction_dim" in row
         ),
     )
-    return report
 
 
-def cmd_neck(scenario: Scenario, args) -> Report:
+def cmd_neck(scenario: Scenario, args, report: Report) -> None:
     from .neck import (
         antidiagonal_quotient_over_fibre,
         character_quotient,
@@ -334,10 +328,6 @@ def cmd_neck(scenario: Scenario, args) -> Report:
     )
     from .quadric import Bidegree
 
-    report = Report(
-        "neck",
-        {"curve": args.curve, "character": args.character, "decorate": args.decorate},
-    )
     decoration = scenario.decoration
     if args.decorate:
         decoration = read_json(args.decorate, decoration_from_dict)
@@ -383,14 +373,13 @@ def cmd_neck(scenario: Scenario, args) -> Report:
             "decoration phase pairs satisfy rho1 * rho2 = theta",
             all(pair.rho1 * pair.rho2 == decoration.theta_unit for _, pair in decoration.points),
         )
-    return report
 
 
 def _point_str(p: QuadricPoint) -> str:
     return f"([{p.z[0]} : {p.z[1]}], [{p.w[0]} : {p.w[1]}])"
 
 
-def cmd_real(scenario: Scenario, args) -> Report:
+def cmd_real(scenario: Scenario, args, report: Report) -> None:
     import random
 
     from .gaussian import GaussianScalar
@@ -407,7 +396,6 @@ def cmd_real(scenario: Scenario, args) -> Report:
         real_structure,
     )
 
-    report = Report("real", {"samples": args.samples})
     locus = base_locus()
     report.results["base_locus"] = [_point_str(p) for p in locus]
     report.results["base_locus_exact"] = [p.to_json() for p in locus]
@@ -463,7 +451,6 @@ def cmd_real(scenario: Scenario, args) -> Report:
         evaluate_section(sample_section, locus[0]).is_zero()
         == evaluate_section(sample_section, real_structure(locus[0])).is_zero(),
     )
-    return report
 
 
 # -- entry point ------------------------------------------------------------------
@@ -541,13 +528,15 @@ def run(argv: list[str]) -> tuple[int, str]:
     for flag, low, high in (("dmax", 1, DMAX_BOUND), ("samples", 1, SAMPLES_BOUND)):
         if not low <= (value := getattr(args, flag, low)) <= high:
             return 2, f"error: --{flag} must lie in {low}..{high}, got {preview(str(value))}"
-    path = args.scenario or args.scenario_path
+    shared = ("command", "json", "scenario", "scenario_path")  # every other key is the command's own flag
+    report = Report(args.command, {key: value for key, value in vars(args).items() if key not in shared})
+    args.scenario = args.scenario or args.scenario_path
     try:
-        scenario = load_scenario(path) if path else default_scenario()
-        report = _HANDLERS[args.command](scenario, args)
+        scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
+        _HANDLERS[args.command](scenario, args, report)
+        output = report.to_json() if args.json else report.to_text()
     except (ValueError, OSError) as exc:
         return 2, f"error: {exc}"
-    output = report.to_json() if args.json else report.to_text()
     return (0 if report.all_passed() else 1), output
 
 

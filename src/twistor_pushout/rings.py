@@ -120,29 +120,23 @@ class GradedRing:
             if degree_functional is None
             else _as_vec(degree_functional, self.rank(top_degree), "degree_functional")
         )
-        table = self._build_table(products, _base)  # refuses a unit that is not the identity
-        zeros = [tuple([0] * self.rank(d)) for d in range(2 * top_degree + 1)]  # () above the top
-        self._products = {  # the only store of the structure constants
-            (d1, d2): tuple(
-                tuple(table.get((d1, i1, d2, i2), zeros[d1 + d2]) for i2 in range(self.rank(d2)))
-                for i1 in range(self.rank(d1))
-            )
-            for d1 in range(top_degree + 1)
-            for d2 in range(top_degree + 1)
-        }
+        self._products = self._build_table(products, _base)  # the only store of the structure constants
         self._check_associativity(_base)
 
     # -- construction helpers -------------------------------------------------
 
     def _build_table(
         self, products: Mapping[TableKey, Sequence[int]], base: GradedRing | None
-    ) -> dict[TableKey, Vector]:
-        table: dict[TableKey, Vector] = {}
+    ) -> dict[tuple[int, int], tuple[tuple[Vector, ...], ...]]:
+        table = {  # (d1, d2): [i1][i2] = e_i1.e_i2, None until an entry sets it
+            (d1, d2): [[None] * self.rank(d2) for _ in range(self.rank(d1))]
+            for d1, d2 in product(range(self.top_degree + 1), repeat=2)
+        }
         for (d1, d2), rows in () if base is None else base._products.items():  # its classes come first
             if d1 and d2 and d1 + d2 <= self.top_degree:  # in both orientations; unit rows come below
                 pad = (0,) * (self.rank(d1 + d2) - base.rank(d1 + d2))
                 for i1, row in enumerate(rows):
-                    table.update(((d1, i1, d2, i2), ab + pad) for i2, ab in enumerate(row))
+                    table[d1, d2][i1][: len(row)] = [ab + pad for ab in row]
         for (d1, i1, d2, i2), out in products.items():
             if not (0 <= d1 <= self.top_degree and 0 <= d2 <= self.top_degree):
                 raise ValueError(f"table degree out of range: {(d1, i1, d2, i2)}")
@@ -153,18 +147,23 @@ class GradedRing:
                     raise ValueError(f"product {(d1, i1, d2, i2)} lands above top degree")
                 continue
             vec = _as_vec(out, self.rank(d1 + d2), "product {}", (d1, i1, d2, i2))
-            for key in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
-                if key in table and table[key] != vec:
-                    raise ValueError(f"conflicting table entries for {key}")
-                table[key] = vec
+            for a, ia, b, ib in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
+                if table[a, b][ia][ib] not in (None, vec):
+                    raise ValueError(f"conflicting table entries for {(a, ia, b, ib)}")
+                table[a, b][ia][ib] = vec
         for d, n in enumerate(map(self.rank, range(self.top_degree + 1))):  # the unit acts as the identity
             units = (0,) * n + (1,) + (0,) * n  # e_i is units[n - i : 2n - i]
             for i in range(n):
                 unit_vec = units[n - i : 2 * n - i]
-                for key in ((0, 0, d, i), (d, i, 0, 0)):
-                    if table.setdefault(key, unit_vec) != unit_vec:
-                        raise ValueError(f"unit does not act as identity on {key}")
-        return table
+                for a, ia, b, ib in ((0, 0, d, i), (d, i, 0, 0)):
+                    if table[a, b][ia][ib] not in (None, unit_vec):
+                        raise ValueError(f"unit does not act as identity on {(a, ia, b, ib)}")
+                    table[a, b][ia][ib] = unit_vec
+        zeros = [(0,) * self.rank(d) for d in range(2 * self.top_degree + 1)]  # () above the top
+        return {
+            key: tuple(tuple(zeros[sum(key)] if ab is None else ab for ab in row) for row in rows)
+            for key, rows in table.items()
+        }
 
     def _check_associativity(self, base: GradedRing | None = None) -> None:
         # V_z(x, y) = (x.y).z is symmetric in x, y because the table is, and x.(y.z) = (y.z).x =

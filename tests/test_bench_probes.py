@@ -5,7 +5,9 @@ deleting one of them breaks only a traced benchmark run.  Here the probes are
 installed around one CLI run: every name must resolve, the traced output must
 equal the untraced one, the run must reach the probes its command passes
 through, and every wrapped attribute must be restored on exit.  ``neck`` runs
-the circle-bundle probes; ``equalizer`` on ``flag_flag`` runs the ring-build,
+the circle-bundle probes; ``charge`` runs the render probe, which wraps the
+report's JSON rendering inside the CLI's error handling, and the scenario-load
+and charge probes; ``equalizer`` on ``flag_flag`` runs the ring-build,
 ``blow_up``, ring-hom, projection-formula, closure and oracle probes.
 """
 
@@ -20,6 +22,10 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 RUNS = {
     "neck": (["--json", "neck", "--curve", "3", "1"], ["neck"]),
+    "charge": (
+        ["--json", "charge", str(ROOT / "scenarios" / "p3_p3.json")],
+        ["cli.render", "scenario.load", "charges.charge"],
+    ),
     "equalizer": (
         ["--json", "equalizer", str(ROOT / "scenarios" / "flag_flag.json")],
         [

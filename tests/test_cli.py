@@ -166,6 +166,17 @@ def test_work_flag_out_of_bounds_echoes_at_most_40_characters():
     assert (code, out) == (2, "error: --dmax must lie in 1..200, got " + "9" * 36 + " ...")
 
 
+def test_options_are_exactly_the_subcommand_flags(tmp_path):
+    decorate = tmp_path / "decorate.json"
+    decorate.write_text(json.dumps({"theta": {"re_num": 1, "re_den": 1, "im_num": 0, "im_den": 1}}))
+    for argv, options in (
+        (["surfaces", "--pair", "1", "in", "1", "out"], {"dmax": 50, "pair": ["1", "in", "1", "out"]}),
+        (["neck", "--decorate", str(decorate)], {"curve": None, "character": None, "decorate": str(decorate)}),
+    ):
+        code, out = run(["--json", *argv])
+        assert code == 0 and json.loads(out)["options"] == options
+
+
 def test_neck_character_flag():
     code, out = run(["--json", "neck", "--character", "1", "-1"])
     assert code == 0

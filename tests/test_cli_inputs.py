@@ -10,15 +10,23 @@ On the same paths, every integer, boolean or string value replaced by one of
 the wrong JSON type exits 2 with an error naming the file and that path, and
 named malformed inputs exit 2 with their exact error line.  A document nested
 deeper than the interpreter's recursion limit exits 2 with one line naming the file.
+
+A result past the interpreter's 4,300-digit limit for printing an integer
+exits 2 with one line, in text and in JSON; every result within it is printed
+exactly as with the limit lifted.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor_pushout import scenario
 from twistor_pushout.cli import run
@@ -358,3 +366,112 @@ def test_wrong_json_type_exits_2_naming_its_path(name, tmp_path):
             if code != 2 or not out.startswith(f"error: {target}: {dotted(path)} "):
                 bad.append(f"{dotted(path)} set to {wrong!r}: exit {code}: {out[:120]!r}")
     assert not bad, "\n".join(bad)
+
+
+def big(max_digits: int = 4300):
+    """Integers of 1 to ``max_digits`` digits, and small ones when the leading digit is 0."""
+    return st.builds(
+        lambda digits, lead, tail: lead * 10 ** (digits - 1) + tail,
+        st.integers(1, max_digits),
+        st.integers(-9, 9),
+        st.integers(-99, 99),
+    )
+
+
+def phase(m: int, n: int) -> dict:
+    """The Pythagorean unit ((m^2 - n^2) + 2mn i) / (m^2 + n^2) as a document scalar."""
+    h = m * m + n * n
+    return {"re_num": m * m - n * n, "re_den": h, "im_num": 2 * m * n, "im_den": h}
+
+
+def charge_doc(c2_0, c2_1, polarization) -> dict:
+    """p3_p3.json with the c2 pairs of its two bundles and its polarization replaced."""
+    doc = _load("scenarios/p3_p3.json")
+    for bundle, (first, second) in zip(doc["bundles"], (c2_0, c2_1)):
+        bundle["c2"] = {"branch1": first, "branch2": second}
+    doc["polarization"] = {"branch1": polarization[0], "branch2": polarization[1]}
+    return doc
+
+
+B = int("7" * 4000)
+# every integer in a document or flag below is within the limit, but a product of two is not
+PAST_LIMIT = {
+    "charge": (charge_doc(([B, B], [B, B]), ([B, B], [B, B]), ([B, -B], [B, 0])), SCENARIO_ARGV),
+    "neck-decorate": (
+        {
+            "theta": phase(10**1080 + 7, 10**1079 + 3),
+            "points": [{"id": "p", "eta": phase(10**1080 + 11, 10**1079 + 13)}],
+        },
+        ["neck", "--decorate", "{}"],
+    ),
+    "neck-character": (None, ["neck", "--character", "9" * 4300, "1"]),
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(PAST_LIMIT))
+def test_a_result_past_the_digit_limit_exits_2_with_one_error_line(case, json_flag, tmp_path):
+    doc, argv = PAST_LIMIT[case]
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    code, out = _run_at([*json_flag, *argv], target)
+    assert code == 2
+    assert out.startswith("error: ") and "\n" not in out
+
+
+def assert_verdict_total(argv):
+    """A report with no integer past the limit is printed as with the limit lifted; else one error line."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lifted_code, lifted_out = run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out = run(argv)
+    assert code in (0, 1, 2)
+    if lifted_code != 2 and not re.search(r"\d{4301}", lifted_out):
+        assert (code, out) == (lifted_code, lifted_out)
+    else:
+        assert code == 2 and out.startswith("error: ") and "\n" not in out
+
+
+matched_c2 = st.builds(lambda x, y, z: ([x, y], [z, y]), big(), big(), big())  # the degree-2 lattice
+free_pair = st.builds(lambda a, b, c, d: ([a, b], [c, d]), big(), big(), big(), big())
+matched_polarization = st.builds(lambda a, b: ([a, b], [a, -a - b]), big(4299), big(4299))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    c2_0=matched_c2,
+    c2_1=free_pair,
+    polarization=st.one_of(matched_polarization, free_pair),
+    json_flag=st.sampled_from([[], ["--json"]]),
+)
+def test_charge_verdict_is_total_for_entries_up_to_the_digit_limit(
+    c2_0, c2_1, polarization, json_flag, tmp_path_factory
+):
+    target = tmp_path_factory.mktemp("charge") / "scenario.json"
+    target.write_text(json.dumps(charge_doc(c2_0, c2_1, polarization)), encoding="utf-8")
+    assert_verdict_total([*json_flag, "charge", str(target)])
+
+
+# m and n of up to 2,149 digits keep every part of the phase within 4,300 digits
+phase_parameters = st.tuples(big(2149), big(2149))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    theta=phase_parameters,
+    etas=st.lists(phase_parameters, min_size=1, max_size=2),
+    json_flag=st.sampled_from([[], ["--json"]]),
+)
+def test_neck_decorate_verdict_is_total_for_phases_up_to_the_digit_limit(
+    theta, etas, json_flag, tmp_path_factory
+):
+    doc = {
+        "theta": phase(*theta),
+        "points": [{"id": f"p{k}", "eta": phase(*eta)} for k, eta in enumerate(etas)],
+    }
+    target = tmp_path_factory.mktemp("decorate") / "decoration.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    assert_verdict_total([*json_flag, "neck", "--decorate", str(target)])
