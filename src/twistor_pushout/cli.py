@@ -111,6 +111,8 @@ def _render_value(value, indent: int) -> list[str]:
 
 
 def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
+    from .rings import format_vector
+
     geometry = scenario.geometry
     blown = {"1": geometry.branch1, "2": geometry.branch2}.get(args.branch)
     ring = geometry.quadric if blown is None else blown.ring
@@ -128,13 +130,14 @@ def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
         report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
         report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
         return
-    table = []
+    table, labels = [], ring.basis_labels
     for d1 in range(1, ring.top_degree + 1):
         for i1 in range(ring.rank(d1)):
             for d2 in range(d1, ring.top_degree + 1 - d1):
-                for i2 in range(i1 if d1 == d2 else 0, ring.rank(d2)):
-                    product = ring.homogeneous(d1 + d2, ring.table_entry(d1, i1, d2, i2))
-                    table.append(f"{ring.basis_labels[d1][i1]} . {ring.basis_labels[d2][i2]} = {product}")
+                start = i1 if d1 == d2 else 0
+                for i2, xy in enumerate(ring.product_table(d1, d2)[i1][start:], start):
+                    product = format_vector(labels[d1 + d2], xy)
+                    table.append(f"{labels[d1][i1]} . {labels[d2][i2]} = {product}")
     report.results["products"] = table
 
     # blow_up refuses (exit 2) a ring failing this or the projection formula below
@@ -457,8 +460,16 @@ def cmd_real(scenario: Scenario, args, report: Report) -> None:
 
 
 # flags that buy work are bounded: surfaces compares 4 * dmax**2 pairs of traces,
-# and real needs at least one sample for its sampled identities to mean anything
-DMAX_BOUND, SAMPLES_BOUND = 200, 10_000
+# and real needs at least one sample for its sampled identities to mean anything;
+# neck's results are linear in each entry of --curve and --character, so their bound
+# keeps every printed integer far inside the interpreter's digit limit
+DMAX_BOUND, SAMPLES_BOUND, NECK_BOUND = 200, 10_000, 10**6
+FLAG_BOUNDS = (
+    ("dmax", 1, DMAX_BOUND),
+    ("samples", 1, SAMPLES_BOUND),
+    ("curve", -NECK_BOUND, NECK_BOUND),
+    ("character", -NECK_BOUND, NECK_BOUND),
+)
 
 
 def _int(text: str) -> int:
@@ -525,9 +536,11 @@ def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, execute one command, and return (exit code, output)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag, low, high in (("dmax", 1, DMAX_BOUND), ("samples", 1, SAMPLES_BOUND)):
-        if not low <= (value := getattr(args, flag, low)) <= high:
-            return 2, f"error: --{flag} must lie in {low}..{high}, got {preview(str(value))}"
+    for flag, low, high in FLAG_BOUNDS:
+        given = getattr(args, flag, None)  # an int, a list of two for neck's flags, or None
+        for value in [given] if isinstance(given, int) else given or ():
+            if not low <= value <= high:
+                return 2, f"error: --{flag} must lie in {low}..{high}, got {preview(str(value))}"
     shared = ("command", "json", "scenario", "scenario_path")  # every other key is the command's own flag
     report = Report(args.command, {key: value for key, value in vars(args).items() if key not in shared})
     args.scenario = args.scenario or args.scenario_path

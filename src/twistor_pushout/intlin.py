@@ -125,6 +125,49 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
     return [row[m:] for row in hermite_row_basis(augmented) if not any(row[:m])]
 
 
+def kernel_certificate(
+    matrix: Sequence[Sequence[int]], basis: Sequence[Sequence[int]], ncols: int
+) -> str | None:
+    """None when the rows of ``basis`` span the saturated integer kernel of ``matrix``,
+    else the name of the first of three conditions that fails.
+
+    With A = ``matrix`` (k x n, n = ``ncols``) and B = ``basis`` (r x n) the conditions are
+    (i) A.b = 0 for every row b of B; (ii) B has an integer right inverse C, B.C = I_r; and
+    (iii) A has a nonzero (n - r) x (n - r) minor.  By (iii) the rational kernel of A has
+    dimension at most r, so by (i) and the independence (ii) gives it is the rational span
+    of B, and by (ii) an integer vector x there is (x.C).B, in B's integer span (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4).  When B is in echelon form with
+    strictly increasing pivots, all +-1, its pivot columns form a unit triangular minor,
+    whose inverse is integral, and reading the pivots is the whole of (ii); any other B
+    takes C from the Hermite form of [B^T | I_n] and passes only if the exact product B.C
+    is I_r.  (iii) holds exactly when A's rational rank is at least n - r; A's rank is
+    counted by fraction-free elimination (Bareiss 1968), whose entries are minors of A.
+    """
+    if any(len(row) != ncols for row in (*matrix, *basis)):
+        raise ValueError("dimension mismatch")
+    supports = [support(b) for b in basis]
+    if any(dot(map(row.__getitem__, positions), values) for row in matrix for positions, values in supports):
+        return "(i) A.b = 0"
+    r = len(basis)
+    pivots = [positions[0] if positions else ncols for positions, _ in supports]
+    triangular = all(map(int.__lt__, pivots, pivots[1:]))
+    if not (triangular and all(values and values[0] in (1, -1) for _, values in supports)):
+        augmented = ([*col, *(int(k == i) for k in range(ncols))] for i, col in enumerate(zip(*basis)))
+        inverse = [row[r:] for row in hermite_row_basis(augmented)[:r]]  # candidate columns of C
+        products = (dot(b, c) == (i == k) for i, b in enumerate(basis) for k, c in enumerate(inverse))
+        if len(inverse) < r or not all(products):
+            return "(ii) B.C = I"
+    rows, rank, previous = [list(row) for row in matrix if any(row)], 0, 1
+    while rows and rank < ncols - r:
+        top = rows.pop()
+        j = _pivot(top)
+        eliminated = ([(top[j] * a - row[j] * b) // previous for a, b in zip(row, top)] for row in rows)
+        rows, rank, previous = [e for e in eliminated if any(e)], rank + 1, top[j]  # entries: minors of A
+    if rank < ncols - r:
+        return "(iii) nonzero (n - r)-minor of A"
+    return None
+
+
 class SparseLattice:
     """The nonzero rows of an echelon lattice basis, kept by their nonzero entries.
 
@@ -195,8 +238,5 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
         raise ValueError("dimension mismatch")
     if not b:
         return tuple(tuple() for _ in a)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols))
-        for i in range(len(a))
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple(dot(row, column) for column in columns) for row in a)

@@ -24,11 +24,14 @@ products; the (-(b+w)) convention breaks all three.
 Two blown-up branches glue along their quadrics through the ruling swap, and
 the operational classes of the glued space are the pairs whose restrictions
 match; they form, degree by degree, a saturated integer lattice computed by
-an exact kernel, with componentwise product.  Its product closure applies
-each branch ring's ``multiplication`` to the lattice vectors, summing over
-their nonzero entries, read once per vector and block, so nothing is assumed
-about where they sit; lattice membership walks only the nonzero entries of
-the rows that are not unit rows.
+an exact kernel, with componentwise product.  Its product closure is derived:
+the matched pairs are the equalizer of two ring homomorphisms, a subring, and a
+linear-time certificate shows each lattice is the saturated kernel, so it holds
+them all.  A lattice that cannot be certified has each product formed instead,
+applying each branch ring's ``multiplication`` to the lattice vectors, summing
+over their nonzero entries, read once per vector and block, so nothing is
+assumed about where they sit; lattice membership walks only the nonzero
+entries of the rows that are not unit rows.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .intlin import (
     dot,
     hermite_row_basis,
     kernel_basis,
+    kernel_certificate,
     lattice_contains,
     mat_mul,
     mat_vec,
@@ -464,15 +468,43 @@ class EqualizerRing(Value):
     def check_product_closure(self) -> None:
         """Verify products of lattice basis pairs stay matched and in the lattice.
 
-        The componentwise product of two concatenated pair vectors u, v is,
-        branch by branch, the combination by v's part of that branch's
-        ``multiplication`` of u's part, so the sums run over the nonzero entries
-        of u and v only, v's read once per block, and over the table rows they
-        touch.  A product is matched exactly when the matching matrix annihilates
-        it.  Pairs are checked in the order d1, d2 >= d1, u, v, with v >= u
-        when d2 = d1: the branch rings are commutative, so the mirror of such a
-        pair, which comes earlier in that order, has the same product.
+        Closure is first derived.  When both branch restrictions j1, j2 and the swap s are
+        ring homomorphisms, checked when they were built, between the rings they join here,
+        the matched pairs {(a1, a2) : j1(a1) = s(j2(a2))} are the equalizer of the ring
+        homomorphisms (a1, a2) -> j1(a1) and (a1, a2) -> s(j2(a2)), a subring (Fulton,
+        *Intersection Theory*, ch. 17): a product of matched pairs is matched.  When, in
+        every degree, ``intlin.kernel_certificate`` shows the lattice spans the saturated
+        integer kernel of the matching matrix, every integer matched pair lies in it, so
+        every product stays in the lattice and nothing is left to check.
+
+        Otherwise, for a lattice that cannot be certified or a map not checked as a ring
+        homomorphism, every product is formed and checked.  The componentwise product of two
+        concatenated pair vectors u, v is, branch by branch, the combination by v's part of
+        that branch's ``multiplication`` of u's part, so the sums run over the nonzero entries
+        of u and v only, v's read once per block, and over the table rows they touch.  A
+        product is matched exactly when the matching matrix annihilates it.  Pairs are
+        checked in the order d1, d2 >= d1, u, v, with v >= u when d2 = d1: the branch rings
+        are commutative, so the mirror of such a pair, which comes earlier in that order, has
+        the same product.
         """
+        if not self._closure_is_derived():
+            self._check_each_product()
+
+    def _closure_is_derived(self) -> bool:
+        """Whether closure follows without forming a product; see :meth:`check_product_closure`."""
+        geometry, quad = self.geometry, self.geometry.quadric
+        branches = (geometry.branch1, geometry.branch2)
+        maps = [branch.restriction_to_quadric_map for branch in branches] + [geometry.swap]
+        joins = [(f.source, f.target) for f in maps] == [(b.ring, quad) for b in branches] + [(quad, quad)]
+        if not (joins and all(f.is_ring_hom for f in maps) and len(self.lattices) == TWISTOR_TOP + 1):
+            return False
+        return not any(
+            kernel_certificate(geometry.matching_matrix(d), basis, sum(b.ring.rank(d) for b in branches))
+            for d, basis in enumerate(self.lattices)
+        )
+
+    def _check_each_product(self) -> None:
+        """Form every product of two lattice basis pairs; see :meth:`check_product_closure`."""
         rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
         for d1 in range(TWISTOR_TOP + 1):
             for d2 in range(d1, TWISTOR_TOP + 1 - d1):

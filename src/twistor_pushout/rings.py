@@ -45,7 +45,7 @@ the module is safe for unrestricted concurrent read-only use.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import chain, product, repeat
 from operator import index, lshift, mul
 
@@ -128,30 +128,29 @@ class GradedRing:
     def _build_table(
         self, products: Mapping[TableKey, Sequence[int]], base: GradedRing | None
     ) -> dict[tuple[int, int], tuple[tuple[Vector, ...], ...]]:
-        table = {  # (d1, d2): [i1][i2] = e_i1.e_i2, None until an entry sets it
-            (d1, d2): [[None] * self.rank(d2) for _ in range(self.rank(d1))]
-            for d1, d2 in product(range(self.top_degree + 1), repeat=2)
-        }
+        ranks = [*map(len, self.basis_labels), *(0,) * self.top_degree]  # rank(d), d = 0..2 * top_degree
+        cells = product(range(self.top_degree + 1), repeat=2)  # (d1, d2): [i1][i2] = e_i1.e_i2 once set
+        table = {(d1, d2): [[None] * ranks[d2] for _ in range(ranks[d1])] for d1, d2 in cells}
         for (d1, d2), rows in () if base is None else base._products.items():  # its classes come first
             if d1 and d2 and d1 + d2 <= self.top_degree:  # in both orientations; unit rows come below
-                pad = (0,) * (self.rank(d1 + d2) - base.rank(d1 + d2))
+                pad = (0,) * (ranks[d1 + d2] - base.rank(d1 + d2))
                 for i1, row in enumerate(rows):
                     table[d1, d2][i1][: len(row)] = [ab + pad for ab in row]
         for (d1, i1, d2, i2), out in products.items():
             if not (0 <= d1 <= self.top_degree and 0 <= d2 <= self.top_degree):
                 raise ValueError(f"table degree out of range: {(d1, i1, d2, i2)}")
-            if not (0 <= i1 < self.rank(d1) and 0 <= i2 < self.rank(d2)):
+            if not (0 <= i1 < ranks[d1] and 0 <= i2 < ranks[d2]):
                 raise ValueError(f"table index out of range: {(d1, i1, d2, i2)}")
             if d1 + d2 > self.top_degree:
                 if any(out):
                     raise ValueError(f"product {(d1, i1, d2, i2)} lands above top degree")
                 continue
-            vec = _as_vec(out, self.rank(d1 + d2), "product {}", (d1, i1, d2, i2))
+            vec = _as_vec(out, ranks[d1 + d2], "product {}", (d1, i1, d2, i2))
             for a, ia, b, ib in ((d1, i1, d2, i2), (d2, i2, d1, i1)):
                 if table[a, b][ia][ib] not in (None, vec):
                     raise ValueError(f"conflicting table entries for {(a, ia, b, ib)}")
                 table[a, b][ia][ib] = vec
-        for d, n in enumerate(map(self.rank, range(self.top_degree + 1))):  # the unit acts as the identity
+        for d, n in enumerate(ranks[: self.top_degree + 1]):  # the unit acts as the identity
             units = (0,) * n + (1,) + (0,) * n  # e_i is units[n - i : 2n - i]
             for i in range(n):
                 unit_vec = units[n - i : 2 * n - i]
@@ -159,7 +158,7 @@ class GradedRing:
                     if table[a, b][ia][ib] not in (None, unit_vec):
                         raise ValueError(f"unit does not act as identity on {(a, ia, b, ib)}")
                     table[a, b][ia][ib] = unit_vec
-        zeros = [(0,) * self.rank(d) for d in range(2 * self.top_degree + 1)]  # () above the top
+        zeros = [(0,) * n for n in ranks]  # () above the top
         return {
             key: tuple(tuple(zeros[sum(key)] if ab is None else ab for ab in row) for row in rows)
             for key, rows in table.items()
@@ -385,6 +384,29 @@ def combination(weights: Support, vectors: Sequence[Vector], length: int) -> Vec
     return tuple(out)
 
 
+def format_vector(labels: Iterable[str], vec: Iterable[int]) -> str:
+    """The combination of ``labels`` with coefficients ``vec``, such as ``2*a - b + 3``
+    (a label "1" shows only its coefficient), or "0"."""
+    terms = []
+    for label, c in zip(labels, vec):
+        if not c:
+            continue
+        if label == "1":
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(label)
+        elif c == -1:
+            terms.append(f"-{label}")
+        else:
+            terms.append(f"{c}*{label}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
+    return out
+
+
 class RingElement(Value):
     """An element of a :class:`GradedRing`, one integer vector per degree."""
 
@@ -451,26 +473,7 @@ class RingElement(Value):
         return degrees[0]
 
     def __str__(self) -> str:
-        terms = []
-        for d, vec in enumerate(self.coeffs):
-            for i, c in enumerate(vec):
-                if not c:
-                    continue
-                label = self.ring.basis_labels[d][i]
-                if label == "1":
-                    terms.append(str(c))
-                elif c == 1:
-                    terms.append(label)
-                elif c == -1:
-                    terms.append(f"-{label}")
-                else:
-                    terms.append(f"{c}*{label}")
-        if not terms:
-            return "0"
-        out = terms[0]
-        for t in terms[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return format_vector(chain.from_iterable(self.ring.basis_labels), chain.from_iterable(self.coeffs))
 
 
 class GradedMap:

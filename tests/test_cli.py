@@ -166,6 +166,18 @@ def test_work_flag_out_of_bounds_echoes_at_most_40_characters():
     assert (code, out) == (2, "error: --dmax must lie in 1..200, got " + "9" * 36 + " ...")
 
 
+@pytest.mark.parametrize("flag", ["--curve", "--character"])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_neck_flags_are_bounded_and_echo_at_most_40_characters(flag, json_flag):
+    # 4,300 digits is within the interpreter's limit for int(), so the bound refuses it
+    for pair in (["9" * 4300, "1"], ["1", "-" + "9" * 4300], ["1", "1000001"]):
+        code, out = run([*json_flag, "neck", flag, *pair])
+        value = pair[0] if pair[1] == "1" else pair[1]
+        echo = value if len(value) <= 40 else value[:36] + " ..."
+        assert (code, out) == (2, f"error: {flag} must lie in -1000000..1000000, got {echo}")
+    assert run([*json_flag, "neck", flag, "-1000000", "1000000"])[0] == 0
+
+
 def test_options_are_exactly_the_subcommand_flags(tmp_path):
     decorate = tmp_path / "decorate.json"
     decorate.write_text(json.dumps({"theta": {"re_num": 1, "re_den": 1, "im_num": 0, "im_den": 1}}))
@@ -320,3 +332,25 @@ def test_a_product_closure_failure_is_reported_and_exits_1(monkeypatch):
     code, out = run(["equalizer"])
     assert code == 1
     assert f"  [FAIL] {name}  ({detail})" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("p3_p3-equalizer", ["scenarios/p3_p3.json", "equalizer", "--member", "tests/data/member_p3.json"]),
+        ("synthetic_rank11-equalizer", ["tests/data/synthetic_r11.json", "equalizer"]),
+    ],
+)
+def test_a_certified_equalizer_forms_no_product(golden, argv, monkeypatch):
+    # the kernel certificate and the ring-hom checks give closure: the product loop never runs
+    from twistor_pushout.pushout import EqualizerRing
+
+    def refuse(self):
+        raise AssertionError("a certified equalizer formed its products")
+
+    monkeypatch.setattr(EqualizerRing, "_check_each_product", refuse)
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.chdir(root)
+    code, out = run(["--json", "--scenario", *argv])
+    assert code == 0
+    assert (out + "\n").encode() == (root / "tests" / "golden" / f"{golden}.json").read_bytes()

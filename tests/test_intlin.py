@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistor_pushout import intlin
 from twistor_pushout.intlin import (
     SparseLattice,
+    dot,
     hermite_row_basis,
     kernel_basis,
+    kernel_certificate,
     lattice_contains,
     lattices_equal,
     mat_mul,
@@ -258,3 +261,99 @@ def test_membership_agrees_with_rational_oracle_on_unit_rows_kept_as_given(case)
         expected = coords is not None and all(c.denominator == 1 for c in coords)
         assert lattice_contains(basis, vec) == expected
         assert lattice_contains(lattice, vec) == expected
+
+
+# -- the kernel certificate --------------------------------------------------------
+
+
+@st.composite
+def matrices(draw, max_rows=2):
+    """An integer matrix with at most ``max_rows`` rows and its column count.  Entries in
+    -3..3 give kernels whose Hermite pivots are not all +-1, such as (3, -2) for (2 3)."""
+    n = draw(st.integers(1, 6))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    return draw(st.lists(row, max_size=max_rows)), n
+
+
+def remixed(draw, basis):
+    """The rows of ``basis`` under random unimodular row operations: the same lattice,
+    out of echelon form, so its right inverse is found through the Hermite form."""
+    rows = [list(row) for row in basis]
+    for _ in range(draw(st.integers(0, 4)) if len(rows) > 1 else 0):
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        c = draw(st.integers(-2, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        rows[i], rows[j] = rows[j], rows[i]
+    return rows
+
+
+def is_kernel_basis(matrix, basis, n):
+    """Oracle: ``basis`` is annihilated, independent and spans ``kernel_basis``'s lattice."""
+    hermite = hermite_row_basis(basis)
+    return (
+        not any(dot(row, b) for row in matrix for b in basis)
+        and len(hermite) == len(basis)
+        and hermite == kernel_basis(matrix, n)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_kernel_certificate_agrees_with_kernel_basis(case, data):
+    matrix, n = case
+    kernel = kernel_basis(matrix, n)
+    assert kernel_certificate(matrix, kernel, n) is None
+    assert kernel_certificate(matrix, remixed(data.draw, kernel), n) is None
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    other = data.draw(st.lists(row, max_size=n + 1))
+    assert (kernel_certificate(matrix, other, n) is None) == is_kernel_basis(matrix, other, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(max_rows=4))
+def test_kernel_certificate_counts_the_rank_of_taller_matrices(case):
+    # fraction-free elimination past a 2 x 2 minor: condition (iii) is read from the rank
+    matrix, n = case
+    kernel = kernel_basis(matrix, n)
+    assert kernel_certificate(matrix, kernel, n) is None
+    if kernel:
+        assert kernel_certificate(matrix, kernel[1:], n).startswith("(iii)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.sampled_from(["change", "drop", "double"]), st.data())
+def test_kernel_certificate_names_the_condition_a_damaged_basis_fails(case, kind, data):
+    matrix, n = case
+    kernel = kernel_basis(matrix, n)
+    assume(kernel)
+    basis = remixed(data.draw, kernel) if data.draw(st.booleans()) else [list(row) for row in kernel]
+    i = data.draw(st.integers(0, len(basis) - 1))
+    if kind == "drop":  # a sublattice of lower rank, still saturated
+        del basis[i]
+        expected = "(iii)"
+    elif kind == "double":  # still annihilated, no longer saturated
+        basis[i] = [2 * a for a in basis[i]]
+        expected = "(ii)"
+    else:
+        basis[i][data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        if any(dot(row, basis[i]) for row in matrix):
+            expected = "(i)"
+        else:  # a change the matrix cannot see, such as -e_p for a unit row e_p, may keep the lattice
+            expected = None if is_kernel_basis(matrix, basis, n) else "(ii)"
+    reason = kernel_certificate(matrix, basis, n)
+    assert (reason if reason is None else reason.split()[0]) == expected
+
+
+def test_kernel_certificate_reads_unit_pivots_and_inverts_any_other_basis(monkeypatch):
+    calls = []
+    hermite = intlin.hermite_row_basis
+    monkeypatch.setattr(intlin, "hermite_row_basis", lambda rows: calls.append(1) or hermite(rows))
+    assert kernel_certificate([[1, 1, 1]], [(1, 0, -1), (0, 1, -1)], 3) is None
+    assert calls == []  # unit pivots: the triangular minor is the whole of (ii)
+    assert kernel_certificate([[2, 3, 0]], [(3, -2, 0), (0, 0, 1)], 3) is None  # pivot 3
+    assert kernel_certificate([[2, 3, 0]], [(3, -2, 0), (0, 0, 2)], 3) == "(ii) B.C = I"
+    assert calls == [1, 1]
+    assert kernel_certificate([], [], 0) is None
+    assert kernel_certificate([[0, 0]], [], 2) == "(iii) nonzero (n - r)-minor of A"
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        kernel_certificate([[1, 1]], [(1, -1)], 3)

@@ -401,9 +401,12 @@ CLOSURE_SCENARIOS = {
 }
 
 
+DERIVED_SCENARIOS = {**CLOSURE_SCENARIOS, "synthetic_r11": DATA_DIR / "synthetic_r11.json"}
+
+
 @functools.lru_cache(maxsize=None)
 def _closure_geometry(name):
-    geometry = load_scenario(str(CLOSURE_SCENARIOS[name])).geometry
+    geometry = load_scenario(str(DERIVED_SCENARIOS[name])).geometry
     return geometry, geometry.equalizer()
 
 
@@ -452,6 +455,43 @@ def test_closure_kernel_agrees_with_element_reference(name, kind, data):
     except ValueError as exc:
         found = str(exc)
     assert found == expected
+
+
+def _verdict(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(DERIVED_SCENARIOS)),
+    st.sampled_from(["none", "remix", "drop", "unmatched", "outside"]),
+    st.data(),
+)
+def test_derived_closure_verdict_agrees_with_forming_every_product(name, kind, data):
+    geometry, true_equalizer = _closure_geometry(name)
+    lattices = [list(basis) for basis in true_equalizer.lattices]
+    matching = [geometry.matching_matrix(d) for d in range(4)]
+    seen = [sorted({k for row in rows for k, a in enumerate(row) if a}) for rows in matching]
+    degree = data.draw(st.sampled_from([d for d in range(4) if len(lattices[d]) > 1 and seen[d]]))
+    basis = lattices[degree]
+    i, j = data.draw(st.permutations(range(len(basis))))[:2]
+    if kind == "remix":  # another basis of the same lattice, out of echelon form
+        c = data.draw(st.integers(1, 3))
+        basis[i] = tuple(a + c * b for a, b in zip(basis[i], basis[j]))
+    elif kind == "drop":
+        del basis[i]
+    elif kind == "unmatched":  # moved along a column the matching matrix sees
+        column = data.draw(st.sampled_from(seen[degree]))
+        basis[i] = tuple(a + (k == column) for k, a in enumerate(basis[i]))
+    elif kind == "outside":
+        basis[i] = tuple(2 * a for a in basis[i])
+    equalizer = EqualizerRing(geometry, tuple(tuple(b) for b in lattices))
+    assert equalizer._closure_is_derived() == (kind in ("none", "remix"))
+    assert _verdict(equalizer.check_product_closure) == _verdict(equalizer._check_each_product)
 
 
 def _projection_formula_reference(blown):
