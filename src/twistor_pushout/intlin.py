@@ -1,9 +1,10 @@
 """Exact integer linear algebra.
 
-Everything in this package reduces to one primitive: Hermite-style row
-reduction of integer matrices with unimodular row operations.  From it we get
-canonical lattice bases, saturated kernels and lattice membership, all over
-unbounded Python integers.  No floating point is used anywhere.
+Hermite-style row reduction of integer matrices with unimodular row operations
+gives canonical lattice bases and lattice membership.  A saturated kernel whose
+Hermite pivots are all 1 is read off one sweep of the matrix's columns, by
+Cramer's rule; any other kernel takes the row reduction.  Everything is over
+unbounded Python integers.  No floating point or rational arithmetic is used.
 """
 
 from __future__ import annotations
@@ -106,10 +107,18 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
     """Canonical basis of the saturated integer kernel {x : rows @ x = 0}.
 
     Saturated means every integral solution is an integer combination of the
-    returned vectors, not merely a rational one.  Implemented by reducing the
-    augmented matrix [A^T | I] once: rows whose A^T-part vanishes carry a kernel
-    vector in their identity part, and unimodularity of the reduction makes the
-    collection a basis of the full solution lattice, already in Hermite form.
+    returned vectors, not merely a rational one.  The basis is the Hermite form
+    of the kernel lattice, read off in one sweep of the columns from right to
+    left.  A column is free when it raises the rank of the columns to its right;
+    the free columns F are independent, and every other column j is a kernel
+    pivot, with A_j = -A_F c for one rational c, found by Cramer's rule from a
+    nonzero minor of A_F (its adjugate grows by a bordering step at each free
+    column).  When every such c is integral, the rows e_j + c on F have pivot 1
+    and zeros at the other pivots: they are the Hermite form, and any integral
+    solution reduces to 0 along them.  Otherwise some pivot exceeds 1, and the
+    augmented matrix [A^T | I] is reduced instead: rows whose A^T-part vanishes
+    carry the kernel in their identity part, already in Hermite form (Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4).
     """
     mat = [list(r) for r in rows]
     m = len(mat)
@@ -119,10 +128,37 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int | None = None) -> lis
         ncols = len(mat[0])
     if any(len(r) != ncols for r in mat):
         raise ValueError("ragged matrix")
-    augmented = [[row[i] for row in mat] + [int(k == i) for k in range(ncols)] for i in range(ncols)]
-    # The zero-A^T rows come last, with positive echelon pivots and each entry
-    # above a pivot reduced over the whole row: their tails are already Hermite.
-    return [row[m:] for row in hermite_row_basis(augmented) if not any(row[:m])]
+    free: list[int] = []  # the free columns F, right to left
+    minor_rows: list[int] = []  # rows R, one per free column, with det = det A[R, F] != 0
+    adjugate: list[list[int]] = []  # adj A[R, F], rows indexed by F, columns by R
+    det = 1
+    kernel = []
+    for j in reversed(range(ncols)):
+        solved = [dot(row, [mat[r][j] for r in minor_rows]) for row in adjugate]  # det * A[R, F]^-1 A[R, j]
+        residual = [det * row[j] - dot(solved, map(row.__getitem__, free)) for row in mat]  # 0 on R
+        r = next((k for k, e in enumerate(residual) if e), None)
+        if r is None:  # A_j = A_F (solved / det): a kernel pivot
+            quotients = [divmod(-y, det) for y in solved]
+            if any(rem for _, rem in quotients):
+                augmented = [[row[i] for row in mat] + [int(k == i) for k in range(ncols)]
+                             for i in range(ncols)]
+                return [row[m:] for row in hermite_row_basis(augmented) if not any(row[:m])]
+            vec = [0] * ncols
+            vec[j] = 1
+            for f, (q, _) in zip(free, quotients):
+                vec[f] = q
+            kernel.append(tuple(vec))
+        else:  # a free column; with u = A[R, j] and v = A[r, F], bordering A[R, F] by them gives
+            # det' = residual[r] and adj' = [[(det' adj + (adj u)(v adj)) / det, -adj u], [-v adj, det]]
+            v_adj = [dot([mat[r][f] for f in free], col) for col in zip(*adjugate)]
+            grown = residual[r]
+            adjugate = [[(grown * a + y * b) // det for a, b in zip(row, v_adj)] + [-y]
+                        for row, y in zip(adjugate, solved)]
+            adjugate.append([-b for b in v_adj] + [det])
+            det = grown
+            free.append(j)
+            minor_rows.append(r)
+    return kernel[::-1]
 
 
 def kernel_certificate(
@@ -216,10 +252,6 @@ def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequen
             for k, b in zip(positions, values):
                 v[k] -= q * b
     return not any(compress(v, lattice.kept))
-
-
-def lattices_equal(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:
-    return hermite_row_basis(a) == hermite_row_basis(b)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:

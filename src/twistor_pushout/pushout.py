@@ -92,9 +92,10 @@ class TwistorChow(Value):
             raise ValueError("point_class must have degree 1")
         if len(self.twistor_degrees) != ring.rank(1):
             raise ValueError("one twistor degree per degree-1 basis class")
-        for i, d in enumerate(self.twistor_degrees):
-            alpha = ring.basis_element(1, i)
-            if ring.zero_cycle_degree(alpha * self.line_class) != d:
+        # line.e_i for every degree-1 basis class e_i, in one call
+        products = ring.multiplication(2, 1)(self.line_class.degree_part(2))
+        for i, (d, product) in enumerate(zip(self.twistor_degrees, products)):
+            if dot(ring.degree_functional, product) != d:
                 raise ValueError(
                     f"twistor degree of {ring.basis_labels[1][i]} is inconsistent "
                     f"with the line class"

@@ -46,7 +46,7 @@ the module is safe for unrestricted concurrent read-only use.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from itertools import chain, product, repeat
+from itertools import chain, compress, cycle, product, repeat
 from operator import index, lshift, mul
 
 from ._value import Value
@@ -172,8 +172,9 @@ class GradedRing:
         # the order d1, d2, d3, i1, i2, i3 is reported.  V is summed once per unordered pair by
         # Kronecker substitution: each flattened row e_m.z of the (d1 + d2, d3) table is one int
         # of w-byte fields, so V_z(x, y) over all z is one multiply-add per entry of x.y and one
-        # to_bytes.  Each field is biased by 2^(8w - 1) > max |x.y| times the largest absolute
-        # column sum >= |V|, so two fields have equal bytes exactly when their values are equal.
+        # to_bytes.  Each field is biased by 2^(8w - 1) > |V|: over every pair and the rows it is
+        # packed with, max |x.y| at the nonzero rows times the rows' largest absolute column sum
+        # bounds |V|, so two fields have equal bytes exactly when their values are equal.
         # _build_table refused every unit row but e_i, so (1.y).z = y.z = 1.(y.z): degrees start at 1.
         # With ``base``, whose classes come first in each degree (pulled back by f), _build_table
         # built f*a.f*b = pad(a.b) on basis pairs; by linearity (f*a.f*b).f*c = pad((a.b).c) and
@@ -183,31 +184,42 @@ class GradedRing:
         top, table = self.top_degree, self._products
         old = [0 if base is None else base.rank(d) for d in range(top + 1)]  # pulled-back classes
         blocks = [d for d in product(range(1, top), repeat=3) if d[0] <= d[1] and sum(d) <= top]  # d1 <= d2
-        bound = 0  # max |entry of x.y| over the pairs summed, times the largest absolute column sum
+        plans = {}  # (d1, d2, d3): (z0, the rows e_m.z over z >= z0, flattened, its pairs (i1, i2 range))
+        bound = 0  # per plan, max |x.y| at a nonzero row over its pairs, times its largest column sum
         for d1, d2, d3 in blocks:
-            pairs = chain.from_iterable(r[i1 * (d1 == d2) :] for i1, r in enumerate(table[d1, d2]))
-            xy = list(chain.from_iterable(pairs)) or [0]
-            columns = zip(*(map(abs, chain.from_iterable(r)) for r in table[d1 + d2, d3]))
-            bound = max(bound, max(max(xy), -min(xy)) * max(map(sum, columns), default=0))
+            xy_table, by_pack = table[d1, d2], ([], [])  # pairs packed with every z, with the exceptional z
+            for i1 in range(self.rank(d1)):
+                start = i1 if d1 == d2 else 0
+                cut = max(start, old[d2]) if i1 < old[d1] else start  # pulled-back pairs: start <= i2 < cut
+                by_pack[0].append((i1, range(cut, self.rank(d2))))
+                by_pack[1].append((i1, range(start, cut)))
+            plans[d1, d2, d3] = plan = []
+            for z0, pairs in zip((0, old[d3]), by_pack):
+                if any(i2s for _, i2s in pairs):
+                    flat = [tuple(chain.from_iterable(r[z0:])) for r in table[d1 + d2, d3]]
+                    xys = chain.from_iterable(xy_table[i1][i2s.start : i2s.stop] for i1, i2s in pairs)
+                    xy = list(compress(chain.from_iterable(xys), cycle([any(row) for row in flat]))) or [0]
+                    column = max(map(sum, zip(*(map(abs, row) for row in flat))), default=0)
+                    bound = max(bound, max(max(xy), -min(xy)) * column)
+                    plan.append((z0, flat, pairs))
         w = (bound.bit_length() + 8) // 8  # bytes per field: 2^(8w - 1) > bound
         values = {}  # (d1, d2, d3): [i1][i2][i3] = V_z(x, y), the bytes of its biased fields
-        for d1, d2, d3 in blocks:
-            size = w * self.rank(d1 + d2 + d3)  # bytes per vector
-            packs = []  # for every z, then for the exceptional z: padding, packed rows, bias, slices
-            for z0 in (0, old[d3]):
+        for (d1, d2, d3), plan in plans.items():
+            size, xy_table = w * self.rank(d1 + d2 + d3), table[d1, d2]  # bytes per vector
+            rows = [[None] * self.rank(d2) for _ in range(self.rank(d1))]
+            for z0, flat, pairs in plan:
+                none = (None,) * z0  # a pulled-back pair reads None at every z < z0
                 slices = [slice(size * z, size * z + size) for z in range(self.rank(d3) - z0)]
                 shifts = range(0, 8 * size * len(slices), 8 * w)
-                packed = [sum(map(lshift, chain.from_iterable(r[z0:]), shifts)) for r in table[d1 + d2, d3]]
-                bias = int.from_bytes((bytes(w - 1) + b"\x80") * len(shifts), "little")
-                packs.append(((None,) * z0, packed, bias, slices))
-            rows = [[None] * self.rank(d2) for _ in range(self.rank(d1))]
-            for i1, xys in enumerate(table[d1, d2]):
-                for i2 in range(i1 if d1 == d2 else 0, self.rank(d2)):
-                    none, packed, bias, slices = packs[i1 < old[d1] and i2 < old[d2]]
-                    data = sum(map(mul, xys[i2], packed), bias).to_bytes(size * len(slices), "little")
-                    rows[i1][i2] = none + tuple(map(data.__getitem__, slices))
-                    if d1 == d2:
-                        rows[i2][i1] = rows[i1][i2]
+                packed = [sum(map(lshift, row, shifts)) for row in flat]
+                biased = (bytes(w - 1) + b"\x80") * len(shifts)  # every field 2^(8w - 1)
+                bias = int.from_bytes(biased, "little")
+                for i1, i2s in pairs:
+                    for i2 in i2s:
+                        data = sum(map(mul, xy_table[i1][i2], packed), bias).to_bytes(len(biased), "little")
+                        rows[i1][i2] = none + tuple(map(data.__getitem__, slices))
+                        if d1 == d2:
+                            rows[i2][i1] = rows[i1][i2]
             values[d1, d2, d3] = tuple(map(tuple, rows))
             values[d2, d1, d3] = tuple(zip(*rows)) or ((),) * self.rank(d2)
         failures = []

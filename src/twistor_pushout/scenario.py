@@ -8,7 +8,7 @@ decodes the CLI's ``--member`` and ``--decorate`` files; it reads every input.
 
 Decoding is strict: an integer is a JSON integer (not a float, string or ``true``), a flag
 a boolean, a label, id or name a string, and a vector has its declared length; a valid
-integer list or ``mult`` key set is read in one pass.  A refusal names the JSON path:
+integer list or ``mult`` entry is read in one pass.  A refusal names the JSON path:
 ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
 Decoding loads only what the document holds: ``pushout`` for the branches, and
@@ -37,7 +37,7 @@ if TYPE_CHECKING:
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
-# 0.28 s and equalizer about 0.26 s on a shared 2-vCPU host (README.md, same figures).
+# 0.19 s and equalizer about 0.17 s on a shared 2-vCPU host (README.md, same figures).
 MAX_DOCUMENT_RANK = 40
 
 
@@ -128,11 +128,16 @@ def ring_from_dict(doc) -> GradedRing:
                 f"at most {MAX_DOCUMENT_RANK} is accepted"
             )
         basis.append([label.read(str) for label in labels])
-    products = {}
-    for entry in doc.get("mult", []).items():
-        key = tuple(map(entry.read(dict).get, ("d1", "i1", "d2", "i2")))
-        if set(map(type, key)) != {int}:  # a missing key reads None; refused with its path below
-            key = tuple(entry[k].read(int) for k in ("d1", "i1", "d2", "i2"))
+    products, keys, mult = {}, ("d1", "i1", "d2", "i2"), doc.get("mult", [])
+    for n, raw in enumerate(mult.read(list)):
+        key = tuple(map(raw.get, keys)) if type(raw) is dict else ()
+        d = key[0] + key[2] if set(map(type, key)) == {int} else -1  # a missing key reads None
+        out = raw.get("out") if 0 <= d <= top and key not in products else None
+        if type(out) is list and len(out) == len(basis[d]) and set(map(type, out)) <= {int}:
+            products[key] = out  # a plainly valid entry, read in one pass; any other is read below
+            continue
+        entry = _Json(raw, f"{mult.path}[{n}]")
+        key = tuple(entry[k].read(int) for k in keys)
         if key in products:
             raise ValueError(f"{entry.path} repeats the product {key}")
         d = key[0] + key[2]  # above the top degree, GradedRing checks that the product is zero

@@ -122,6 +122,11 @@ def with_product(d1, i1, d2, i2, out):
     return doc
 
 
+R11 = _load("tests/data/synthetic_r11.json")
+R11_LAST = len(R11["branch2"]["mult"]) - 1  # faults there are met after every other entry is read
+R11_ARGV = ["--scenario", "{}", "equalizer"]
+
+
 # case -> (document, argv running it at {}, the error after "error: <file>: ")
 NAMED = {
     "bundle-without-c1": (
@@ -247,6 +252,26 @@ NAMED = {
         ),
         SCENARIO_ARGV,
         "branch1.mult[1] repeats the product (1, 0, 1, 0)",
+    ),
+    "deep-mult-output-bool": (
+        mutated(R11, ("branch2", "mult", R11_LAST, "out", 0), True),
+        R11_ARGV,
+        "branch2.mult[154].out[0] must be an integer, got true",
+    ),
+    "deep-mult-index-float": (
+        mutated(R11, ("branch2", "mult", R11_LAST, "i2"), 9.5),
+        R11_ARGV,
+        "branch2.mult[154].i2 must be an integer, got 9.5",
+    ),
+    "deep-mult-output-too-short": (
+        mutated(R11, ("branch2", "mult", R11_LAST, "out"), []),
+        R11_ARGV,
+        "branch2.mult[154].out must be a list of length 1, got []",
+    ),
+    "deep-mult-entry-repeated": (
+        mutated(R11, ("branch2", "mult", R11_LAST), {**R11["branch2"]["mult"][0], "out": [0] * 10}),
+        R11_ARGV,
+        "branch2.mult[154] repeats the product (1, 0, 1, 0)",
     ),
     "decoration-without-theta": (
         mutated(DECORATION, ("theta",), DELETE),

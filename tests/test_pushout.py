@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistor_pushout import intlin
 from twistor_pushout.intlin import hermite_row_basis
 from twistor_pushout.pushout import (
     BlownUpChow,
@@ -492,6 +493,18 @@ def test_derived_closure_verdict_agrees_with_forming_every_product(name, kind, d
     equalizer = EqualizerRing(geometry, tuple(tuple(b) for b in lattices))
     assert equalizer._closure_is_derived() == (kind in ("none", "remix"))
     assert _verdict(equalizer.check_product_closure) == _verdict(equalizer._check_each_product)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_SCENARIOS))
+def test_equalizer_kernels_are_read_off_the_column_sweep(name, monkeypatch):
+    geometry = load_scenario(str(DERIVED_SCENARIOS[name])).geometry
+
+    def refuse(rows):
+        raise AssertionError("the kernel went through the Hermite reduction")
+
+    monkeypatch.setattr(intlin, "hermite_row_basis", refuse)
+    # every pivot 1: the sweep's rows, certified without a Hermite form either
+    assert geometry.equalizer()._closure_is_derived()
 
 
 def _projection_formula_reference(blown):

@@ -10,6 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC = str(ROOT / "tests" / "data" / "synthetic_r7.json")
 P3_P3 = str(ROOT / "scenarios" / "p3_p3.json")
+FLAG_FLAG = str(ROOT / "scenarios" / "flag_flag.json")
 
 # runs one command through cli.run and prints its exit code and the package modules loaded
 CHILD = """
@@ -25,6 +26,14 @@ import sys
 from twistor_pushout.cli import run
 code, _ = run(sys.argv[1:])
 print(code, *sorted({"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(sys.modules)))
+"""
+
+# runs one command through cli.run and prints its exit code and the rational-arithmetic modules loaded
+RATIONAL_CHILD = """
+import sys
+from twistor_pushout.cli import run
+code, _ = run(sys.argv[1:])
+print(code, *sorted({"fractions", "decimal"} & set(sys.modules)))
 """
 
 
@@ -64,6 +73,15 @@ def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
     got, *loaded = _fresh("-c", CHILD, *argv).split()
     assert int(got) == code
     assert not {"rings", "intlin"} & set(loaded), loaded
+
+
+@pytest.mark.parametrize("scenario", [SYNTHETIC, FLAG_FLAG], ids=["synthetic_r7", "flag_flag"])
+@pytest.mark.parametrize("command", ["equalizer", "ring-show"])
+def test_ring_commands_stay_integer_only(scenario, command):
+    # kernels, certificates and ring documents are read without rational arithmetic
+    got, *loaded = _fresh("-c", RATIONAL_CHILD, "--scenario", scenario, command).split()
+    assert int(got) == 0
+    assert not loaded, loaded
 
 
 def test_star_import_binds_every_public_name():
