@@ -13,7 +13,6 @@ from __future__ import annotations
 from ._value import Value
 from .pushout import ComponentPair, PushoutPair
 from .quadric import line_bundle_cohomology
-from .rings import RingElement
 
 Monomial = tuple[int, ...]
 Polynomial = dict[Monomial, int]  # exponent vector -> integer coefficient
@@ -183,16 +182,3 @@ def ward_gluing_space_dim(rank: int) -> int:
         raise ValueError("rank must be at least 1")
     return rank * rank * line_bundle_cohomology(0, 0)[0]
 
-
-def hs_chern(
-    line_bundle_c1: RingElement, curve_class: RingElement
-) -> tuple[RingElement, RingElement]:
-    """Chern classes of a rank-2 extension built from a curve and a line bundle:
-    c1 is the line bundle's class, c2 is the curve's class."""
-    if line_bundle_c1.homogeneous_degree() not in (1, None):
-        raise ValueError("line bundle class must have codimension 1")
-    if curve_class.homogeneous_degree() not in (2, None):
-        raise ValueError("curve class must have codimension 2")
-    if line_bundle_c1.ring != curve_class.ring:
-        raise ValueError("both classes must live on one branch")
-    return line_bundle_c1, curve_class

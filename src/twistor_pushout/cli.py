@@ -119,17 +119,6 @@ def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
     report.results["name"] = ring.name
     report.results["ranks"] = [ring.rank(d) for d in range(ring.top_degree + 1)]
     report.results["basis"] = [list(labels) for labels in ring.basis_labels]
-    if blown is None:
-        b = ring.basis_element(1, 0)
-        w = ring.basis_element(1, 1)
-        report.results["products"] = [
-            f"b . b = {b * b}",
-            f"b . w = {b * w}",
-            f"w . w = {w * w}",
-        ]
-        report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
-        report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
-        return
     table, labels = [], ring.basis_labels
     for d1 in range(1, ring.top_degree + 1):
         for i1 in range(ring.rank(d1)):
@@ -139,6 +128,12 @@ def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
                     product = format_vector(labels[d1 + d2], xy)
                     table.append(f"{labels[d1][i1]} . {labels[d2][i2]} = {product}")
     report.results["products"] = table
+    if blown is None:
+        b = ring.basis_element(1, 0)
+        w = ring.basis_element(1, 1)
+        report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
+        report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
+        return
 
     # blow_up refuses (exit 2) a ring failing this or the projection formula below
     report.check("pushforward of (b + w) equals the pulled-back line class", True)
@@ -160,7 +155,7 @@ def cmd_equalizer(scenario: Scenario, args, report: Report) -> None:
 
     geometry = scenario.geometry
     member = None
-    if args.member:
+    if args.member is not None:
         member = read_json(args.member, lambda doc: member_from_dict(geometry, doc))
     equalizer = geometry.equalizer()
     report.results["ranks"] = list(equalizer.ranks())
@@ -271,7 +266,7 @@ def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
 
 def cmd_charge(scenario: Scenario, args, report: Report) -> None:
     if not scenario.bundles or scenario.polarization is None:
-        where = f"{args.scenario}: " if args.scenario else ""
+        where = "" if args.scenario is None else f"{args.scenario}: "
         raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")
     from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
 
@@ -332,7 +327,7 @@ def cmd_neck(scenario: Scenario, args, report: Report) -> None:
     from .quadric import Bidegree
 
     decoration = scenario.decoration
-    if args.decorate:
+    if args.decorate is not None:
         decoration = read_json(args.decorate, decoration_from_dict)
     bundle = kn_fixed_phase_bundle()
     fibre = restrict_to_ruling_fibre_bundle(bundle)
@@ -541,11 +536,18 @@ def run(argv: list[str]) -> tuple[int, str]:
         for value in [given] if isinstance(given, int) else given or ():
             if not low <= value <= high:
                 return 2, f"error: --{flag} must lie in {low}..{high}, got {preview(str(value))}"
+    for flag in ("scenario", "scenario_path", "member", "decorate"):  # "" names no file
+        if getattr(args, flag, None) == "":
+            name = "the scenario path" if flag == "scenario_path" else f"--{flag}"
+            return 2, f"error: {name} must name a file, got ''"
+    if args.scenario is not None and args.scenario_path is not None:
+        given = f"--scenario {preview(repr(args.scenario))} and {preview(repr(args.scenario_path))}"
+        return 2, f"error: the scenario is given twice, as {given}; give one path"
     shared = ("command", "json", "scenario", "scenario_path")  # every other key is the command's own flag
     report = Report(args.command, {key: value for key, value in vars(args).items() if key not in shared})
-    args.scenario = args.scenario or args.scenario_path
+    args.scenario = args.scenario_path if args.scenario is None else args.scenario
     try:
-        scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
+        scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
         _HANDLERS[args.command](scenario, args, report)
         output = report.to_json() if args.json else report.to_text()
     except (ValueError, OSError) as exc:

@@ -29,10 +29,6 @@ class CircleBundleClass(Value):
 
     c1_class: QuadricClass
 
-    @classmethod
-    def over_quadric(cls, c1: QuadricClass) -> "CircleBundleClass":
-        return cls(c1)
-
 
 class RestrictedBundle(Value):
     """A restriction to a curve, by its integer first Chern class; ``curve=None`` is a ruling fibre."""
@@ -86,19 +82,15 @@ def lens_space_of(c1: int) -> str:
     return f"L({n},1)"
 
 
-def antidiagonal_quotient_over_fibre(
-    character: tuple[int, int] = (1, 1),
-    chern_vector: tuple[int, int] | None = None,
-) -> str:
+def antidiagonal_quotient_over_fibre(character: tuple[int, int] = (1, 1)) -> str:
     """Quotient of the fibrewise torus bundle (fixed-phase circle x Hopf) by a character.
 
     The default anti-diagonal character on the Chern vector (1, 1) gives class
     2, hence the three-manifold RP3; the diagonal character gives 0, hence
     S2 x S1.
     """
-    if chern_vector is None:
-        kn_on_fibre = restrict_to_ruling_fibre_bundle(kn_fixed_phase_bundle())
-        chern_vector = (kn_on_fibre.c1_int, 1)  # second factor: the Hopf bundle
+    kn_on_fibre = restrict_to_ruling_fibre_bundle(kn_fixed_phase_bundle())
+    chern_vector = (kn_on_fibre.c1_int, 1)  # second factor: the Hopf bundle
     return lens_space_of(character_quotient(chern_vector, character))
 
 

@@ -139,11 +139,6 @@ def ruling_swap_pushforward(x: QuadricClass) -> QuadricClass:
     return QuadricClass(_SWAP.apply(x.element))
 
 
-def ruling_swap_pullback(x: QuadricClass) -> QuadricClass:
-    """Inverse of :func:`ruling_swap_pushforward`; the swap is an involution."""
-    return ruling_swap_pushforward(x)
-
-
 def intersection_number(x: QuadricClass, y: QuadricClass) -> int:
     """Coefficient of [pt] in the product of two degree-1 classes."""
     for cls in (x, y):
@@ -159,20 +154,6 @@ def arithmetic_genus(divisor: Bidegree) -> int:
 
 def canonical_class() -> QuadricClass:
     return QuadricClass.from_bw(-2, -2)
-
-
-def restrict_to_ruling_fibre(divisor: Bidegree, ruling: str) -> int:
-    """Degree of O(m, n) on a fibre of the selected ruling.
-
-    ``"g"`` selects fibres of the projection to the blown-up line (class b,
-    where the restriction has degree n); ``"other"`` selects the opposite
-    ruling (degree m).
-    """
-    if ruling == "g":
-        return divisor.n
-    if ruling == "other":
-        return divisor.m
-    raise ValueError(f"unknown ruling selector {ruling!r}")
 
 
 def line_bundle_cohomology(a: int, b: int) -> tuple[int, int, int]:

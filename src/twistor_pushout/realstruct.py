@@ -145,16 +145,6 @@ _PENCIL_1 = section(1, 0, 0, 1)
 _PENCIL_2 = section(0, 1, -1, 0)
 
 
-def pencil_section_1() -> Section11:
-    """z0w0 + z1w1, the first generator of the invariant pencil."""
-    return _PENCIL_1
-
-
-def pencil_section_2() -> Section11:
-    """z0w1 - z1w0, the second generator of the invariant pencil."""
-    return _PENCIL_2
-
-
 def evaluate_section(s: Section11, p: QuadricPoint) -> GaussianScalar:
     """Bilinear evaluation in the chosen affine representatives; vanishing is
     well defined projectively."""

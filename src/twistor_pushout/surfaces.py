@@ -11,13 +11,7 @@ the degrees are allowed to be.
 from __future__ import annotations
 
 from ._value import Value
-from .quadric import (
-    Bidegree,
-    QuadricClass,
-    class_b,
-    intersection_number,
-    ruling_swap_pushforward,
-)
+from .quadric import Bidegree, QuadricClass, ruling_swap_pushforward
 
 
 class SurfaceData(Value):
@@ -75,9 +69,3 @@ def classify_all(d_max: int) -> list[Configuration]:
         if swapped == trace
     ]
 
-
-def section_degree_over_ruling(surface: SurfaceData) -> int:
-    """Degree of the swapped trace over the second branch's contraction: d - 1."""
-    if not surface.contains_line:
-        raise ValueError("only surfaces containing the line trace out sections")
-    return intersection_number(ruling_swap_pushforward(trace_class(surface)), class_b())

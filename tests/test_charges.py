@@ -10,7 +10,6 @@ from twistor_pushout.charges import (
     branch_charge_degrees,
     formal_triviality_obstructions,
     glued_c2_cycle,
-    hs_chern,
     obstruction_dim,
     polarized_charge,
     practical_lift,
@@ -290,13 +289,3 @@ def test_ward_gluing_space_dim():
     assert ward_gluing_space_dim(1) == 1
     for r in range(1, 6):
         assert ward_gluing_space_dim(r) == r * r * line_bundle_cohomology(0, 0)[0]
-
-
-def test_hs_chern(geometry):
-    ring = geometry.branch1.ring
-    c1, c2 = hs_chern(ring.zero(), ring.basis_element(2, 1))
-    assert c1.is_zero() and c2 == ring.basis_element(2, 1)
-    c1, c2 = hs_chern(geometry.branch1.exceptional_class(), ring.basis_element(2, 0))
-    assert c1 == geometry.branch1.exceptional_class()
-    with pytest.raises(ValueError):
-        hs_chern(ring.basis_element(2, 0), ring.basis_element(2, 0))

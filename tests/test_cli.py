@@ -310,16 +310,23 @@ def test_closed_stdout_ends_with_the_verdict_and_no_traceback():
     assert b"Traceback" not in stderr, stderr.decode()
 
 
-def test_a_product_closure_failure_is_reported_and_exits_1(monkeypatch):
+def without_first_degree_2_pair(closure):
+    """``closure`` run on the lattices less their first degree-2 pair, which products of
+    degree-1 pairs then leave."""
     from twistor_pushout.pushout import EqualizerRing
 
-    closure = EqualizerRing.check_product_closure
-
-    def without_first_degree_2_pair(self):  # the products of degree-1 pairs then leave the lattice
+    def check(self):
         lattices = (*self.lattices[:2], self.lattices[2][1:], *self.lattices[3:])
         closure(EqualizerRing(self.geometry, lattices))
 
-    monkeypatch.setattr(EqualizerRing, "check_product_closure", without_first_degree_2_pair)
+    return check
+
+
+def test_a_product_closure_failure_is_reported_and_exits_1(monkeypatch):
+    from twistor_pushout.pushout import EqualizerRing
+
+    closure = without_first_degree_2_pair(EqualizerRing.check_product_closure)
+    monkeypatch.setattr(EqualizerRing, "check_product_closure", closure)
     name = "lattice closed under componentwise product"
     detail = "product of lattice pairs leaves the lattice in degree 2"
     code, out = run(["--json", "equalizer"])
@@ -354,3 +361,216 @@ def test_a_certified_equalizer_forms_no_product(golden, argv, monkeypatch):
     code, out = run(["--json", "--scenario", *argv])
     assert code == 0
     assert (out + "\n").encode() == (root / "tests" / "golden" / f"{golden}.json").read_bytes()
+
+
+# -- every reported identity can fail -------------------------------------------------
+
+
+def _plus_one(f):
+    return lambda *args, **kwargs: f(*args, **kwargs) + 1
+
+
+def _quadric_w(replacement):
+    """``GradedRing.basis_element`` with the quadric's w replaced by ``replacement(b, w)``."""
+
+    def falsify(f):
+        def basis_element(ring, degree, index):
+            if ring.name == "CH(P1xP1)" and (degree, index) == (1, 1):
+                return replacement(f(ring, 1, 0), f(ring, 1, 1))
+            return f(ring, degree, index)
+
+        return basis_element
+
+    return falsify
+
+
+def _decoration_at_the_conjugate_angle(f):
+    from twistor_pushout.neck import PhaseDecoration
+
+    return lambda ids, theta, etas: PhaseDecoration(theta.conjugate(), f(ids, theta, etas).points)
+
+
+def _outside_the_fixed_space(f):
+    from twistor_pushout.realstruct import section
+
+    return lambda *reals: f(*reals) + section(1, 0, 0, 0)  # (1, 0, 0, 0) is not invariant
+
+
+def _spot_check_on_a_section_vanishing_at_one_point(f):
+    from twistor_pushout.gaussian import GaussianScalar
+    from twistor_pushout.realstruct import section
+
+    one_point = section(1, GaussianScalar.i(), 0, 0)  # zero at the first base point only
+    return lambda *reals: one_point if reals == (2, -1, 3, 5) else f(*reals)
+
+
+def _turned_pencil(f):
+    """``pencil_value`` with its second entry turned by i, which conjugation does not commute with."""
+    from twistor_pushout.gaussian import GaussianScalar
+    from twistor_pushout.realstruct import BASEPOINT
+
+    def pencil_value(p):
+        value = f(p)
+        return value if value is BASEPOINT else (value[0], value[1] * GaussianScalar.i())
+
+    return pencil_value
+
+
+def _nowhere_vanishing_pencil(f):
+    from twistor_pushout.gaussian import GaussianScalar
+
+    return lambda p: (GaussianScalar.one(), GaussianScalar.one())
+
+
+P3_P3 = ["--scenario", str(SCENARIOS[0])]
+QUADRIC = ["ring-show", "--branch", "quadric"]
+REAL = ["real", "--samples", "5"]
+# identity name -> (argv, the patched function's owner, its name, falsify(original) -> patch);
+# the owner is a module of the package or a class in one
+FALSIFIERS = {
+    "exceptional divisor restricts to z = b - w": (
+        ["ring-show"],
+        "pushout.BlownUpChow",
+        "restrict_to_quadric",
+        lambda f: lambda blown, x: -f(blown, x),
+    ),
+    "exceptional self-intersection is 2 j.b - f.[line]": (
+        ["ring-show"], "pushout.BlownUpChow", "pushed_fibre_class", lambda f: lambda blown: 2 * f(blown)
+    ),
+    "the two rulings intersect in a point": (
+        QUADRIC, "rings.GradedRing", "basis_element", _quadric_w(lambda b, w: b)
+    ),
+    "each ruling squares to zero": (
+        QUADRIC, "rings.GradedRing", "basis_element", _quadric_w(lambda b, w: b + w)
+    ),
+    "lattice closed under componentwise product": (
+        ["equalizer"], "pushout.EqualizerRing", "check_product_closure", without_first_degree_2_pair
+    ),
+    "kernel lattice matches bounded brute-force enumeration": (
+        ["equalizer"], "pushout", "brute_force_matched_lattice", lambda f: lambda *args: f(*args)[1:]
+    ),
+    "([Q1], -[Q2]) is a matched member": (  # ([Q1], [Q2]) has matching defect 2z
+        ["equalizer"],
+        "pushout.PushoutPair",
+        "exceptional_pair",
+        lambda f: lambda geometry: geometry.pair(f(geometry).first, -f(geometry).second),
+    ),
+    "classification is the rigid three-case table": (
+        ["surfaces"], "surfaces", "classify_all", lambda f: lambda d_max: [*f(d_max), (3, "in", 3, "in")]
+    ),
+    "every trace meets a generic twistor line in its twistor degree": (
+        ["surfaces"], "quadric", "intersection_number", _plus_one
+    ),
+    "contained-line traces are rational": (["surfaces"], "quadric", "arithmetic_genus", _plus_one),
+    "glue check is symmetric": (
+        ["surfaces", "--pair", "1", "in", "1", "out"],
+        "surfaces",
+        "glue_check",
+        lambda f: lambda s1, s2: s1.contains_line,
+    ),
+    "matched polarization: totals agree with the polarized charge": (
+        [*P3_P3, "charge"], "charges", "polarized_charge", _plus_one
+    ),
+    "obstruction dimensions are additive for bundles trivial on the double locus": (
+        [*P3_P3, "charge"], "charges", "obstruction_dim", _plus_one
+    ),
+    "fibre restriction has magnitude one and oriented value +1": (
+        ["neck"], "neck", "raw_fibre_pairing", lambda f: lambda bundle: 2 * f(bundle)
+    ),
+    "anti-diagonal character gives the lens space of class 2": (  # (-1, 1) is the diagonal quotient
+        ["neck"],
+        "neck",
+        "antidiagonal_quotient_over_fibre",
+        lambda f: lambda character=(1, 1): f((-character[0], character[1])),
+    ),
+    "diagonal character gives the trivial bundle over the sphere": (
+        ["neck"], "neck", "character_quotient", _plus_one
+    ),
+    "decoration phase pairs satisfy rho1 * rho2 = theta": (
+        [*P3_P3, "neck"], "neck", "phase_decoration", _decoration_at_the_conjugate_angle
+    ),
+    "base locus consists of two points": (
+        REAL, "realstruct", "base_locus", lambda f: lambda: [*f(), f()[0]]
+    ),
+    "involution swaps the two base points": (
+        REAL, "realstruct", "base_locus", lambda f: lambda: [f()[0]] * 2
+    ),
+    "fixed-space basis sections are invariant": (
+        REAL, "realstruct", "invariant_section_from_reals", _outside_the_fixed_space
+    ),
+    "involution is fixed-point free on all samples": (
+        REAL, "realstruct", "is_fixed_point", lambda f: lambda p: True
+    ),
+    "pencil is equivariant: value at the image is the conjugate": (
+        REAL, "realstruct", "pencil_value", _turned_pencil
+    ),
+    "pencil vanishes exactly on the base locus": (
+        REAL, "realstruct", "pencil_value", _nowhere_vanishing_pencil
+    ),
+    "invariant sections have involution-stable zero sets (spot check)": (
+        REAL, "realstruct", "invariant_section_from_reals", _spot_check_on_a_section_vanishing_at_one_point
+    ),
+}
+# ring-show records these as held: blow_up refuses a ring failing either, so the run exits 2
+REFUSED_BY_BLOW_UP = {
+    "pushforward of (b + w) equals the pulled-back line class": (
+        "pushout.BlownUpChow",
+        "pulled_back_line",
+        lambda f: lambda blown: 2 * f(blown),
+        "error: pushforward of b + w must equal the pulled-back line class",
+    ),
+    "projection formula on all basis pairs": (  # its right side, x . j_*(g), off by one
+        "pushout",
+        "combination",
+        lambda f: lambda *args: tuple(c + 1 for c in f(*args)),
+        "error: projection formula fails on (1, 1)",
+    ),
+}
+UNFALSIFIABLE = {
+    "charge equals the sum of the branch degrees": (
+        "holds by definition: total is built as the sum of the branch degrees it is compared "
+        "with (ROADMAP item 2)"
+    ),
+}
+
+
+def _owner(dotted: str):
+    import importlib
+
+    module, _, cls = dotted.partition(".")
+    owner = importlib.import_module(f"twistor_pushout.{module}")
+    return getattr(owner, cls) if cls else owner
+
+
+def test_every_reported_identity_has_a_falsifier_or_a_reason():
+    names = {
+        entry["name"]
+        for golden in (Path(__file__).resolve().parent / "golden").glob("*-*.json")
+        if golden.read_text().startswith("{")
+        for entry in json.loads(golden.read_text())["identities"]
+    }
+    assert len(names) == 26
+    listed = [*FALSIFIERS, *REFUSED_BY_BLOW_UP, *UNFALSIFIABLE]
+    assert sorted(listed) == sorted(names | {"glue check is symmetric"})
+
+
+@pytest.mark.parametrize("name", sorted(FALSIFIERS))
+def test_a_falsified_identity_reads_fail_and_exits_1(name, monkeypatch):
+    argv, owner, attribute, falsify = FALSIFIERS[name]
+    owner = _owner(owner)
+    monkeypatch.setattr(owner, attribute, falsify(getattr(owner, attribute)))
+    code, out = run(argv)
+    assert code == 1 and f"  [FAIL] {name}" in out, out
+    code, out = run(["--json", *argv])
+    assert code == 1
+    identities = json.loads(out)["identities"]
+    assert [entry["passed"] for entry in identities if entry["name"] == name] == [False]
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_BY_BLOW_UP))
+def test_an_identity_ring_show_records_as_held_is_refused_by_blow_up(name, monkeypatch):
+    owner, attribute, falsify, error = REFUSED_BY_BLOW_UP[name]
+    owner = _owner(owner)
+    monkeypatch.setattr(owner, attribute, falsify(getattr(owner, attribute)))
+    for json_flag in ([], ["--json"]):
+        assert run([*json_flag, "ring-show"]) == (2, error)

@@ -315,6 +315,40 @@ def test_malformed_input_exits_2_naming_the_file(case, tmp_path):
     assert out == f"error: {target}: {message}"
 
 
+# an empty path names no file: argv -> the flag its refusal names
+EMPTY_PATHS = {
+    "scenario-option": (["--scenario", "", "ring-show"], "--scenario"),
+    "scenario-positional": (["ring-show", ""], "the scenario path"),
+    "member": (["equalizer", "--member", ""], "--member"),
+    "decorate": (["neck", "--decorate", ""], "--decorate"),
+}
+
+
+def _no_work():
+    raise AssertionError("a refused path reached the scenario build")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("case", sorted(EMPTY_PATHS))
+def test_an_empty_path_exits_2_naming_its_flag(case, json_flag, monkeypatch):
+    argv, flag = EMPTY_PATHS[case]
+    monkeypatch.setattr("twistor_pushout.cli.default_scenario", _no_work)
+    assert run([*json_flag, *argv]) == (2, f"error: {flag} must name a file, got ''")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_scenario_given_twice_exits_2_naming_both_paths(json_flag, monkeypatch):
+    monkeypatch.setattr("twistor_pushout.cli.load_scenario", _no_work)
+    second = "scenarios/" + "x" * 40 + ".json"  # each path echoes at most 40 characters
+    echo = [text if len(text) <= 40 else text[:36] + " ..." for text in (repr(str(P3_P3)), repr(second))]
+    code, out = run([*json_flag, "--scenario", str(P3_P3), "ring-show", second])
+    assert (code, out) == (
+        2,
+        f"error: the scenario is given twice, as --scenario {echo[0]} and {echo[1]}; give one path",
+    )
+    assert echo[1] == "'scenarios/" + "x" * 25 + " ..."
+
+
 def test_an_all_zero_product_above_the_top_degree_is_accepted(tmp_path):
     outputs = []
     for name, doc in (("plain", INLINE_P3), ("with-zero", with_product(2, 0, 2, 0, [0]))):

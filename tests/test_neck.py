@@ -42,9 +42,9 @@ def test_fibre_restriction_orientation():
     bundle = kn_fixed_phase_bundle()
     assert raw_fibre_pairing(bundle) == -1
     assert restrict_to_ruling_fibre_bundle(bundle).c1_int == 1
-    trivial = CircleBundleClass.over_quadric(QuadricClass.zero())
+    trivial = CircleBundleClass(QuadricClass.zero())
     assert restrict_to_ruling_fibre_bundle(trivial).c1_int == 0
-    doubled = CircleBundleClass.over_quadric(QuadricClass.from_bw(-2, -2))
+    doubled = CircleBundleClass(QuadricClass.from_bw(-2, -2))
     assert abs(restrict_to_ruling_fibre_bundle(doubled).c1_int) == 2
 
 
@@ -63,7 +63,7 @@ def test_curve_restriction_is_the_ring_pairing():
     for _ in range(50):
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
         a, b = rng.randint(-4, 4), rng.randint(-4, 4)
-        bundle = CircleBundleClass.over_quadric(QuadricClass.from_bw(m, n))
+        bundle = CircleBundleClass(QuadricClass.from_bw(m, n))
         expected = intersection_number(QuadricClass.from_bw(m, n), QuadricClass.from_bw(a, b))
         assert restrict_to_curve(bundle, Bidegree(a, b)).c1_int == expected
 
@@ -100,7 +100,7 @@ def test_lens_space_tags():
 def test_antidiagonal_quotient():
     assert antidiagonal_quotient_over_fibre() == "RP3"
     assert antidiagonal_quotient_over_fibre(character=(1, -1)) == "S2xS1"
-    assert antidiagonal_quotient_over_fibre(character=(2, 0), chern_vector=(1, 1)) == "RP3"
+    assert lens_space_of(character_quotient((1, 1), (2, 0))) == "RP3"
 
 
 def test_phase_solve_examples():

@@ -16,8 +16,6 @@ from twistor_pushout.quadric import (
     intersection_number,
     line_bundle_cohomology,
     quadric_ring,
-    restrict_to_ruling_fibre,
-    ruling_swap_pullback,
     ruling_swap_pushforward,
 )
 from twistor_pushout.rings import DegreeError
@@ -55,7 +53,7 @@ def test_ruling_swap_is_involutive_and_multiplicative():
     for _ in range(50):
         x = QuadricClass.from_bw(rng.randint(-4, 4), rng.randint(-4, 4))
         y = QuadricClass.from_bw(rng.randint(-4, 4), rng.randint(-4, 4))
-        assert ruling_swap_pullback(ruling_swap_pushforward(x)) == x
+        assert ruling_swap_pushforward(ruling_swap_pushforward(x)) == x
         assert ruling_swap_pushforward(x * y) == ruling_swap_pushforward(
             x
         ) * ruling_swap_pushforward(y)
@@ -100,29 +98,6 @@ def test_canonical_class_values():
     K = canonical_class()
     assert K.coeffs_bw() == (-2, -2)
     assert K * K == 8 * QuadricClass.point()
-
-
-def test_fibre_restriction():
-    assert restrict_to_ruling_fibre(Bidegree(1, 1), "g") == 1
-    assert restrict_to_ruling_fibre(Bidegree(0, 0), "g") == 0
-    assert restrict_to_ruling_fibre(Bidegree(0, 0), "other") == 0
-    assert restrict_to_ruling_fibre(Bidegree(-1, -1), "g") == -1
-    assert restrict_to_ruling_fibre(Bidegree(3, 1), "other") == 3
-    with pytest.raises(ValueError):
-        restrict_to_ruling_fibre(Bidegree(1, 1), "diagonal")
-
-
-def test_fibre_restriction_is_the_ring_pairing():
-    # oracle: degree on the g-fibre is the intersection number with b
-    for m in range(-3, 4):
-        for n in range(-3, 4):
-            D = QuadricClass.from_bw(m, n)
-            assert restrict_to_ruling_fibre(Bidegree(m, n), "g") == intersection_number(
-                D, class_b()
-            )
-            assert restrict_to_ruling_fibre(Bidegree(m, n), "other") == intersection_number(
-                D, class_w()
-            )
 
 
 def test_cohomology_basics():

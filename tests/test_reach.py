@@ -1,0 +1,91 @@
+"""Reach guard: no module-level function of the package is dead code.
+
+A function is reached when its name is used in ``src/`` outside its own body,
+when ``__init__._MODULES`` exports it, when ``bench/tracer.py`` names it (the
+tracer wraps functions by name), or when ``tests/test_acceptance.py`` calls it.
+Unit tests alone do not reach a function.  Names are matched as written, so a
+method of the same name counts as a use.  The check reads the sources with
+``ast`` and imports nothing; a function the interpreter calls (a dunder such as
+the package's PEP 562 ``__getattr__``) is not checked.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "twistor_pushout"
+
+# functions no command reaches yet, kept on purpose: name -> reason
+ALLOWED = {
+    "formal_triviality_obstructions": (
+        "ROADMAP item 2 makes it a `charge` identity: the formal-triviality obstructions "
+        "of the Ward data vanish"
+    ),
+    "ward_gluing_space_dim": (
+        "ROADMAP item 2 makes it a `charge` identity: the Ward gluing space has dimension rank^2"
+    ),
+}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every variable and attribute name used in ``tree``, outside the subtree ``skip``."""
+    skipped = {id(node) for node in ast.walk(skip)} if skip else set()
+    names = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _exported(init: ast.Module) -> set[str]:
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "_MODULES" for target in node.targets
+        ):
+            return {name for names in ast.literal_eval(node.value).values() for name in names}
+    raise AssertionError("__init__.py assigns no _MODULES table")
+
+
+def unreached_functions() -> list[str]:
+    """``module.function`` for each module-level function that nothing above reaches."""
+    trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {module: _names(tree) for module, tree in trees.items()}
+    tracer = _parse(ROOT / "bench" / "tracer.py")
+    strings = (node.value for node in ast.walk(tracer) if isinstance(node, ast.Constant))
+    traced = _names(tracer) | {value for value in strings if isinstance(value, str)}
+    acceptance = _parse(ROOT / "tests" / "test_acceptance.py")
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    reached_outside = _exported(trees["__init__"]) | traced | called
+    unreached = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                continue
+            in_src = node.name in _names(tree, skip=node) or any(
+                node.name in names for other, names in used.items() if other != module
+            )
+            if not (in_src or node.name in reached_outside):
+                unreached.append(f"{module}.{node.name}")
+    return unreached
+
+
+def test_every_module_level_function_is_reached():
+    unreached = unreached_functions()
+    dead = [name for name in unreached if name.split(".")[1] not in ALLOWED]
+    assert not dead, f"no command, export, tracer probe or acceptance test reaches {', '.join(dead)}"
+    # an allowed function that something now reaches leaves the list
+    assert sorted(name.split(".")[1] for name in unreached) == sorted(ALLOWED)

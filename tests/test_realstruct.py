@@ -9,6 +9,8 @@ import pytest
 from twistor_pushout.gaussian import GaussianScalar
 from twistor_pushout.realstruct import (
     BASEPOINT,
+    _PENCIL_1,
+    _PENCIL_2,
     QuadricPoint,
     Section11,
     base_locus,
@@ -17,8 +19,6 @@ from twistor_pushout.realstruct import (
     is_fixed_point,
     is_invariant_section,
     pairs_projectively_equal,
-    pencil_section_1,
-    pencil_section_2,
     pencil_value,
     point,
     real_structure,
@@ -125,8 +125,8 @@ def test_invariance_predicate():
 
 
 def test_fixed_space_embedding_examples():
-    assert invariant_section_from_reals(1, 0, 0, 0) == pencil_section_1()
-    assert invariant_section_from_reals(0, 0, 1, 0) == pencil_section_2()
+    assert invariant_section_from_reals(1, 0, 0, 0) == _PENCIL_1
+    assert invariant_section_from_reals(0, 0, 1, 0) == _PENCIL_2
     assert invariant_section_from_reals(0, 1, 0, 0) == Section11(I, GaussianScalar.zero(), GaussianScalar.zero(), -I)
     with pytest.raises(ValueError):
         invariant_section_from_reals(0, 0, 0, 0)
@@ -186,9 +186,9 @@ def _rational_rank(rows):
 
 def test_evaluation_examples():
     base_point = point(1, I, 1, I)
-    assert evaluate_section(pencil_section_1(), base_point).is_zero()
-    assert evaluate_section(pencil_section_2(), base_point).is_zero()
-    assert evaluate_section(pencil_section_1(), point(1, 0, 1, 0)) == ONE
+    assert evaluate_section(_PENCIL_1, base_point).is_zero()
+    assert evaluate_section(_PENCIL_2, base_point).is_zero()
+    assert evaluate_section(_PENCIL_1, point(1, 0, 1, 0)) == ONE
 
 
 def test_invariant_sections_have_stable_zero_sets():
@@ -231,8 +231,8 @@ def test_base_locus():
     locus = base_locus()
     assert len(locus) == 2
     for p in locus:
-        assert evaluate_section(pencil_section_1(), p).is_zero()
-        assert evaluate_section(pencil_section_2(), p).is_zero()
+        assert evaluate_section(_PENCIL_1, p).is_zero()
+        assert evaluate_section(_PENCIL_2, p).is_zero()
     assert real_structure(locus[0]).projectively_equal(locus[1])
     assert real_structure(locus[1]).projectively_equal(locus[0])
     assert not locus[0].projectively_equal(locus[1])

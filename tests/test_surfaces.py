@@ -12,7 +12,6 @@ from twistor_pushout.surfaces import (
     SurfaceData,
     classify_all,
     glue_check,
-    section_degree_over_ruling,
     trace_bidegree,
     trace_class,
 )
@@ -92,17 +91,3 @@ def test_glue_check_symmetry():
                     assert glue_check(SurfaceData(d1, f1), SurfaceData(d2, f2)) == glue_check(
                         SurfaceData(d2, f2), SurfaceData(d1, f1)
                     )
-
-
-def test_section_degree_over_ruling():
-    assert section_degree_over_ruling(SurfaceData(2, True)) == 1
-    assert section_degree_over_ruling(SurfaceData(1, True)) == 0
-    assert section_degree_over_ruling(SurfaceData(9, True)) == 8
-    with pytest.raises(ValueError):
-        section_degree_over_ruling(SurfaceData(2, False))
-
-
-def test_section_degree_formula_oracle():
-    # the swapped trace is (d-1)w + b; its pairing with b is d - 1
-    for d in range(1, 20):
-        assert section_degree_over_ruling(SurfaceData(d, True)) == d - 1
