@@ -7,9 +7,11 @@ integers) and lists the identities it verified.  The exit code is 1 exactly when
 one fails and 2 on bad input, including a result past the interpreter's
 4,300-digit limit for printing an integer, so logged runs double as certificates.
 
-Each ``cmd_*`` handler imports the modules it runs when it is called, and the
-default scenario builds its pair only when a handler reads it, so one process
-loads and builds only what its subcommand uses: ``real`` on the default
+Each ``cmd_*`` handler imports the modules it runs when it is called, and a
+scenario builds its pair only when a handler reads it, so one process loads and
+builds only what its subcommand uses.  ``ring-show``, ``equalizer`` and
+``charge`` read the pair, and so refuse a file whose pair is malformed;
+``real``, ``neck`` and ``surfaces`` never build it, and ``real`` on the default
 scenario loads neither ``pushout`` nor ``neck``.
 """
 
@@ -265,7 +267,8 @@ def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
 
 
 def cmd_charge(scenario: Scenario, args, report: Report) -> None:
-    if not scenario.bundles or scenario.polarization is None:
+    # the default scenario has no blocks; a file's come with its pair, which is read first
+    if args.scenario is None or not scenario.bundles or scenario.polarization is None:
         where = "" if args.scenario is None else f"{args.scenario}: "
         raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")
     from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
@@ -402,6 +405,7 @@ def cmd_real(scenario: Scenario, args, report: Report) -> None:
         for params in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     ]
     report.results["fixed_space_dimension"] = len(basis)
+    sample_section = invariant_section_from_reals(2, -1, 3, 5)
 
     report.check("base locus consists of two points", len(locus) == 2)
     report.check(
@@ -411,7 +415,7 @@ def cmd_real(scenario: Scenario, args, report: Report) -> None:
     )
     report.check(
         "fixed-space basis sections are invariant",
-        all(is_invariant_section(s) for s in basis),
+        all(is_invariant_section(s) for s in (*basis, sample_section)),
     )
 
     rng = random.Random(20240817)
@@ -443,7 +447,6 @@ def cmd_real(scenario: Scenario, args, report: Report) -> None:
         "pencil vanishes exactly on the base locus",
         all(pencil_value(p) is BASEPOINT for p in locus),
     )
-    sample_section = invariant_section_from_reals(2, -1, 3, 5)
     report.check(
         "invariant sections have involution-stable zero sets (spot check)",
         evaluate_section(sample_section, locus[0]).is_zero()

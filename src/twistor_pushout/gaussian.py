@@ -8,25 +8,29 @@ A part is an ``int`` whenever its denominator is 1 and a ``Fraction`` only
 when a division leaves a real denominator, so Gaussian-integer work (the
 ``real`` command's samples) never touches ``fractions`` arithmetic.  Equality
 and hashing do not see the difference: ``1 == Fraction(1)``, and the two hash
-alike.  The command line loads this module only where a Gaussian scalar is
-used: in ``real`` and ``neck``, and for a scenario with a decoration block.
+alike.  ``fractions`` is imported only where a ``Fraction`` is built or tested,
+so Gaussian-integer work does not load it.  The command line loads this module
+only where a Gaussian scalar is used: in ``real`` and ``neck``, and for a
+scenario with a decoration block.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._value import Value
 
 if TYPE_CHECKING:
+    from fractions import Fraction
     from random import Random
 
-RationalLike = Fraction | int | str
+    RationalLike = Fraction | int | str
 
 
 def _part(value: RationalLike) -> int | Fraction:
     """``value`` as an exact int when its denominator is 1, else as a Fraction."""
+    from fractions import Fraction
+
     value = value if isinstance(value, Fraction) else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -63,6 +67,8 @@ class GaussianScalar(Value):
     @classmethod
     def unit_from_triple(cls, m: int, n: int) -> "GaussianScalar":
         """The unit ((m^2 - n^2) + 2mn*i) / (m^2 + n^2) from a Pythagorean triple."""
+        from fractions import Fraction
+
         if m == 0 and n == 0:
             raise ValueError("m and n cannot both be zero")
         denom = m * m + n * n
@@ -94,6 +100,8 @@ class GaussianScalar(Value):
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
+        from fractions import Fraction
+
         if isinstance(other, (int, Fraction)):
             return GaussianScalar(self.re * other, self.im * other)
         return NotImplemented
@@ -101,6 +109,8 @@ class GaussianScalar(Value):
     __rmul__ = __mul__
 
     def __truediv__(self, other: "GaussianScalar") -> "GaussianScalar":
+        from fractions import Fraction
+
         norm = other.norm_sq()
         if norm == 0:
             raise ZeroDivisionError("division by zero Gaussian scalar")

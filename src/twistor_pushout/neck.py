@@ -18,10 +18,13 @@ moduli so every identity is checked with exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from ._value import Value
 from .gaussian import GaussianScalar
-from .quadric import Bidegree, QuadricClass, class_z
+
+if TYPE_CHECKING:  # the quadric is imported where it is used, so a decoration loads no ring module
+    from .quadric import Bidegree, QuadricClass
 
 
 class CircleBundleClass(Value):
@@ -40,6 +43,8 @@ class RestrictedBundle(Value):
 def kn_fixed_phase_bundle() -> CircleBundleClass:
     """The fixed-phase circle bundle over the quadric: the unit normal circle
     bundle of the first branch, with class z = b - w."""
+    from .quadric import class_z
+
     return CircleBundleClass(class_z())
 
 

@@ -129,14 +129,13 @@ def invariant_section_from_reals(a1, a2, b1, b2) -> Section11:
     """The invariant section [a1 + i a2 : b1 + i b2 : -b1 + i b2 : a1 - i a2].
 
     The four real parameters sweep out the whole fixed space, so the images of
-    the standard basis vectors give a rational basis of it.
+    the standard basis vectors give a rational basis of it.  Invariance is an
+    identity the ``real`` report checks, not an assertion here.
     """
     a, b = GaussianScalar.of(a1, a2), GaussianScalar.of(b1, b2)
     s = Section11(a, b, -b.conjugate(), a.conjugate())
     if s.is_zero():
         raise ValueError("the zero section is excluded")
-    if not is_invariant_section(s):
-        raise AssertionError("constructed section must be invariant")
     return s
 
 
@@ -168,17 +167,9 @@ def base_locus() -> list[QuadricPoint]:
     Vanishing of s2 forces z0*w1 = z1*w0; if z0 = 0 the equations collapse the
     second factor, so z0 can be normalized to 1, giving w1 = z1*w0 and then
     w0*(1 + z1^2) = 0 from s1.  Since w0 = 0 is impossible, z1^2 = -1, which
-    has the two Gaussian-rational solutions below.
+    has the two Gaussian-rational solutions below; the ``real`` report checks
+    that the pencil vanishes at both.
     """
     i = GaussianScalar.i()
     one = GaussianScalar.one()
-    solutions = []
-    for z1 in (i, -i):
-        candidate = QuadricPoint((one, z1), (one, z1))
-        if not (
-            evaluate_section(_PENCIL_1, candidate).is_zero()
-            and evaluate_section(_PENCIL_2, candidate).is_zero()
-        ):
-            raise AssertionError("solver produced a non-solution")
-        solutions.append(candidate)
-    return solutions
+    return [QuadricPoint((one, z1), (one, z1)) for z1 in (i, -i)]

@@ -11,9 +11,14 @@ a boolean, a label, id or name a string, and a vector has its declared length; a
 integer list or ``mult`` entry is read in one pass.  A refusal names the JSON path:
 ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
-Decoding loads only what the document holds: ``pushout`` for the branches, and
-``charges``, ``surfaces``, ``neck`` with ``gaussian`` only for bundle, surface and
-decoration blocks.  The default scenario builds its pair on first read.
+The pair unit of a document is ``branch1``, ``branch2`` and the ``bundles`` and
+``polarization`` blocks, whose vectors are read against the pair's ranks.  It is
+decoded and built on its first read, for a file as for the default scenario, so a
+command that never reads it never builds it; a file's refusal then still names the
+file.  The ``surfaces``, ``decoration`` and ``assumption_DEF`` blocks are decoded at
+load, so every command refuses a malformed one.  Decoding loads only what the
+document holds: ``pushout`` (and ``charges`` for bundles) when the pair is read,
+``surfaces`` for a surface block and ``neck`` with ``gaussian`` for a decoration.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ if TYPE_CHECKING:
     from .rings import GradedRing
     from .surfaces import SurfaceData
 
+    PairUnit = tuple[PushoutPair, tuple[GluedBundleData, ...], ComponentPair | None]
+
 # A document buys work at least cubic in its rank.  The synthetic benchmark
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
 # 0.19 s and equalizer about 0.17 s on a shared 2-vCPU host (README.md, same figures).
@@ -42,19 +49,25 @@ MAX_DOCUMENT_RANK = 40
 
 
 class Scenario(Value):
-    """A glued pair and its optional blocks; ``build`` makes the pair on the first
-    read of ``geometry``, so a command that never reads it never builds it."""
+    """A glued pair and its optional blocks.
 
-    build: Callable[[], PushoutPair]
-    bundles: tuple[GluedBundleData, ...] = ()
-    polarization: ComponentPair | None = None
+    ``build`` returns the pair unit ``(geometry, bundles, polarization)``.  It runs
+    once, on the first read of any of the three, so a command that reads none of them
+    never builds the pair.  The other blocks are fields, decoded with the scenario.
+    """
+
+    build: Callable[[], PairUnit]
     surfaces: tuple[SurfaceData, ...] = ()
     decoration: PhaseDecoration | None = None
     assumption_def: bool = False
 
     @cached_property
-    def geometry(self) -> PushoutPair:
+    def _unit(self) -> PairUnit:
         return self.build()
+
+    geometry = property(lambda self: self._unit[0])
+    bundles = property(lambda self: self._unit[1])
+    polarization = property(lambda self: self._unit[2])
 
 
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
@@ -211,24 +224,20 @@ def decoration_from_dict(doc) -> PhaseDecoration:
     )
 
 
-def _geometry(doc: _Json) -> PushoutPair:
+def _pair_unit(doc: _Json) -> PairUnit:
+    """The two blown-up branches, then the ``bundles`` and ``polarization`` read against them."""
     from .pushout import PushoutPair, blow_up, builtin_base
 
     bases = [
         builtin_base(b["builtin"].read(str)) if "builtin" in b else twistor_base_from_dict(b)
         for b in (doc["branch1"], doc["branch2"])
     ]
-    return PushoutPair(*map(blow_up, bases))
-
-
-def scenario_from_dict(doc) -> Scenario:
-    doc = _Json.of(doc)
-    geometry = _geometry(doc)
-    blocks = {}
+    geometry = PushoutPair(*map(blow_up, bases))
+    bundles = ()
     if "bundles" in doc:
         from .charges import GluedBundleData
 
-        blocks["bundles"] = tuple(
+        bundles = tuple(
             GluedBundleData(
                 geometry=geometry,
                 rank=block.get("rank", 2).read(int),
@@ -239,8 +248,15 @@ def scenario_from_dict(doc) -> Scenario:
             )
             for block in doc["bundles"].items()
         )
-    if "polarization" in doc:
-        blocks["polarization"] = _pair(geometry, doc["polarization"], 1)
+    polarization = _pair(geometry, doc["polarization"], 1) if "polarization" in doc else None
+    return geometry, bundles, polarization
+
+
+def scenario_from_dict(doc, path: str | Path | None = None) -> Scenario:
+    """A scenario document: its ``surfaces``, ``decoration`` and ``assumption_DEF`` are
+    decoded now, its pair unit on first read, where a refusal names ``path`` if given."""
+    doc = _Json.of(doc)
+    blocks = {}
     if "surfaces" in doc:
         from .surfaces import SurfaceData
 
@@ -250,15 +266,17 @@ def scenario_from_dict(doc) -> Scenario:
         )
     if "decoration" in doc:
         blocks["decoration"] = decoration_from_dict(doc["decoration"])
-    return Scenario(
-        lambda: geometry, assumption_def=doc.get("assumption_DEF", False).read(bool), **blocks
-    )
+
+    def build() -> PairUnit:
+        return _pair_unit(doc) if path is None else _naming(path, _pair_unit, doc)
+
+    return Scenario(build, assumption_def=doc.get("assumption_DEF", False).read(bool), **blocks)
 
 
-def read_json(path: str | Path, decode: Callable):
-    """Decode the JSON file at ``path``; a bad document raises a ``ValueError`` naming it."""
+def _naming(path: str | Path, decode: Callable, *args):
+    """``decode(*args)``; a bad document raises a ``ValueError`` naming ``path``."""
     try:
-        return decode(json.loads(Path(path).read_text(encoding="utf-8")))
+        return decode(*args)
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -267,8 +285,14 @@ def read_json(path: str | Path, decode: Callable):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def read_json(path: str | Path, decode: Callable):
+    """Decode the JSON file at ``path``; a bad document raises a ``ValueError`` naming it."""
+    return _naming(path, lambda: decode(json.loads(Path(path).read_text(encoding="utf-8"))))
+
+
 def load_scenario(path: str | Path) -> Scenario:
-    return read_json(path, scenario_from_dict)
+    """The scenario file at ``path``; its pair is built, or refused naming ``path``, on first read."""
+    return read_json(path, lambda doc: scenario_from_dict(doc, path))
 
 
 _DEFAULT = {"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}}
@@ -276,4 +300,4 @@ _DEFAULT = {"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}}
 
 def default_scenario() -> Scenario:
     """The built-in p3/p3 pair with no blocks; the pair is built on first read."""
-    return Scenario(lambda: _geometry(_Json(_DEFAULT)))
+    return scenario_from_dict(_DEFAULT)

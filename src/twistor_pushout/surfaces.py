@@ -10,8 +10,12 @@ the degrees are allowed to be.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from ._value import Value
-from .quadric import Bidegree, QuadricClass, ruling_swap_pushforward
+
+if TYPE_CHECKING:  # the functions import the quadric, so a surface block loads no ring module
+    from .quadric import Bidegree, QuadricClass
 
 
 class SurfaceData(Value):
@@ -28,6 +32,8 @@ class SurfaceData(Value):
 
 def trace_class(surface: SurfaceData) -> QuadricClass:
     """Class of the strict transform's intersection with the exceptional quadric."""
+    from .quadric import QuadricClass
+
     d = surface.twistor_degree
     if surface.contains_line:
         return QuadricClass.from_bw(d - 1, 1)
@@ -35,12 +41,16 @@ def trace_class(surface: SurfaceData) -> QuadricClass:
 
 
 def trace_bidegree(surface: SurfaceData) -> Bidegree:
+    from .quadric import Bidegree
+
     b, w = trace_class(surface).coeffs_bw()
     return Bidegree(b, w)
 
 
 def glue_check(s1: SurfaceData, s2: SurfaceData) -> bool:
     """True iff the two traces agree after the ruling-swap identification."""
+    from .quadric import ruling_swap_pushforward
+
     return ruling_swap_pushforward(trace_class(s1)) == trace_class(s2)
 
 
@@ -54,6 +64,8 @@ def classify_all(d_max: int) -> list[Configuration]:
     when the swapped first trace has the coefficients of the second, as in
     :func:`glue_check`.  Pairs come in (d1, flag1, d2, flag2) order.
     """
+    from .quadric import ruling_swap_pushforward
+
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
     rows = []

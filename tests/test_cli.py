@@ -567,6 +567,25 @@ def test_a_falsified_identity_reads_fail_and_exits_1(name, monkeypatch):
     assert [entry["passed"] for entry in identities if entry["name"] == name] == [False]
 
 
+def test_a_section_failing_invariance_is_reported_not_raised(monkeypatch):
+    from twistor_pushout import realstruct
+
+    invariant = realstruct.is_invariant_section
+    monkeypatch.setattr(realstruct, "is_invariant_section", lambda s: not invariant(s))
+    code, out = run(["real", "--samples", "3"])
+    assert code == 1 and "  [FAIL] fixed-space basis sections are invariant" in out.splitlines(), out
+
+
+def test_a_perturbed_section_evaluation_is_reported_not_raised(monkeypatch):
+    from twistor_pushout import realstruct
+    from twistor_pushout.gaussian import GaussianScalar
+
+    evaluate = realstruct.evaluate_section
+    monkeypatch.setattr(realstruct, "evaluate_section", lambda s, p: evaluate(s, p) + GaussianScalar.one())
+    code, out = run(["real", "--samples", "3"])
+    assert code == 1 and "  [FAIL] pencil vanishes exactly on the base locus" in out.splitlines(), out
+
+
 @pytest.mark.parametrize("name", sorted(REFUSED_BY_BLOW_UP))
 def test_an_identity_ring_show_records_as_held_is_refused_by_blow_up(name, monkeypatch):
     owner, attribute, falsify, error = REFUSED_BY_BLOW_UP[name]

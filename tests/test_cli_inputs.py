@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from twistor_pushout import scenario
 from twistor_pushout.cli import run
-from twistor_pushout.pushout import projective_space_base
+from twistor_pushout.pushout import flag_threefold_base, projective_space_base
 
 ROOT = Path(__file__).resolve().parent.parent
 P3_P3 = ROOT / "scenarios" / "p3_p3.json"
@@ -120,6 +120,18 @@ def with_product(d1, i1, d2, i2, out):
     doc = copy.deepcopy(INLINE_P3)
     doc["branch1"]["mult"].append({"d1": d1, "i1": i1, "d2": d2, "i2": i2, "out": out})
     return doc
+
+
+def _non_associative_flag() -> dict:
+    """The flag threefold's ring document with x.y2 doubled, so (x.y).y != x.(y.y)."""
+    doc = flag_threefold_base().to_json_dict()
+    (entry,) = [e for e in doc["mult"] if (e["d1"], e["i1"], e["d2"], e["i2"]) == (1, 0, 2, 1)]
+    entry["out"] = [2 * entry["out"][0]]
+    return doc
+
+
+# p3_p3.json with a malformed pair: only the commands that read the pair refuse it
+MALFORMED_PAIR = {**_load("scenarios/p3_p3.json"), "branch1": _non_associative_flag()}
 
 
 R11 = _load("tests/data/synthetic_r11.json")
@@ -273,6 +285,12 @@ NAMED = {
         R11_ARGV,
         "branch2.mult[154] repeats the product (1, 0, 1, 0)",
     ),
+    **{
+        f"non-associative-pair-{command}": (
+            MALFORMED_PAIR, ["--scenario", "{}", command], "associativity fails on (x, y, y)"
+        )
+        for command in ("ring-show", "equalizer", "charge")
+    },
     "decoration-without-theta": (
         mutated(DECORATION, ("theta",), DELETE),
         ["neck", "--decorate", "{}"],
@@ -347,6 +365,16 @@ def test_a_scenario_given_twice_exits_2_naming_both_paths(json_flag, monkeypatch
         f"error: the scenario is given twice, as --scenario {echo[0]} and {echo[1]}; give one path",
     )
     assert echo[1] == "'scenarios/" + "x" * 25 + " ..."
+
+
+@pytest.mark.parametrize(
+    "argv", [["real", "--samples", "3"], ["neck"], ["surfaces"]], ids=["real", "neck", "surfaces"]
+)
+def test_a_command_that_never_reads_the_pair_ignores_its_faults(argv, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(MALFORMED_PAIR), encoding="utf-8")
+    code, out = run(["--scenario", str(target), *argv])
+    assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
 
 
 def test_an_all_zero_product_above_the_top_degree_is_accepted(tmp_path):

@@ -57,8 +57,18 @@ def _fresh(*args: str) -> str:
         (["charge"], 2, {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", SYNTHETIC, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", SYNTHETIC, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        # a file's pair is built only by the commands that read it; its other blocks need no ring
+        (["--scenario", P3_P3, "real", "--samples", "5"], 0, {"pushout", "charges", "rings", "intlin", "quadric"}),
+        (["--scenario", FLAG_FLAG, "real", "--samples", "5"], 0, {"pushout", "charges", "rings", "intlin", "quadric"}),
+        (["--scenario", P3_P3, "neck"], 0, {"pushout", "charges"}),
+        (["--scenario", FLAG_FLAG, "neck"], 0, {"pushout", "charges"}),
+        (["--scenario", P3_P3, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
+        (["--scenario", FLAG_FLAG, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
     ],
-    ids=["real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7"],
+    ids=[
+        "real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7",
+        "real-p3_p3", "real-flag_flag", "neck-p3_p3", "neck-flag_flag", "surfaces-p3_p3", "surfaces-flag_flag",
+    ],
 )
 def test_a_command_loads_only_what_it_runs(argv, code, absent):
     got, *loaded = _fresh("-c", CHILD, *argv).split()
@@ -73,6 +83,14 @@ def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
     got, *loaded = _fresh("-c", CHILD, *argv).split()
     assert int(got) == code
     assert not {"rings", "intlin"} & set(loaded), loaded
+
+
+@pytest.mark.parametrize("scenario", [[], ["--scenario", FLAG_FLAG]], ids=["default", "flag_flag"])
+def test_real_stays_integer_only(scenario):
+    # its samples are Gaussian integers; only a division or a decoration makes a Fraction
+    got, *loaded = _fresh("-c", RATIONAL_CHILD, *scenario, "real", "--samples", "5").split()
+    assert int(got) == 0
+    assert not loaded, loaded
 
 
 @pytest.mark.parametrize("scenario", [SYNTHETIC, FLAG_FLAG], ids=["synthetic_r7", "flag_flag"])

@@ -70,7 +70,7 @@ def _samples():
         ),
         (
             scenario.Scenario,
-            ("build", "bundles", "polarization", "surfaces", "decoration", "assumption_def"),
+            ("build", "surfaces", "decoration", "assumption_def"),
             scenario.Scenario(_build),
             scenario.Scenario(_build, assumption_def=True),
         ),
@@ -172,9 +172,8 @@ def test_keyword_construction_equals_positional_construction(cls, fields, value,
 def test_omitted_fields_take_their_defaults():
     assert neck.RestrictedBundle(3).curve is None
     built = scenario.Scenario(_build)
-    assert built.bundles == () and built.surfaces == ()
-    assert built.polarization is None and built.decoration is None and built.assumption_def is False
-    assert built == scenario.Scenario(build=_build) == scenario.Scenario(_build, (), None, (), None, False)
+    assert built.surfaces == () and built.decoration is None and built.assumption_def is False
+    assert built == scenario.Scenario(build=_build) == scenario.Scenario(_build, (), None, False)
     assert neck.RestrictedBundle(3, curve=None) == neck.RestrictedBundle(c1_int=3)
 
 
@@ -203,7 +202,7 @@ def test_generic_constructor_messages():
     with pytest.raises(TypeError, match=r"^Bidegree\(\) missing argument 'n'$"):
         quadric.Bidegree(1)
     with pytest.raises(TypeError, match=r"^Scenario\(\) missing argument 'build'$"):
-        scenario.Scenario(bundles=())
+        scenario.Scenario(surfaces=())
     with pytest.raises(TypeError, match=r"^EqualizerRing\(\) got an unexpected keyword argument '_members'$"):
         pushout.EqualizerRing(None, (), _members=())
 
@@ -224,9 +223,11 @@ def test_equalizer_ring_equality_ignores_its_membership_lattices():
 
 
 def test_scenario_caches_its_geometry():
+    # the pair unit (geometry, bundles, polarization) is built once, on the first read of any of them
     calls = []
-    built = scenario.Scenario(lambda: calls.append(1) or "pair")
-    assert built.geometry == "pair" and built.geometry == "pair" and calls == [1]
+    built = scenario.Scenario(lambda: calls.append(1) or ("pair", ("bundle",), "polarization"))
+    assert built.bundles == ("bundle",) and built.geometry == "pair" and built.polarization == "polarization"
+    assert built.geometry == "pair" and calls == [1]
 
 
 def test_construction_refusals_are_kept():
