@@ -23,21 +23,20 @@ class Value:
     keyword, a field given twice or a missing field without a default.  A
     subclass that validates or derives state defines ``__init__`` and calls
     ``super().__init__``; one with ``__slots__`` sets its fields with
-    ``object.__setattr__``.  A name that starts with an underscore is private
-    state, set the same way but left out of construction, equality, hashing
-    and ``repr``.  Annotations are read as names only, never evaluated.
+    ``object.__setattr__``.  Annotations are read as names only, never evaluated.
 
     Instances are equal when they are of the same class with equal field
     tuples, hash as their field tuple, print as ``Name(field=value, ...)``,
-    and refuse assignment and deletion with ``AttributeError``.  A subclass
-    without ``__slots__`` keeps a ``__dict__``, so ``cached_property`` works.
+    and refuse assignment and deletion with ``AttributeError``.  A private
+    cache is a ``cached_property`` of a subclass without ``__slots__``, kept in
+    its ``__dict__`` outside the fields.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        fields = tuple(name for name in cls.__annotations__ if not name.startswith("_"))
+        fields = tuple(cls.__annotations__)
         get = attrgetter(*fields)
         body = vars(cls)
         slots = body.get("__slots__", ())

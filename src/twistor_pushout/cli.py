@@ -195,14 +195,8 @@ def cmd_equalizer(scenario: Scenario, args, report: Report) -> None:
 
 
 def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
-    from .quadric import (
-        Bidegree,
-        arithmetic_genus,
-        hyperplane_class,
-        intersection_number,
-        ruling_swap_pushforward,
-    )
-    from .surfaces import SurfaceData, classify_all, glue_check, trace_class
+    from .quadric import arithmetic_genus, hyperplane_class, intersection_number, ruling_swap_pushforward
+    from .surfaces import SurfaceData, classify_all, glue_check, trace_bidegree, trace_class
 
     if args.pair:
         d1, f1, d2, f2 = args.pair
@@ -236,7 +230,7 @@ def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
                 "degree": s.twistor_degree,
                 "contains_line": s.contains_line,
                 "trace": str(trace),
-                "genus": arithmetic_genus(Bidegree(*trace.coeffs_bw())),
+                "genus": arithmetic_genus(trace_bidegree(s)),
                 "points_on_twistor_line": intersection_number(trace, hyperplane_class()),
             }
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from itertools import compress, repeat
+from itertools import compress
 from operator import mul
 
 Vector = tuple[int, ...]
@@ -212,10 +212,9 @@ class SparseLattice:
     from the row itself.  Rows whose pivots do not strictly increase are first
     brought to Hermite form, so any spanning set gives its own lattice.  Build
     one per lattice and pass it to :func:`lattice_contains` for every query.
-    A unit row, e_p or -e_p, is left out of ``rows``; ``kept`` is 0 at p, else 1.
     """
 
-    __slots__ = ("rows", "ncols", "kept")
+    __slots__ = ("rows", "ncols")
 
     def __init__(self, basis: Sequence[Sequence[int]]) -> None:
         rows = [r for r in basis if any(r)]
@@ -226,9 +225,7 @@ class SparseLattice:
             rows = hermite_row_basis(rows)
             pivots = [_pivot(r) for r in rows]
         self.ncols = len(rows[0]) if rows else None
-        units = {p for p, r in zip(pivots, rows) if r[p] in (1, -1) and not any(r[p + 1 :])}
-        self.rows = tuple((p, r[p], *support(r)) for p, r in zip(pivots, rows) if p not in units)
-        self.kept = repeat(1) if self.ncols is None else tuple(int(k not in units) for k in range(self.ncols))
+        self.rows = tuple((p, r[p], *support(r)) for p, r in zip(pivots, rows))
 
 
 def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
@@ -237,8 +234,7 @@ def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequen
     ``basis`` is a :class:`SparseLattice`, or rows from which one is built on
     the spot.  Each row is subtracted over its nonzero entries only; in
     echelon order a pivot entry, once cleared, stays cleared, so ``vec`` is a
-    member exactly when every pivot divides and nothing is left.  A unit row
-    clears its column, which no other row reads: it is skipped, its column untested.
+    member exactly when every pivot divides and nothing is left.
     """
     lattice = basis if isinstance(basis, SparseLattice) else SparseLattice(basis)
     if lattice.ncols is not None and len(vec) != lattice.ncols:
@@ -251,7 +247,7 @@ def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequen
                 return False
             for k, b in zip(positions, values):
                 v[k] -= q * b
-    return not any(compress(v, lattice.kept))
+    return not any(v)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:

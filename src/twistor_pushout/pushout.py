@@ -27,14 +27,12 @@ match; they form, degree by degree, a saturated integer lattice computed by
 an exact kernel, with componentwise product.  Its product closure is derived:
 the matched pairs are the equalizer of two ring homomorphisms, a subring, and a
 linear-time certificate shows each lattice is the saturated kernel, so it holds
-them all.  A lattice that cannot be certified has each product formed instead,
-applying each branch ring's ``multiplication`` to the lattice vectors, summing
-over their nonzero entries, read once per vector and block, so nothing is
-assumed about where they sit; lattice membership walks only the nonzero
-entries of the rows that are not unit rows.
+them all.  A lattice that cannot be certified has each product formed instead.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from ._value import Value
 from .intlin import (
@@ -47,7 +45,6 @@ from .intlin import (
     lattice_contains,
     mat_mul,
     mat_vec,
-    support,
 )
 from .quadric import _RING, _SWAP, QuadricClass
 from .rings import (
@@ -226,7 +223,6 @@ class BlownUpChow(Value):
         """
         ring, quad = self.ring, self.quadric
         push = self.pushforward_from_quadric
-        pushed = [[support(g) for g in push.columns(d2)] for d2 in range(quad.top_degree + 1)]  # j_*(g)
         for d1 in range(quad.top_degree + 1):
             # per degree d2 of g: u -> u.g over g on the quadric, j_* after it, x.e_m upstairs
             per_d2 = [
@@ -236,7 +232,7 @@ class BlownUpChow(Value):
             for i1, jx in enumerate(self.restriction_to_quadric_map.columns(d1)):
                 for d2, (times, push_rows, x_table) in enumerate(per_d2):
                     jx_times, length = times(jx), ring.rank(d1 + d2 + push.shift)
-                    for i2, pushed_g in enumerate(pushed[d2]):
+                    for i2, pushed_g in enumerate(push.columns(d2)):  # j_*(g)
                         if mat_vec(push_rows, jx_times[i2]) != combination(pushed_g, x_table[i1], length):
                             raise ValueError(
                                 f"projection formula fails on "
@@ -429,17 +425,15 @@ class EqualizerRing(Value):
     Pairs are stored as concatenated coefficient vectors (branch 1 followed by
     branch 2).  The lattices are saturated integer kernels, so membership is
     exact lattice membership, and closure under the componentwise product is a
-    checkable theorem rather than an assumption.  Each lattice is also kept as
-    a :class:`SparseLattice`, built once here, for every membership query.
+    checkable theorem rather than an assumption.
     """
 
     geometry: PushoutPair
     lattices: tuple[tuple[Vector, ...], ...]
-    _members: tuple[SparseLattice, ...]
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        object.__setattr__(self, "_members", tuple(SparseLattice(basis) for basis in self.lattices))
+    @cached_property
+    def _members(self) -> tuple[SparseLattice, ...]:
+        return tuple(SparseLattice(basis) for basis in self.lattices)
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(basis) for basis in self.lattices)
@@ -481,12 +475,10 @@ class EqualizerRing(Value):
         Otherwise, for a lattice that cannot be certified or a map not checked as a ring
         homomorphism, every product is formed and checked.  The componentwise product of two
         concatenated pair vectors u, v is, branch by branch, the combination by v's part of
-        that branch's ``multiplication`` of u's part, so the sums run over the nonzero entries
-        of u and v only, v's read once per block, and over the table rows they touch.  A
-        product is matched exactly when the matching matrix annihilates it.  Pairs are
-        checked in the order d1, d2 >= d1, u, v, with v >= u when d2 = d1: the branch rings
-        are commutative, so the mirror of such a pair, which comes earlier in that order, has
-        the same product.
+        that branch's ``multiplication`` of u's part.  A product is matched exactly when the
+        matching matrix annihilates it.  Pairs are checked in the order d1, d2 >= d1, u, v,
+        with v >= u when d2 = d1: the branch rings are commutative, so the mirror of such a
+        pair, which comes earlier in that order, has the same product.
         """
         if not self._closure_is_derived():
             self._check_each_product()
@@ -514,7 +506,7 @@ class EqualizerRing(Value):
                 times1, times2 = (ring.multiplication(d1, d2) for ring in rings)
                 length1, length2 = (ring.rank(d1 + d2) for ring in rings)
                 n1, m1 = rings[0].rank(d1), rings[0].rank(d2)  # where branch 2 starts
-                vs = [(support(v[:m1]), support(v[m1:])) for v in self.lattices[d2]]
+                vs = [(v[:m1], v[m1:]) for v in self.lattices[d2]]
                 for iu, u in enumerate(self.lattices[d1]):
                     u1_times, u2_times = times1(u[:n1]), times2(u[n1:])
                     for v1, v2 in vs[iu:] if d1 == d2 else vs:

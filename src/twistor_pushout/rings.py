@@ -28,10 +28,9 @@ row (V_z(x, y))_z is then compared whole with (V_x(y, z))_z, a row of a
 transpose, and only a row that differs is opened.  The other checks (the
 ring-homomorphism check of a map, and in ``pushout`` the projection formula and
 product closure) read the tables through one map,
-``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis, the
-table row itself for a basis vector, else summed over the nonzero entries of u
-and of the rows it touches, each flattened when first touched; with ``dot``,
-``mat_vec`` and ``combination`` that is every sum they take.  The
+``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis,
+summed over the nonzero entries of u against the table rows they touch; with
+``dot``, ``mat_vec`` and ``combination`` that is every sum they take.  The
 ring-homomorphism check takes each unordered pair once.  A ring built by
 ``pushout.blow_up`` extends its base ring: each degree lists the base's
 classes first, and their products are built as the base's, padded with zeros,
@@ -50,7 +49,7 @@ from itertools import chain, compress, cycle, product, repeat
 from operator import index, lshift, mul
 
 from ._value import Value
-from .intlin import Support, Vector, dot, kernel_basis, lattice_contains, mat_vec, support
+from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec
 
 TableKey = tuple[int, int, int, int]
 
@@ -262,24 +261,18 @@ class GradedRing:
         return self.product_table(d1, d2)[i1][i2]
 
     def multiplication(self, d1: int, d2: int) -> Callable[[Sequence[int]], tuple[Vector, ...]]:
-        """The map ``u -> (u.e_b over the degree-d2 basis)`` on degree-``d1`` vectors.
-
-        A basis vector ``u`` gets its row of ``product_table(d1, d2)``; any other sums the
-        rows at its nonzero entries, each flattened to its nonzero pairs when first read."""
+        """The map ``u -> (u.e_b over the degree-d2 basis)`` on degree-``d1`` vectors,
+        summed over the nonzero entries of ``u`` against the rows of
+        ``product_table(d1, d2)`` they touch."""
         table = self.product_table(d1, d2)
         length, count = self.rank(d1 + d2), self.rank(d2)
-        rows: list[list[tuple[int, int]] | None] = [None] * len(table)  # flattened when first read
 
         def times(u: Sequence[int]) -> tuple[Vector, ...]:
-            positions, values = support(u)
-            if len(positions) == 1 and values[0] == 1:
-                return table[positions[0]]
             out = [0] * (count * length)
-            for m, c in zip(positions, values):
-                if rows[m] is None:
-                    rows[m] = [(k, e) for k, e in enumerate(chain.from_iterable(table[m])) if e]
-                for k, e in rows[m]:
-                    out[k] += c * e
+            for c, row in zip(u, table):
+                if c:
+                    for k, e in enumerate(chain.from_iterable(row)):
+                        out[k] += c * e
             return tuple(zip(*[iter(out)] * length)) if length else ((),) * count
 
         return times
@@ -384,15 +377,12 @@ class GradedRing:
         return doc
 
 
-def combination(weights: Support, vectors: Sequence[Vector], length: int) -> Vector:
-    """``sum_m c_m vectors[m]`` over the support ``(positions, values)`` of the weights,
-    as a ``length`` vector; a caller reads each support once, with ``intlin.support``."""
-    positions, values = weights
-    if len(positions) == 1 and values[0] == 1:
-        return vectors[positions[0]]
+def combination(weights: Sequence[int], vectors: Sequence[Vector], length: int) -> Vector:
+    """``sum_m weights[m] vectors[m]`` as a ``length`` vector, skipping the zero weights."""
     out: Sequence[int] = (0,) * length
-    for m, c in zip(positions, values):
-        out = [a + c * b for a, b in zip(out, vectors[m])]
+    for c, vec in zip(weights, vectors):
+        if c:
+            out = [a + c * b for a, b in zip(out, vec)]
     return tuple(out)
 
 

@@ -247,8 +247,7 @@ def test_membership_agrees_with_rational_oracle_on_unit_rows_kept_as_given(case)
     basis, member, moved = case
     lattice = SparseLattice(basis)
     pivots = [next(k for k, a in enumerate(row) if a) for row in basis]
-    kept = [(p, row[p]) for p, row in zip(pivots, basis) if row[p] not in (1, -1) or any(row[p + 1 :])]
-    assert [row[:2] for row in lattice.rows] == kept  # as given, less the unit rows
+    assert [row[:2] for row in lattice.rows] == [(p, row[p]) for p, row in zip(pivots, basis)]  # as given
     assert lattice_contains(lattice, member)
     for vec in moved:
         coords = rational_coordinates(basis, vec)

@@ -336,6 +336,24 @@ def test_exceptional_pair_membership(p3_pair):
     assert not equalizer.contains(same_sign)
 
 
+def test_membership_lattices_are_built_on_the_first_query(p3_pair, monkeypatch):
+    built = []
+
+    class Counted(intlin.SparseLattice):
+        def __init__(self, basis):
+            built.append(1)
+            super().__init__(basis)
+
+    monkeypatch.setattr("twistor_pushout.pushout.SparseLattice", Counted)
+    equalizer = p3_pair.equalizer()
+    assert built == []
+    assert equalizer.contains(p3_pair.exceptional_pair())
+    assert len(built) == len(equalizer.lattices)  # one per degree
+    one_sided = p3_pair.pair(p3_pair.branch1.exceptional_class(), p3_pair.branch2.ring.zero())
+    assert not equalizer.contains(one_sided)  # a second query builds none
+    assert len(built) == len(equalizer.lattices)
+
+
 def test_pulled_back_hyperplanes_do_not_match(p3_pair):
     fh1 = p3_pair.branch1.ring.basis_element(1, 0)
     fh2 = p3_pair.branch2.ring.basis_element(1, 0)

@@ -1,12 +1,14 @@
-"""Reach guard: no module-level function of the package is dead code.
+"""Reach guard: no module-level function or private method of the package is dead code.
 
 A function is reached when its name is used in ``src/`` outside its own body,
 when ``__init__._MODULES`` exports it, when ``bench/tracer.py`` names it (the
 tracer wraps functions by name), or when ``tests/test_acceptance.py`` calls it.
-Unit tests alone do not reach a function.  Names are matched as written, so a
-method of the same name counts as a use.  The check reads the sources with
-``ast`` and imports nothing; a function the interpreter calls (a dunder such as
-the package's PEP 562 ``__getattr__``) is not checked.
+A private method (``_name``, defined in a class body) is reached only when its
+name is used in ``src/`` outside its own body.  Unit tests alone do not reach
+either.  Names are matched as written, so a method of the same name counts as a
+use.  The check reads the sources with ``ast`` and imports nothing; a function
+the interpreter calls (a dunder such as the package's PEP 562 ``__getattr__``)
+is not checked.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def _exported(init: ast.Module) -> set[str]:
 
 
 def unreached_functions() -> list[str]:
-    """``module.function`` for each module-level function that nothing above reaches."""
+    """``module.function`` for each module-level function that nothing above reaches,
+    and ``module.Class._method`` for each private method that ``src/`` does not name."""
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     used = {module: _names(tree) for module, tree in trees.items()}
     tracer = _parse(ROOT / "bench" / "tracer.py")
@@ -72,20 +75,31 @@ def unreached_functions() -> list[str]:
     reached_outside = _exported(trees["__init__"]) | traced | called
     unreached = []
     for module, tree in trees.items():
+        elsewhere = set().union(*(names for other, names in used.items() if other != module))
+
+        def in_src(node: ast.FunctionDef) -> bool:
+            return node.name in _names(tree, skip=node) or node.name in elsewhere
+
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                unreached += [
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and method.name.startswith("_")
+                    and not method.name.startswith("__")
+                    and not in_src(method)
+                ]
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
                 continue
-            in_src = node.name in _names(tree, skip=node) or any(
-                node.name in names for other, names in used.items() if other != module
-            )
-            if not (in_src or node.name in reached_outside):
+            if not (in_src(node) or node.name in reached_outside):
                 unreached.append(f"{module}.{node.name}")
     return unreached
 
 
 def test_every_module_level_function_is_reached():
     unreached = unreached_functions()
-    dead = [name for name in unreached if name.split(".")[1] not in ALLOWED]
+    dead = [name for name in unreached if name.rsplit(".", 1)[1] not in ALLOWED]
     assert not dead, f"no command, export, tracer probe or acceptance test reaches {', '.join(dead)}"
     # an allowed function that something now reaches leaves the list
-    assert sorted(name.split(".")[1] for name in unreached) == sorted(ALLOWED)
+    assert sorted(name.rsplit(".", 1)[1] for name in unreached) == sorted(ALLOWED)

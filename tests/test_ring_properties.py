@@ -324,7 +324,7 @@ def test_ring_hom_check_agrees_with_element_oracle(ring_data, data):
 @given(monomial_rings(), st.data())
 def test_multiplication_agrees_with_element_products(ring_data, data):
     # For every degree pair, above the top degree too, u -> u.e_b over the
-    # degree-d2 basis; u is zero, a basis vector (the table row itself) or random.
+    # degree-d2 basis; u is zero, a basis vector or random.
     top, labels, _, dense, _ = ring_data
     ring = GradedRing(top, labels, dense)
     for d1 in range(top + 2):
