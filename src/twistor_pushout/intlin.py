@@ -1,10 +1,12 @@
 """Exact integer linear algebra.
 
 Hermite-style row reduction of integer matrices with unimodular row operations
-gives canonical lattice bases and lattice membership.  A saturated kernel whose
-Hermite pivots are all 1 is read off one sweep of the matrix's columns, by
-Cramer's rule; any other kernel takes the row reduction.  Everything is over
-unbounded Python integers.  No floating point or rational arithmetic is used.
+gives canonical lattice bases.  Membership reduces a vector against a basis's
+rows as given when they are in echelon form, else against their Hermite form.
+A saturated kernel whose Hermite pivots are all 1 is read off one sweep of the
+matrix's columns, by Cramer's rule; any other kernel takes the row reduction.
+Everything is over unbounded Python integers.  No floating point or rational
+arithmetic is used.
 """
 
 from __future__ import annotations
@@ -204,49 +206,31 @@ def kernel_certificate(
     return None
 
 
-class SparseLattice:
-    """The nonzero rows of an echelon lattice basis, kept by their nonzero entries.
-
-    Each row is ``(pivot column, pivot value, positions, values)``, where the
-    positions are those of the row's nonzero entries, the pivot included, read
-    from the row itself.  Rows whose pivots do not strictly increase are first
-    brought to Hermite form, so any spanning set gives its own lattice.  Build
-    one per lattice and pass it to :func:`lattice_contains` for every query.
-    """
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, basis: Sequence[Sequence[int]]) -> None:
-        rows = [r for r in basis if any(r)]
-        if len({len(r) for r in rows}) > 1:
-            raise ValueError("dimension mismatch")
-        pivots = [_pivot(r) for r in rows]
-        if any(a >= b for a, b in zip(pivots, pivots[1:])):
-            rows = hermite_row_basis(rows)
-            pivots = [_pivot(r) for r in rows]
-        self.ncols = len(rows[0]) if rows else None
-        self.rows = tuple((p, r[p], *support(r)) for p, r in zip(pivots, rows))
-
-
-def lattice_contains(basis: SparseLattice | Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
+def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
     """True iff ``vec`` is an integer combination of the rows of ``basis``.
 
-    ``basis`` is a :class:`SparseLattice`, or rows from which one is built on
-    the spot.  Each row is subtracted over its nonzero entries only; in
-    echelon order a pivot entry, once cleared, stays cleared, so ``vec`` is a
-    member exactly when every pivot divides and nothing is left.
+    Zero rows are dropped.  Rows whose pivots strictly increase, as an echelon
+    basis's do, are used as given; any other spanning set is first brought to
+    Hermite form.  An echelon row is zero left of its pivot, so it is
+    subtracted from its pivot rightwards; a pivot entry, once cleared, stays
+    cleared, so ``vec`` is a member exactly when every pivot divides and
+    nothing is left (Cohen, *A Course in Computational Algebraic Number
+    Theory*, 2.4).
     """
-    lattice = basis if isinstance(basis, SparseLattice) else SparseLattice(basis)
-    if lattice.ncols is not None and len(vec) != lattice.ncols:
+    rows = [row for row in basis if any(row)]
+    if any(len(row) != len(vec) for row in rows):
         raise ValueError("dimension mismatch")
+    pivots = [_pivot(row) for row in rows]
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        rows = hermite_row_basis(rows)
+        pivots = [_pivot(row) for row in rows]
     v = list(vec)
-    for p, piv, positions, values in lattice.rows:
+    for p, row in zip(pivots, rows):
         if v[p]:
-            q, rem = divmod(v[p], piv)
+            q, rem = divmod(v[p], row[p])
             if rem:
                 return False
-            for k, b in zip(positions, values):
-                v[k] -= q * b
+            v[p:] = [a - q * b for a, b in zip(v[p:], row[p:])]
     return not any(v)
 
 

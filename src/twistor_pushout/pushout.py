@@ -32,11 +32,8 @@ them all.  A lattice that cannot be certified has each product formed instead.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from ._value import Value
 from .intlin import (
-    SparseLattice,
     Vector,
     dot,
     hermite_row_basis,
@@ -423,17 +420,14 @@ class EqualizerRing(Value):
     """Per-degree lattices of matched pairs, with componentwise product.
 
     Pairs are stored as concatenated coefficient vectors (branch 1 followed by
-    branch 2).  The lattices are saturated integer kernels, so membership is
-    exact lattice membership, and closure under the componentwise product is a
-    checkable theorem rather than an assumption.
+    branch 2).  Each lattice is held once, as the Hermite rows of a saturated
+    integer kernel, and a membership query reduces against those rows, so
+    membership is exact lattice membership; closure under the componentwise
+    product is a checkable theorem rather than an assumption.
     """
 
     geometry: PushoutPair
     lattices: tuple[tuple[Vector, ...], ...]
-
-    @cached_property
-    def _members(self) -> tuple[SparseLattice, ...]:
-        return tuple(SparseLattice(basis) for basis in self.lattices)
 
     def ranks(self) -> tuple[int, ...]:
         return tuple(len(basis) for basis in self.lattices)
@@ -453,7 +447,7 @@ class EqualizerRing(Value):
 
     def contains(self, pair: ComponentPair) -> bool:
         return all(
-            lattice_contains(self._members[degree], self._concat(degree, pair))
+            lattice_contains(self.lattices[degree], self._concat(degree, pair))
             for degree in pair.supported_degrees()
         )
 
@@ -502,7 +496,6 @@ class EqualizerRing(Value):
         for d1 in range(TWISTOR_TOP + 1):
             for d2 in range(d1, TWISTOR_TOP + 1 - d1):
                 matching = self.geometry.matching_matrix(d1 + d2)
-                lattice = self._members[d1 + d2]
                 times1, times2 = (ring.multiplication(d1, d2) for ring in rings)
                 length1, length2 = (ring.rank(d1 + d2) for ring in rings)
                 n1, m1 = rings[0].rank(d1), rings[0].rank(d2)  # where branch 2 starts
@@ -515,7 +508,7 @@ class EqualizerRing(Value):
                             raise ValueError(
                                 f"product of matched pairs is unmatched in degree {d1 + d2}"
                             )
-                        if any(uv) and not lattice_contains(lattice, uv):
+                        if any(uv) and not lattice_contains(self.lattices[d1 + d2], uv):
                             raise ValueError(
                                 f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
                             )

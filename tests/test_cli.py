@@ -1,5 +1,6 @@
 """Command-line behaviour: determinism, exit codes, error reporting."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from twistor_pushout import cli
 from twistor_pushout.cli import run
 
 SCENARIOS = [
@@ -176,6 +178,17 @@ def test_neck_flags_are_bounded_and_echo_at_most_40_characters(flag, json_flag):
         echo = value if len(value) <= 40 else value[:36] + " ..."
         assert (code, out) == (2, f"error: {flag} must lie in -1000000..1000000, got {echo}")
     assert run([*json_flag, "neck", flag, "-1000000", "1000000"])[0] == 0
+
+
+def test_oracle_gate_is_the_one_the_benchmark_expects():
+    # bench/expect.py predicts when equalizer runs its oracle; it is read, not imported
+    expect = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "expect.py").read_text())
+    gates = [
+        ast.literal_eval(node.value)
+        for node in expect.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["ORACLE_GATE"]
+    ]
+    assert gates == [cli.ORACLE_GATE]
 
 
 def test_options_are_exactly_the_subcommand_flags(tmp_path):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from twistor_pushout import intlin
 from twistor_pushout.intlin import (
-    SparseLattice,
     dot,
     hermite_row_basis,
     kernel_basis,
@@ -192,21 +192,26 @@ def bases_and_vectors(draw):
 @given(bases_and_vectors())
 def test_membership_agrees_with_rational_oracle(case):
     basis, member, moved = case
-    lattice = SparseLattice(basis)
     for vec in (member, moved):
         coords = rational_coordinates(basis, vec)
         expected = coords is not None and all(c.denominator == 1 for c in coords)
         assert lattice_contains(basis, vec) == expected
-        assert lattice_contains(lattice, vec) == expected
-    assert lattice_contains(lattice, member)
+        assert lattice_contains(list(reversed(basis)), vec) == expected  # out of echelon order
+    assert lattice_contains(basis, member)
 
 
-def test_membership_of_a_spanning_set_out_of_echelon_order():
+def test_membership_of_a_spanning_set_out_of_echelon_order(monkeypatch):
     # pivots 1 then 0: the rows are brought to Hermite form first
-    lattice = SparseLattice([[0, 2], [1, 1]])
-    assert lattice.rows == SparseLattice(hermite_row_basis([[0, 2], [1, 1]])).rows
-    assert lattice_contains(lattice, [1, 3])
-    assert not lattice_contains(lattice, [0, 1])
+    reduced = []
+
+    def counted(rows):
+        reduced.append(rows)
+        return hermite_row_basis(rows)
+
+    monkeypatch.setattr(intlin, "hermite_row_basis", counted)
+    assert lattice_contains([[0, 2], [1, 1]], [1, 3])
+    assert not lattice_contains([[0, 2], [1, 1]], [0, 1])
+    assert reduced == [[[0, 2], [1, 1]]] * 2
 
 
 def test_mat_mul_and_vec():
@@ -220,8 +225,8 @@ def test_mat_mul_and_vec():
 
 @st.composite
 def echelon_bases_and_vectors(draw):
-    """An echelon basis that is not in Hermite form, which ``SparseLattice`` keeps
-    as given: rows e_p and -e_p, 2.e_p and -2.e_p, and dense rows whose pivots
+    """An echelon basis that is not in Hermite form, which ``lattice_contains``
+    uses as given: rows e_p and -e_p, 2.e_p and -2.e_p, and dense rows whose pivots
     may be negative.  Also a vector in its lattice, and that vector moved at one
     column and at every column."""
     n = draw(st.integers(1, 6))
@@ -245,15 +250,16 @@ def echelon_bases_and_vectors(draw):
 @given(echelon_bases_and_vectors())
 def test_membership_agrees_with_rational_oracle_on_unit_rows_kept_as_given(case):
     basis, member, moved = case
-    lattice = SparseLattice(basis)
-    pivots = [next(k for k, a in enumerate(row) if a) for row in basis]
-    assert [row[:2] for row in lattice.rows] == [(p, row[p]) for p, row in zip(pivots, basis)]  # as given
-    assert lattice_contains(lattice, member)
-    for vec in moved:
-        coords = rational_coordinates(basis, vec)
-        expected = coords is not None and all(c.denominator == 1 for c in coords)
-        assert lattice_contains(basis, vec) == expected
-        assert lattice_contains(lattice, vec) == expected
+
+    def refuse(rows):
+        raise AssertionError("an echelon basis went through the Hermite reduction")
+
+    with patch.object(intlin, "hermite_row_basis", refuse):  # the rows are used as given
+        assert lattice_contains(basis, member)
+        for vec in moved:
+            coords = rational_coordinates(basis, vec)
+            expected = coords is not None and all(c.denominator == 1 for c in coords)
+            assert lattice_contains(basis, vec) == expected
 
 
 # -- the kernel certificate --------------------------------------------------------

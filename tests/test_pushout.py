@@ -336,24 +336,6 @@ def test_exceptional_pair_membership(p3_pair):
     assert not equalizer.contains(same_sign)
 
 
-def test_membership_lattices_are_built_on_the_first_query(p3_pair, monkeypatch):
-    built = []
-
-    class Counted(intlin.SparseLattice):
-        def __init__(self, basis):
-            built.append(1)
-            super().__init__(basis)
-
-    monkeypatch.setattr("twistor_pushout.pushout.SparseLattice", Counted)
-    equalizer = p3_pair.equalizer()
-    assert built == []
-    assert equalizer.contains(p3_pair.exceptional_pair())
-    assert len(built) == len(equalizer.lattices)  # one per degree
-    one_sided = p3_pair.pair(p3_pair.branch1.exceptional_class(), p3_pair.branch2.ring.zero())
-    assert not equalizer.contains(one_sided)  # a second query builds none
-    assert len(built) == len(equalizer.lattices)
-
-
 def test_pulled_back_hyperplanes_do_not_match(p3_pair):
     fh1 = p3_pair.branch1.ring.basis_element(1, 0)
     fh2 = p3_pair.branch2.ring.basis_element(1, 0)
@@ -523,6 +505,28 @@ def test_equalizer_kernels_are_read_off_the_column_sweep(name, monkeypatch):
     monkeypatch.setattr(intlin, "hermite_row_basis", refuse)
     # every pivot 1: the sweep's rows, certified without a Hermite form either
     assert geometry.equalizer()._closure_is_derived()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_SCENARIOS)), st.data())
+def test_membership_agrees_with_the_matching_condition(name, data):
+    # each lattice is certified as the saturated kernel (above), so an integer pair lies
+    # in it exactly when it is matched; is_matched reads the restriction maps and the
+    # swap, never the lattice rows
+    geometry, equalizer = _closure_geometry(name)
+    degree = data.draw(st.integers(0, len(equalizer.lattices) - 1))
+    n1 = geometry.branch1.ring.rank(degree)
+    vec = [0] * (n1 + geometry.branch2.ring.rank(degree))
+    for row in equalizer.lattices[degree]:
+        c = data.draw(st.integers(-3, 3))
+        vec = [a + c * b for a, b in zip(vec, row)]
+    if data.draw(st.booleans()):  # moved at one coordinate
+        vec[data.draw(st.integers(0, len(vec) - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+    pair = geometry.pair(
+        geometry.branch1.ring.homogeneous(degree, vec[:n1]),
+        geometry.branch2.ring.homogeneous(degree, vec[n1:]),
+    )
+    assert equalizer.contains(pair) == geometry.is_matched(pair)
 
 
 def _projection_formula_reference(blown):

@@ -1,8 +1,10 @@
-"""Reach guard: no module-level function or private method of the package is dead code.
+"""Reach guard: no module-level function or class, and no private method, of the
+package is dead code.
 
-A function is reached when its name is used in ``src/`` outside its own body,
-when ``__init__._MODULES`` exports it, when ``bench/tracer.py`` names it (the
-tracer wraps functions by name), or when ``tests/test_acceptance.py`` calls it.
+A module-level function or class is reached when its name is used in ``src/``
+outside its own body, when ``__init__._MODULES`` exports it, when
+``bench/tracer.py`` names it (the tracer wraps functions by name), or when
+``tests/test_acceptance.py`` calls it.
 A private method (``_name``, defined in a class body) is reached only when its
 name is used in ``src/`` outside its own body.  Unit tests alone do not reach
 either.  Names are matched as written, so a method of the same name counts as a
@@ -59,8 +61,9 @@ def _exported(init: ast.Module) -> set[str]:
 
 
 def unreached_functions() -> list[str]:
-    """``module.function`` for each module-level function that nothing above reaches,
-    and ``module.Class._method`` for each private method that ``src/`` does not name."""
+    """``module.name`` for each module-level function or class that nothing above
+    reaches, and ``module.Class._method`` for each private method that ``src/`` does
+    not name."""
     trees = {path.stem: _parse(path) for path in sorted(PACKAGE.glob("*.py"))}
     used = {module: _names(tree) for module, tree in trees.items()}
     tracer = _parse(ROOT / "bench" / "tracer.py")
@@ -77,7 +80,7 @@ def unreached_functions() -> list[str]:
     for module, tree in trees.items():
         elsewhere = set().union(*(names for other, names in used.items() if other != module))
 
-        def in_src(node: ast.FunctionDef) -> bool:
+        def in_src(node: ast.FunctionDef | ast.ClassDef) -> bool:
             return node.name in _names(tree, skip=node) or node.name in elsewhere
 
         for node in tree.body:
@@ -90,7 +93,7 @@ def unreached_functions() -> list[str]:
                     and not method.name.startswith("__")
                     and not in_src(method)
                 ]
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("__"):
                 continue
             if not (in_src(node) or node.name in reached_outside):
                 unreached.append(f"{module}.{node.name}")

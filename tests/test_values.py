@@ -203,7 +203,7 @@ def test_generic_constructor_messages():
         quadric.Bidegree(1)
     with pytest.raises(TypeError, match=r"^Scenario\(\) missing argument 'build'$"):
         scenario.Scenario(surfaces=())
-    # the cached membership lattices are no field, so no keyword sets them
+    # only the annotated fields are keywords; any other name is refused
     with pytest.raises(TypeError, match=r"^EqualizerRing\(\) got an unexpected keyword argument '_members'$"):
         pushout.EqualizerRing(None, (), _members=())
 
@@ -213,14 +213,6 @@ def test_repr_keeps_the_field_form():
     assert repr(quadric.Bidegree(1, -1)) == "Bidegree(m=1, n=-1)"
     assert repr(neck.RestrictedBundle(3)) == "RestrictedBundle(c1_int=3, curve=None)"
     assert repr(surfaces.SurfaceData(2, False)) == "SurfaceData(twistor_degree=2, contains_line=False)"
-
-
-def test_equalizer_ring_equality_ignores_its_membership_lattices():
-    equalizer = next(value for cls, _, value, _ in SAMPLES if cls is pushout.EqualizerRing)
-    twin = pushout.EqualizerRing(equalizer.geometry, equalizer.lattices)
-    assert twin.contains(twin.basis_pairs(0)[0])  # the first query caches its lattices
-    assert "_members" in vars(twin) and "_members" not in repr(twin)
-    assert twin == equalizer and hash(twin) == hash(equalizer)
 
 
 def test_scenario_caches_its_geometry():
