@@ -203,8 +203,10 @@ def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
         if len(degrees) < 2 or not {f1, f2} <= {"in", "out"}:
             shape = "D1 IN1 D2 IN2, an integer degree then in or out for each surface"
             raise ValueError(f"--pair takes {shape}, got {preview(repr(' '.join(args.pair)))}")
-        s1 = SurfaceData(degrees[0], f1 == "in")
-        s2 = SurfaceData(degrees[1], f2 == "in")
+        try:
+            s1, s2 = SurfaceData(degrees[0], f1 == "in"), SurfaceData(degrees[1], f2 == "in")
+        except ValueError as exc:
+            raise ValueError(f"--pair: {exc}") from exc
         ok = glue_check(s1, s2)
         trace1 = trace_class(s1)
         report.results["pair"] = {

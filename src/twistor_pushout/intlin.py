@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from itertools import compress
 from operator import mul
 
 Vector = tuple[int, ...]
@@ -33,14 +32,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
-
-
-Support = tuple[Vector, Vector]
-
-
-def support(vec: Sequence[int]) -> Support:
-    """The positions of the nonzero entries of ``vec``, and those entries."""
-    return tuple(compress(range(len(vec)), vec)), tuple(filter(None, vec))
 
 
 def _pivot(row: Sequence[int]) -> int:
@@ -183,13 +174,12 @@ def kernel_certificate(
     """
     if any(len(row) != ncols for row in (*matrix, *basis)):
         raise ValueError("dimension mismatch")
-    supports = [support(b) for b in basis]
-    if any(dot(map(row.__getitem__, positions), values) for row in matrix for positions, values in supports):
+    if any(dot(row, b) for row in matrix for b in basis):
         return "(i) A.b = 0"
     r = len(basis)
-    pivots = [positions[0] if positions else ncols for positions, _ in supports]
+    pivots = [_pivot(b) if any(b) else ncols for b in basis]
     triangular = all(map(int.__lt__, pivots, pivots[1:]))
-    if not (triangular and all(values and values[0] in (1, -1) for _, values in supports)):
+    if not (triangular and all(p < ncols and b[p] in (1, -1) for b, p in zip(basis, pivots))):
         augmented = ([*col, *(int(k == i) for k in range(ncols))] for i, col in enumerate(zip(*basis)))
         inverse = [row[r:] for row in hermite_row_basis(augmented)[:r]]  # candidate columns of C
         products = (dot(b, c) == (i == k) for i, b in enumerate(basis) for k, c in enumerate(inverse))

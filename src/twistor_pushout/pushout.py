@@ -467,12 +467,10 @@ class EqualizerRing(Value):
         every product stays in the lattice and nothing is left to check.
 
         Otherwise, for a lattice that cannot be certified or a map not checked as a ring
-        homomorphism, every product is formed and checked.  The componentwise product of two
-        concatenated pair vectors u, v is, branch by branch, the combination by v's part of
-        that branch's ``multiplication`` of u's part.  A product is matched exactly when the
-        matching matrix annihilates it.  Pairs are checked in the order d1, d2 >= d1, u, v,
-        with v >= u when d2 = d1: the branch rings are commutative, so the mirror of such a
-        pair, which comes earlier in that order, has the same product.
+        homomorphism, each ``product`` of two ``basis_pairs`` is formed and must be matched
+        (``geometry.is_matched``) and in the lattice (``contains``).  Pairs are taken in the
+        order d1, d2 >= d1, u, v, with v >= u when d2 = d1: the branch rings are commutative,
+        so the mirror of such a pair, which comes earlier in that order, has the same product.
         """
         if not self._closure_is_derived():
             self._check_each_product()
@@ -492,26 +490,16 @@ class EqualizerRing(Value):
 
     def _check_each_product(self) -> None:
         """Form every product of two lattice basis pairs; see :meth:`check_product_closure`."""
-        rings = (self.geometry.branch1.ring, self.geometry.branch2.ring)
-        for d1 in range(TWISTOR_TOP + 1):
-            for d2 in range(d1, TWISTOR_TOP + 1 - d1):
-                matching = self.geometry.matching_matrix(d1 + d2)
-                times1, times2 = (ring.multiplication(d1, d2) for ring in rings)
-                length1, length2 = (ring.rank(d1 + d2) for ring in rings)
-                n1, m1 = rings[0].rank(d1), rings[0].rank(d2)  # where branch 2 starts
-                vs = [(v[:m1], v[m1:]) for v in self.lattices[d2]]
-                for iu, u in enumerate(self.lattices[d1]):
-                    u1_times, u2_times = times1(u[:n1]), times2(u[n1:])
-                    for v1, v2 in vs[iu:] if d1 == d2 else vs:
-                        uv = combination(v1, u1_times, length1) + combination(v2, u2_times, length2)
-                        if any(dot(row, uv) for row in matching):
-                            raise ValueError(
-                                f"product of matched pairs is unmatched in degree {d1 + d2}"
-                            )
-                        if any(uv) and not lattice_contains(self.lattices[d1 + d2], uv):
-                            raise ValueError(
-                                f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
-                            )
+        degrees = [(d1, d2) for d1 in range(TWISTOR_TOP + 1) for d2 in range(d1, TWISTOR_TOP + 1 - d1)]
+        for d1, d2 in degrees:
+            vs = self.basis_pairs(d2)
+            for iu, u in enumerate(self.basis_pairs(d1)):
+                for v in vs[iu:] if d1 == d2 else vs:
+                    uv = self.product(u, v)
+                    if not self.geometry.is_matched(uv):
+                        raise ValueError(f"product of matched pairs is unmatched in degree {d1 + d2}")
+                    if not self.contains(uv):
+                        raise ValueError(f"product of lattice pairs leaves the lattice in degree {d1 + d2}")
 
 
 def brute_force_matched_lattice(

@@ -27,7 +27,7 @@ multiply-add per entry of x.y and one ``to_bytes``.  For each ordered pair the
 row (V_z(x, y))_z is then compared whole with (V_x(y, z))_z, a row of a
 transpose, and only a row that differs is opened.  The other checks (the
 ring-homomorphism check of a map, and in ``pushout`` the projection formula and
-product closure) read the tables through one map,
+the twistor-degree check) read the tables through one map,
 ``GradedRing.multiplication(d1, d2)``: u -> u.e_b over the degree-d2 basis,
 summed over the nonzero entries of u against the table rows they touch; with
 ``dot``, ``mat_vec`` and ``combination`` that is every sum they take.  The

@@ -93,6 +93,14 @@ class _Json:
         got = preview("".join(islice(json.JSONEncoder().iterencode(self.value), 41)))
         raise ValueError(f"{self.path or 'the document'} must be {expected}, got {got}")
 
+    def make(self, kind: Callable, *args, **kwargs):
+        """``kind(*args, **kwargs)``, whose arguments are read first; a refusal of their
+        values names this block, as in ``bundles[1]: rank must be non-negative``."""
+        try:
+            return kind(*args, **kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{self.path}: {exc}") from exc
+
     def read(self, kind: type, span: range | None = None):
         """The value, if its type is exactly ``kind`` (a bool is no int) and it lies in ``span``."""
         if type(self.value) is not kind:
@@ -238,7 +246,8 @@ def _pair_unit(doc: _Json) -> PairUnit:
         from .charges import GluedBundleData
 
         bundles = tuple(
-            GluedBundleData(
+            block.make(
+                GluedBundleData,
                 geometry=geometry,
                 rank=block.get("rank", 2).read(int),
                 c1_pair=_pair(geometry, block["c1"], 1),
@@ -261,7 +270,7 @@ def scenario_from_dict(doc, path: str | Path | None = None) -> Scenario:
         from .surfaces import SurfaceData
 
         blocks["surfaces"] = tuple(
-            SurfaceData(s["degree"].read(int), s["contains_line"].read(bool))
+            s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool))
             for s in doc["surfaces"].items()
         )
     if "decoration" in doc:

@@ -1,13 +1,19 @@
 """Command-line behaviour: determinism, exit codes, error reporting."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from random import Random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistor_pushout import cli
 from twistor_pushout.cli import run
@@ -141,6 +147,11 @@ def test_surfaces_pair_refusal_names_the_flag_and_its_shape(pair):
         "error: --pair takes D1 IN1 D2 IN2, an integer degree then in or out for each "
         f"surface, got {echo}"
     )
+
+
+@pytest.mark.parametrize("pair", [["0", "in", "1", "out"], ["2", "in", "-3", "out"]])
+def test_surfaces_pair_value_refusal_names_the_flag(pair):
+    assert run(["surfaces", "--pair", *pair]) == (2, "error: --pair: twistor degree must be at least 1")
 
 
 @pytest.mark.parametrize(
@@ -606,3 +617,62 @@ def test_an_identity_ring_show_records_as_held_is_refused_by_blow_up(name, monke
     monkeypatch.setattr(owner, attribute, falsify(getattr(owner, attribute)))
     for json_flag in ([], ["--json"]):
         assert run([*json_flag, "ring-show"]) == (2, error)
+
+
+# -- random geometries against the benchmark's closed forms ------------------------------
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_modules():
+    """``bench/gen.py`` and ``bench/expect.py``, loaded by path.  Each is in ``sys.modules``
+    while it loads, as ``gen``'s dataclass and ``expect``'s ``from gen import`` need, and
+    leaves it after."""
+    modules = []
+    with mock.patch.dict(sys.modules):
+        for name in ("gen", "expect"):
+            spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+            modules.append(importlib.util.module_from_spec(spec))
+            sys.modules[name] = modules[-1]
+            spec.loader.exec_module(modules[-1])
+    return modules
+
+
+GEN, EXPECT = _bench_modules()
+# ring-show on a branch, equalizer, and equalizer --member with a matched or an unmatched pair
+RANDOM_COMMANDS = [("ring-show", "1"), ("ring-show", "2"), ("ring-show", "quadric"), ("equalizer", None)]
+RANDOM_COMMANDS += [("member", True), ("member", False)]
+
+
+# Ranks up to 7 keep each example under about 30 ms in process, so 60 examples cost
+# about a second; rank 3 runs the brute-force oracle and ranks 5 and 7 do not.
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([rank for rank in GEN.SYNTHETIC_RANKS if rank <= 7]),
+    st.integers(0, 2**32),
+    st.integers(0, 2**32),
+    st.sampled_from(RANDOM_COMMANDS),
+    st.sampled_from([1, 2]),
+)
+def test_random_geometries_give_the_closed_form_answers(rank, seed1, seed2, command, degree):
+    b1, b2 = GEN.synthetic_base(rank, Random(seed1)), GEN.synthetic_base(rank, Random(seed2))
+    verb, arg = command
+    with tempfile.TemporaryDirectory() as work:
+        scenario = Path(work) / "pair.json"
+        scenario.write_text(json.dumps({"branch1": b1.doc, "branch2": b2.doc}), encoding="utf-8")
+        argv = ["--json", "--scenario", str(scenario)]
+        if verb == "ring-show":
+            argv += ["ring-show", "--branch", arg]
+            check = EXPECT.check_ring_show(b1, b2, arg)
+        elif verb == "equalizer":
+            argv += ["equalizer"]
+            check = EXPECT.check_equalizer(b1, b2)
+        else:
+            v1, v2 = GEN.random_pair(Random(seed1 ^ seed2), b1, b2, degree, arg)
+            member = Path(work) / "member.json"
+            member.write_text(json.dumps({"degree": degree, "branch1": v1, "branch2": v2}), encoding="utf-8")
+            argv += ["equalizer", "--member", str(member)]
+            check = EXPECT.check_equalizer(b1, b2, (degree, v1, v2))
+        code, out = run(argv)
+    assert check(code, out) == []

@@ -191,6 +191,26 @@ NAMED = {
         ["--scenario", "{}", "surfaces"],
         "surfaces[0].degree must be an integer, got true",
     ),
+    "surface-degree-zero": (  # refused by the value, after every field decoded
+        mutated(_load("scenarios/p3_p3.json"), ("surfaces", 0, "degree"), 0),
+        ["--scenario", "{}", "surfaces"],
+        "surfaces[0]: twistor degree must be at least 1",
+    ),
+    "bundle-rank-negative": (
+        mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "rank"), -1),
+        SCENARIO_ARGV,
+        "bundles[0]: rank must be non-negative",
+    ),
+    "bundle-h2-end-negative": (
+        mutated(_load("scenarios/p3_p3.json"), ("bundles", 1, "h2_end"), [0, -1]),
+        SCENARIO_ARGV,
+        "bundles[1]: obstruction dimensions are non-negative",
+    ),
+    "bundle-trivial-on-q-with-unmatched-c1": (  # bundles[0] is trivial on Q; (f.h, 0) restricts to (b, 0)
+        mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "c1", "branch1"), [1, 0]),
+        SCENARIO_ARGV,
+        "bundles[0]: a bundle trivial on the double locus needs a matched c1 pair",
+    ),
     "assumption-def-string": (
         mutated(_load("scenarios/flag_flag.json"), ("assumption_DEF",), "false"),
         SCENARIO_ARGV,

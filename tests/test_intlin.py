@@ -339,7 +339,7 @@ def test_kernel_certificate_counts_the_rank_of_taller_matrices(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices(), st.sampled_from(["change", "drop", "double"]), st.data())
+@given(matrices(), st.sampled_from(["change", "drop", "double", "zero"]), st.data())
 def test_kernel_certificate_names_the_condition_a_damaged_basis_fails(case, kind, data):
     matrix, n = case
     kernel = kernel_basis(matrix, n)
@@ -351,6 +351,9 @@ def test_kernel_certificate_names_the_condition_a_damaged_basis_fails(case, kind
         expected = "(iii)"
     elif kind == "double":  # still annihilated, no longer saturated
         basis[i] = [2 * a for a in basis[i]]
+        expected = "(ii)"
+    elif kind == "zero":  # annihilated, but a zero row has no pivot (read as ncols) and no inverse
+        basis[i] = [0] * n
         expected = "(ii)"
     else:
         basis[i][data.draw(st.integers(0, n - 1))] += data.draw(st.sampled_from([-2, -1, 1, 2]))

@@ -390,7 +390,7 @@ def test_kernel_lattice_through_restriction_map(blown_p3):
     assert kernel == [(1,)]
 
 
-# -- the closure kernel against an element-level reference --------------------------
+# -- the closure check against a reference that forms every ordered product ---------
 
 
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -412,8 +412,9 @@ def _closure_geometry(name):
 
 
 def _closure_reference(equalizer):
-    """The first closure failure found with ring elements, in the kernel's
-    (d1, d2 >= d1, u, v) order, as its message; None when every product holds."""
+    """The first closure failure found by forming every ordered product of basis
+    pairs, mirrors included, in ``_check_each_product``'s (d1, d2 >= d1, u, v) order,
+    as its message; None when every product holds."""
     geometry = equalizer.geometry
     for d1 in range(4):
         for d2 in range(d1, 4 - d1):

@@ -11,6 +11,10 @@ either.  Names are matched as written, so a method of the same name counts as a
 use.  The check reads the sources with ``ast`` and imports nothing; a function
 the interpreter calls (a dunder such as the package's PEP 562 ``__getattr__``)
 is not checked.
+
+Every name a module imports, at any depth and under ``TYPE_CHECKING`` too, must
+be read in that module.  A quoted annotation is a string and is not read, so an
+imported name must appear unquoted at least once.
 """
 
 from __future__ import annotations
@@ -100,9 +104,26 @@ def unreached_functions() -> list[str]:
     return unreached
 
 
+def unread_imports() -> list[str]:
+    """``module.name`` for each name a module imports (``from __future__`` aside) but never reads."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        read = _names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                unread += [f"{path.stem}.{name}" for name in bound if name not in read]
+    return unread
+
+
 def test_every_module_level_function_is_reached():
     unreached = unreached_functions()
     dead = [name for name in unreached if name.rsplit(".", 1)[1] not in ALLOWED]
     assert not dead, f"no command, export, tracer probe or acceptance test reaches {', '.join(dead)}"
     # an allowed function that something now reaches leaves the list
     assert sorted(name.rsplit(".", 1)[1] for name in unreached) == sorted(ALLOWED)
+    unread = unread_imports()
+    assert not unread, f"imported but never read: {', '.join(unread)}"
