@@ -1,11 +1,11 @@
 """Frozen value classes: construction, equality, hashing and repr by declared fields.
 
 Every immutable value type of the package derives from :class:`Value`, which
-gives it a constructor and value semantics from its field names alone: no code
-is generated per class and no annotation is evaluated, and nothing beyond
-``operator`` is imported, so a fresh process pays neither for a class
-decorator's code generation nor for the ``inspect``, ``ast``, ``dis`` and
-``tokenize`` modules such a decorator loads.
+gives it a constructor and value semantics from its field names alone (a
+validating class adds a ``_check`` hook): no code is generated per class and no
+annotation is evaluated, and nothing beyond ``operator`` is imported, so a fresh
+process pays neither for a class decorator's code generation nor for the
+``inspect``, ``ast``, ``dis`` and ``tokenize`` modules such a decorator loads.
 """
 
 from __future__ import annotations
@@ -16,13 +16,12 @@ from operator import attrgetter
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass declares its fields as class annotations, in order; a value
-    assigned in the class body is that field's default.  The constructor binds
-    positional and then keyword arguments to the fields, in that order, and
-    raises ``TypeError`` naming the class on too many arguments, an unknown
-    keyword, a field given twice or a missing field without a default.  A
-    subclass that validates or derives state defines ``__init__`` and calls
-    ``super().__init__``; one with ``__slots__`` sets its fields with
+    A subclass declares its fields as class annotations, in order; a value assigned in
+    the class body is that field's default.  The constructor binds positional and then
+    keyword arguments to the fields, in that order, and raises ``TypeError`` naming the
+    class on too many arguments, an unknown keyword, a field given twice or a missing
+    field without a default, then runs ``_check``, which a validating subclass defines.
+    A subclass with ``__slots__`` has its own constructor and sets its fields with
     ``object.__setattr__``.  Annotations are read as names only, never evaluated.
 
     Instances are equal when they are of the same class with equal field
@@ -50,6 +49,10 @@ class Value:
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
         self.__dict__.update(zip(fields, args))
+        self._check()
+
+    def _check(self) -> None:
+        """Refuse invalid field values; run by the constructor once they are bound."""
 
     def _bind(self, args: tuple, kwargs: dict) -> list:
         """The field values of a call that does not give every field positionally."""

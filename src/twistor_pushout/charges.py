@@ -91,8 +91,7 @@ class GluedBundleData(Value):
     restriction_to_quadric_trivial: bool
     h2_end_dims: tuple[int, int]
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _check(self) -> None:
         if self.rank < 0:
             raise ValueError("rank must be non-negative")
         for degree, pair, what in ((1, self.c1_pair, "c1"), (2, self.c2_pair, "c2")):

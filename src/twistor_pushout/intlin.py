@@ -35,10 +35,9 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _pivot(row: Sequence[int]) -> int:
-    first = next(filter(None, row), 0)  # the first nonzero entry
-    if not first:
-        raise ValueError("zero row has no pivot")
-    return row.index(first)
+    """Index of the first nonzero entry of ``row``; a zero row gets the sentinel ``len(row)``."""
+    first = next(filter(None, row), 0)
+    return row.index(first) if first else len(row)
 
 
 def _accumulate(basis: list[list[int]], pivots: list[int], vec: list[int]) -> None:
@@ -79,8 +78,7 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list[Vector]:
     basis: list[list[int]] = []
     pivots: list[int] = []
     for row in rows:
-        if any(row):
-            _accumulate(basis, pivots, list(row))
+        _accumulate(basis, pivots, list(row))
     for idx, p in enumerate(pivots):
         if basis[idx][p] < 0:
             basis[idx] = [-a for a in basis[idx]]
@@ -177,7 +175,7 @@ def kernel_certificate(
     if any(dot(row, b) for row in matrix for b in basis):
         return "(i) A.b = 0"
     r = len(basis)
-    pivots = [_pivot(b) if any(b) else ncols for b in basis]
+    pivots = list(map(_pivot, basis))
     triangular = all(map(int.__lt__, pivots, pivots[1:]))
     if not (triangular and all(p < ncols and b[p] in (1, -1) for b, p in zip(basis, pivots))):
         augmented = ([*col, *(int(k == i) for k in range(ncols))] for i, col in enumerate(zip(*basis)))
@@ -238,7 +236,5 @@ def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch")
-    if not b:
-        return tuple(tuple() for _ in a)
     columns = tuple(zip(*b))
     return tuple(tuple(dot(row, column) for column in columns) for row in a)

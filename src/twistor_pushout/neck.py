@@ -106,8 +106,7 @@ class PhasePair(Value):
     rho2: GaussianScalar
     theta_unit: GaussianScalar
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _check(self) -> None:
         for name, value in (("rho1", self.rho1), ("rho2", self.rho2), ("theta", self.theta_unit)):
             if not value.is_unit():
                 raise ValueError(f"{name} must have unit squared modulus")

@@ -69,8 +69,7 @@ class TwistorChow(Value):
     twistor_degrees: tuple[int, ...]
     point_class: RingElement
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _check(self) -> None:
         ring = self.ring
         if ring.top_degree != TWISTOR_TOP:
             raise ValueError("twistor base rings have top degree 3")

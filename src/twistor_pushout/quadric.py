@@ -65,8 +65,7 @@ class QuadricClass(Value):
 
     element: RingElement
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _check(self) -> None:
         if self.element.ring != _RING:
             raise ValueError("QuadricClass elements must live in the quadric ring")
 

@@ -300,7 +300,7 @@ class GradedRing:
     # -- element constructors --------------------------------------------------
 
     def zero(self) -> "RingElement":
-        return RingElement(self, tuple(tuple([0] * self.rank(d)) for d in range(self.top_degree + 1)))
+        return self.element({})
 
     def one(self) -> "RingElement":
         return self.basis_element(0, 0)
@@ -308,11 +308,7 @@ class GradedRing:
     def basis_element(self, degree: int, index: int) -> "RingElement":
         if not 0 <= degree <= self.top_degree or not 0 <= index < self.rank(degree):
             raise ValueError(f"no basis element at degree {degree}, index {index}")
-        coeffs = [
-            tuple(int(d == degree and k == index) for k in range(self.rank(d)))
-            for d in range(self.top_degree + 1)
-        ]
-        return RingElement(self, tuple(coeffs))
+        return self.homogeneous(degree, [int(k == index) for k in range(self.rank(degree))])
 
     def element(self, coeffs_by_degree: Mapping[int, Sequence[int]]) -> "RingElement":
         coeffs = []
@@ -571,6 +567,4 @@ def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:
     return kernel_basis(f.matrix(degree), ncols=f.source.rank(degree))
 
 
-def lattice_membership(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool:
-    """True iff ``vec`` lies in the integer span of ``basis`` (any spanning set)."""
-    return lattice_contains(basis, vec)
+lattice_membership = lattice_contains  # True iff ``vec`` is in the integer span of ``basis``

@@ -94,11 +94,13 @@ class _Json:
         raise ValueError(f"{self.path or 'the document'} must be {expected}, got {got}")
 
     def make(self, kind: Callable, *args, **kwargs):
-        """``kind(*args, **kwargs)``, whose arguments are read first; a refusal of their
-        values names this block, as in ``bundles[1]: rank must be non-negative``."""
+        """``kind(*args, **kwargs)``, whose arguments are read first; a refusal names this
+        block, as in ``bundles[1]: rank must be non-negative``, unless it is the document."""
         try:
             return kind(*args, **kwargs)
         except ValueError as exc:
+            if not self.path:
+                raise
             raise ValueError(f"{self.path}: {exc}") from exc
 
     def read(self, kind: type, span: range | None = None):
@@ -166,7 +168,7 @@ def ring_from_dict(doc) -> GradedRing:
     functional = None
     if "degree_functional" in doc:
         functional = doc["degree_functional"].integers(len(basis[top]))
-    return GradedRing(top, basis, products, functional, name=doc.get("name", "").read(str))
+    return doc.make(GradedRing, top, basis, products, functional, name=doc.get("name", "").read(str))
 
 
 def twistor_base_from_dict(doc) -> TwistorChow:
@@ -176,7 +178,8 @@ def twistor_base_from_dict(doc) -> TwistorChow:
     doc = _Json.of(doc)
     top = doc["top_degree"].read(int, range(TWISTOR_TOP, TWISTOR_TOP + 1))  # before any cubic check
     ring = ring_from_dict(doc)
-    return TwistorChow(
+    return doc.make(
+        TwistorChow,
         ring=ring,
         line_class=ring.homogeneous(2, doc["line_class"].integers(ring.rank(2))),
         twistor_degrees=tuple(doc["twistor_degrees"].integers(ring.rank(1))),

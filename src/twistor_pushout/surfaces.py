@@ -24,8 +24,7 @@ class SurfaceData(Value):
     twistor_degree: int
     contains_line: bool
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def _check(self) -> None:
         if self.twistor_degree < 1:
             raise ValueError("twistor degree must be at least 1")
 

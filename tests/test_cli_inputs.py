@@ -249,32 +249,37 @@ NAMED = {
     "inline-mult-degree-out-of-range": (
         with_product(4, 0, 1, 0, []),
         SCENARIO_ARGV,
-        "table degree out of range: (4, 0, 1, 0)",
+        "branch1: table degree out of range: (4, 0, 1, 0)",
     ),
     "inline-mult-index-out-of-range": (
         with_product(1, 3, 1, 0, [0]),
         SCENARIO_ARGV,
-        "table index out of range: (1, 3, 1, 0)",
+        "branch1: table index out of range: (1, 3, 1, 0)",
     ),
     "inline-mult-nonzero-above-top-degree": (
         with_product(2, 0, 2, 0, [1]),
         SCENARIO_ARGV,
-        "product (2, 0, 2, 0) lands above top degree",
+        "branch1: product (2, 0, 2, 0) lands above top degree",
     ),
     "inline-line-class-zero": (
         mutated(INLINE_P3, ("branch1", "line_class"), [0]),
         SCENARIO_ARGV,
-        "line_class must be a nonzero degree-2 class",
+        "branch1: line_class must be a nonzero degree-2 class",
     ),
     "inline-point-class-zero": (
         mutated(INLINE_P3, ("branch1", "point_class"), [0]),
         SCENARIO_ARGV,
-        "point_class must be a degree-3 class",
+        "branch1: point_class must be a degree-3 class",
     ),
     "inline-point-class-of-degree-2": (
         mutated(INLINE_P3, ("branch1", "point_class"), [2]),
         SCENARIO_ARGV,
-        "point_class must have degree 1",
+        "branch1: point_class must have degree 1",
+    ),
+    "inline-branch2-twistor-degree-inconsistent": (  # the line's prefix says which branch is at fault
+        {**INLINE_P3, "branch2": {**INLINE_P3["branch1"], "twistor_degrees": [2]}},
+        SCENARIO_ARGV,
+        "branch2: twistor degree of h is inconsistent with the line class",
     ),
     "inline-mult-entry-repeated": (
         mutated(
@@ -307,7 +312,7 @@ NAMED = {
     ),
     **{
         f"non-associative-pair-{command}": (
-            MALFORMED_PAIR, ["--scenario", "{}", command], "associativity fails on (x, y, y)"
+            MALFORMED_PAIR, ["--scenario", "{}", command], "branch1: associativity fails on (x, y, y)"
         )
         for command in ("ring-show", "equalizer", "charge")
     },

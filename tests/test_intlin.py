@@ -223,6 +223,16 @@ def test_mat_mul_and_vec():
         mat_vec(a, [1, 1, 1])
 
 
+def test_zero_rows_and_empty_factors_take_the_general_path():
+    # a zero row's pivot is the sentinel len(row), past every index
+    assert intlin._pivot((0, 0, 0)) == 3
+    assert intlin._pivot([0, -2, 1]) == 1
+    assert hermite_row_basis([(0, 0, 0), (0, -2, 1), (0, 0, 0)]) == [(0, 2, -1)]
+    assert hermite_row_basis([(0, 0)]) == []
+    assert mat_mul([(), ()], []) == ((), ())
+    assert mat_mul([], [(1, 2)]) == ()
+
+
 @st.composite
 def echelon_bases_and_vectors(draw):
     """An echelon basis that is not in Hermite form, which ``lattice_contains``

@@ -414,16 +414,36 @@ def _closure_geometry(name):
 def _closure_reference(equalizer):
     """The first closure failure found by forming every ordered product of basis
     pairs, mirrors included, in ``_check_each_product``'s (d1, d2 >= d1, u, v) order,
-    as its message; None when every product holds."""
+    as its message; None when every product holds.
+
+    Independent of the equalizer's own methods: each branch's part of a product is
+    summed from that branch's ``product_table``, the product is matched when
+    ``matching_matrix`` annihilates it, and it is in the lattice when appending it
+    to the lattice rows leaves their Hermite form unchanged."""
     geometry = equalizer.geometry
+    rings = (geometry.branch1.ring, geometry.branch2.ring)
+
+    def part(ring, u, v, d1, d2):
+        table, out = ring.product_table(d1, d2), [0] * ring.rank(d1 + d2)
+        for (i, a), (k, b) in itertools.product(enumerate(u), enumerate(v)):
+            if a and b:
+                for m, c in enumerate(table[i][k]):
+                    out[m] += a * b * c
+        return out
+
     for d1 in range(4):
         for d2 in range(d1, 4 - d1):
-            for u in equalizer.basis_pairs(d1):
-                for v in equalizer.basis_pairs(d2):
-                    product = equalizer.product(u, v)
-                    if not geometry.is_matched(product):
+            split1, split2 = rings[0].rank(d1), rings[0].rank(d2)
+            matching = geometry.matching_matrix(d1 + d2)
+            rows = equalizer.lattices[d1 + d2]
+            hermite = hermite_row_basis(rows)
+            for u in equalizer.lattices[d1]:
+                for v in equalizer.lattices[d2]:
+                    uv = part(rings[0], u[:split1], v[:split2], d1, d2)
+                    uv += part(rings[1], u[split1:], v[split2:], d1, d2)
+                    if any(sum(a * b for a, b in zip(row, uv)) for row in matching):
                         return f"product of matched pairs is unmatched in degree {d1 + d2}"
-                    if not equalizer.contains(product):
+                    if hermite_row_basis([*rows, uv]) != hermite:
                         return f"product of lattice pairs leaves the lattice in degree {d1 + d2}"
     return None
 
@@ -493,7 +513,8 @@ def test_derived_closure_verdict_agrees_with_forming_every_product(name, kind, d
         basis[i] = tuple(2 * a for a in basis[i])
     equalizer = EqualizerRing(geometry, tuple(tuple(b) for b in lattices))
     assert equalizer._closure_is_derived() == (kind in ("none", "remix"))
-    assert _verdict(equalizer.check_product_closure) == _verdict(equalizer._check_each_product)
+    verdict = _verdict(equalizer.check_product_closure)
+    assert verdict == _verdict(equalizer._check_each_product) == _closure_reference(equalizer)
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED_SCENARIOS))

@@ -15,6 +15,9 @@ is not checked.
 Every name a module imports, at any depth and under ``TYPE_CHECKING`` too, must
 be read in that module.  A quoted annotation is a string and is not read, so an
 imported name must appear unquoted at least once.
+
+A value class (one deriving from ``_value.Value``) without ``__slots__`` defines no
+``__init__``: it validates in ``_check``, which the one constructor runs.
 """
 
 from __future__ import annotations
@@ -127,3 +130,30 @@ def test_every_module_level_function_is_reached():
     assert sorted(name.rsplit(".", 1)[1] for name in unreached) == sorted(ALLOWED)
     unread = unread_imports()
     assert not unread, f"imported but never read: {', '.join(unread)}"
+
+
+def value_constructors() -> list[str]:
+    """``module.Class`` for each class deriving from ``Value``, directly or through another
+    package class, that declares no ``__slots__`` and defines ``__init__``."""
+    classes = [
+        (path.stem, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ClassDef)
+    ]
+    values = {"Value"}
+    for _ in classes:  # a pass per class reaches every subclass, however deep
+        values |= {node.name for _, node in classes if values & {getattr(b, "id", None) for b in node.bases}}
+    found = []
+    for module, node in classes:
+        methods = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        assigns = (item for item in node.body if isinstance(item, ast.Assign))
+        assigned = {getattr(target, "id", None) for item in assigns for target in item.targets}
+        if node.name in values and "__init__" in methods and "__slots__" not in assigned:
+            found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_value_classes_without_slots_validate_in_check():
+    forwarding = value_constructors()
+    assert not forwarding, f"define _check instead of __init__ in {', '.join(forwarding)}"

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import twistor_pushout
+from twistor_pushout import intlin
 from twistor_pushout.pushout import projective_space_base
 from twistor_pushout.quadric import quadric_ring, ruling_swap_map
 from twistor_pushout.rings import (
@@ -252,6 +254,8 @@ def test_lattice_membership_wrapper():
     assert lattice_membership(basis, (0, 0, 0))
     assert lattice_membership(basis, (1, 1, 2))
     assert not lattice_membership(basis, (0, 1, 1))
+    # the export is intlin's membership test itself, under the name the package exports
+    assert lattice_membership is twistor_pushout.lattice_membership is intlin.lattice_contains
 
 
 def test_element_string_rendering(quad):
