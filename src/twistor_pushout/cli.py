@@ -1,18 +1,21 @@
 """Command-line front end: load a scenario, dispatch, emit a report.
 
 ``run`` owns each report: it makes it with the subcommand's parsed flags as
-its options, hands it to that subcommand's ``cmd_*`` handler to fill, renders
-it and sets the exit code.  A report is deterministic (sorted keys, exact
-integers) and lists the identities it verified.  The exit code is 1 exactly when
-one fails and 2 on bad input, including a result past the interpreter's
+its options, hands it to that subcommand's handler to fill, renders it and
+sets the exit code.  A report is deterministic (sorted keys, exact integers)
+and lists the identities it verified.  The exit code is 1 exactly when one
+fails and 2 on bad input, including a result past the interpreter's
 4,300-digit limit for printing an integer, so logged runs double as certificates.
 
-Each ``cmd_*`` handler imports the modules it runs when it is called, and a
-scenario builds its pair only when a handler reads it, so one process loads and
+Each command's handler is ``handle`` in a module of its own, ``cmd_<command>``
+(``cmd_ring_show`` for ``ring-show``), which ``run`` imports when the command
+runs; a handler imports the modules it runs when it is called, and a scenario
+builds its pair only when a handler reads it, so one process compiles, loads and
 builds only what its subcommand uses.  ``ring-show``, ``equalizer`` and
-``charge`` read the pair, and so refuse a file whose pair is malformed;
-``real``, ``neck`` and ``surfaces`` never build it, and ``real`` on the default
-scenario loads neither ``pushout`` nor ``neck``.
+``charge`` read the pair, and so refuse a file whose branches are malformed;
+only ``charge`` reads the bundle and polarization blocks, and so refuses a file
+whose blocks are.  ``real``, ``neck`` and ``surfaces`` never build the pair,
+and ``real`` on the default scenario loads neither ``pushout`` nor ``neck``.
 """
 
 from __future__ import annotations
@@ -21,21 +24,10 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
+from importlib import import_module
 
 from . import __version__
-from .scenario import (
-    Scenario,
-    decoration_from_dict,
-    default_scenario,
-    load_scenario,
-    member_from_dict,
-    preview,
-    read_json,
-)
-
-if TYPE_CHECKING:
-    from .realstruct import QuadricPoint
+from .scenario import default_scenario, load_scenario, preview
 
 
 class Report:
@@ -109,346 +101,6 @@ def _render_value(value, indent: int) -> list[str]:
     return lines
 
 
-# -- commands -------------------------------------------------------------------
-
-
-def cmd_ring_show(scenario: Scenario, args, report: Report) -> None:
-    from .rings import format_vector
-
-    geometry = scenario.geometry
-    blown = {"1": geometry.branch1, "2": geometry.branch2}.get(args.branch)
-    ring = geometry.quadric if blown is None else blown.ring
-    report.results["name"] = ring.name
-    report.results["ranks"] = [ring.rank(d) for d in range(ring.top_degree + 1)]
-    report.results["basis"] = [list(labels) for labels in ring.basis_labels]
-    table, labels = [], ring.basis_labels
-    for d1 in range(1, ring.top_degree + 1):
-        for i1 in range(ring.rank(d1)):
-            for d2 in range(d1, ring.top_degree + 1 - d1):
-                start = i1 if d1 == d2 else 0
-                for i2, xy in enumerate(ring.product_table(d1, d2)[i1][start:], start):
-                    product = format_vector(labels[d1 + d2], xy)
-                    table.append(f"{labels[d1][i1]} . {labels[d2][i2]} = {product}")
-    report.results["products"] = table
-    if blown is None:
-        b = ring.basis_element(1, 0)
-        w = ring.basis_element(1, 1)
-        report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
-        report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
-        return
-
-    # blow_up refuses (exit 2) a ring failing this or the projection formula below
-    report.check("pushforward of (b + w) equals the pulled-back line class", True)
-    exceptional = blown.exceptional_class()
-    report.check(
-        "exceptional divisor restricts to z = b - w",
-        blown.restrict_to_quadric(exceptional).coeffs_bw() == (1, -1),
-    )
-    report.check("projection formula on all basis pairs", True)
-    report.check(
-        "exceptional self-intersection is 2 j.b - f.[line]",
-        exceptional * exceptional
-        == 2 * blown.pushed_fibre_class() - blown.pulled_back_line(),
-    )
-
-
-def cmd_equalizer(scenario: Scenario, args, report: Report) -> None:
-    from .pushout import brute_force_matched_lattice
-
-    geometry = scenario.geometry
-    member = None
-    if args.member is not None:
-        member = read_json(args.member, lambda doc: member_from_dict(geometry, doc))
-    equalizer = geometry.equalizer()
-    report.results["ranks"] = list(equalizer.ranks())
-    report.results["lattice_bases"] = {
-        str(degree): [list(vec) for vec in basis] for degree, basis in enumerate(equalizer.lattices)
-    }
-    try:
-        equalizer.check_product_closure()
-        report.check("lattice closed under componentwise product", True)
-    except ValueError as exc:
-        report.check("lattice closed under componentwise product", False, str(exc))
-    degrees = range(len(equalizer.lattices))
-    if all(geometry.branch1.ring.rank(d) + geometry.branch2.ring.rank(d) <= ORACLE_GATE for d in degrees):
-        agree = all(
-            brute_force_matched_lattice(geometry, d) == list(basis)
-            for d, basis in enumerate(equalizer.lattices)
-        )
-        report.check("kernel lattice matches bounded brute-force enumeration", agree)
-    exceptional_pair = geometry.exceptional_pair()
-    report.check(
-        "([Q1], -[Q2]) is a matched member",
-        geometry.is_matched(exceptional_pair) and equalizer.contains(exceptional_pair),
-    )
-    if member:
-        degree, pair = member
-        report.results["member_query"] = {
-            "degree": degree,
-            "matched": geometry.is_matched(pair),
-            "in_lattice": equalizer.contains(pair),
-        }
-
-
-def cmd_surfaces(scenario: Scenario, args, report: Report) -> None:
-    from .quadric import arithmetic_genus, hyperplane_class, intersection_number, ruling_swap_pushforward
-    from .surfaces import SurfaceData, classify_all, glue_check, trace_bidegree, trace_class
-
-    if args.pair:
-        d1, f1, d2, f2 = args.pair
-        try:  # int() refuses a degree beyond the interpreter's digit limit
-            degrees = [int(d) for d in (d1, d2) if d.removeprefix("-").isdecimal()]
-        except ValueError:
-            degrees = []
-        if len(degrees) < 2 or not {f1, f2} <= {"in", "out"}:
-            shape = "D1 IN1 D2 IN2, an integer degree then in or out for each surface"
-            raise ValueError(f"--pair takes {shape}, got {preview(repr(' '.join(args.pair)))}")
-        try:
-            s1, s2 = SurfaceData(degrees[0], f1 == "in"), SurfaceData(degrees[1], f2 == "in")
-        except ValueError as exc:
-            raise ValueError(f"--pair: {exc}") from exc
-        ok = glue_check(s1, s2)
-        trace1 = trace_class(s1)
-        report.results["pair"] = {
-            "glues": ok,
-            "trace1": str(trace1),
-            "trace2": str(trace_class(s2)),
-            "swapped_trace1": str(ruling_swap_pushforward(trace1)),
-        }
-        report.check("glue check is symmetric", ok == glue_check(s2, s1))
-        return
-    surfaces = scenario.surfaces or tuple(
-        SurfaceData(d, flag) for d in (1, 2) for flag in (True, False)
-    )
-    rows = []
-    for s in surfaces:
-        trace = trace_class(s)
-        rows.append(
-            {
-                "degree": s.twistor_degree,
-                "contains_line": s.contains_line,
-                "trace": str(trace),
-                "genus": arithmetic_genus(trace_bidegree(s)),
-                "points_on_twistor_line": intersection_number(trace, hyperplane_class()),
-            }
-        )
-    report.results["surfaces"] = rows
-    report.results["glue_checks"] = [
-        {"first": a, "second": b, "glues": glue_check(surfaces[a], surfaces[b])}
-        for a in range(len(surfaces))
-        for b in range(a, len(surfaces))
-    ]
-    table = classify_all(args.dmax)
-    report.results["admissible"] = [list(row) for row in table]
-    report.check(
-        "classification is the rigid three-case table",
-        set(table) == {(2, "in", 2, "in"), (1, "in", 1, "out"), (1, "out", 1, "in")}
-        if args.dmax >= 2
-        else set(table) == {(1, "in", 1, "out"), (1, "out", 1, "in")},
-    )
-    report.check(
-        "every trace meets a generic twistor line in its twistor degree",
-        all(
-            row["points_on_twistor_line"] == row["degree"] for row in report.results["surfaces"]
-        ),
-    )
-    report.check(
-        "contained-line traces are rational",
-        all(row["genus"] == 0 for row in rows if row["contains_line"]),
-    )
-
-
-def cmd_charge(scenario: Scenario, args, report: Report) -> None:
-    # the default scenario has no blocks; a file's come with its pair, which is read first
-    if args.scenario is None or not scenario.bundles or scenario.polarization is None:
-        where = "" if args.scenario is None else f"{args.scenario}: "
-        raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")
-    from .charges import branch_charge_degrees, obstruction_dim, polarized_charge
-
-    polarization = scenario.polarization
-    matched = scenario.geometry.is_matched(polarization)
-    label = (
-        "smooth-fibre charge"
-        if (scenario.assumption_def and matched)
-        else "central-fibre degree"
-    )
-    rows = []
-    for index, bundle in enumerate(scenario.bundles):
-        degrees = branch_charge_degrees(bundle, polarization)
-        entry = {
-            "bundle": index,
-            "rank": bundle.rank,
-            "branch_degrees": list(degrees),
-            "total": degrees[0] + degrees[1],
-            "label": label,
-        }
-        if matched:
-            entry["polarized_charge"] = polarized_charge(bundle, polarization)
-        if bundle.restriction_to_quadric_trivial:
-            entry["obstruction_dim"] = obstruction_dim(bundle)
-        rows.append(entry)
-    report.results["polarization_matched"] = matched
-    report.results["assumption_DEF"] = scenario.assumption_def
-    report.results["charges"] = rows
-    report.check(
-        "charge equals the sum of the branch degrees",
-        all(row["total"] == sum(row["branch_degrees"]) for row in rows),
-    )
-    if matched:
-        report.check(
-            "matched polarization: totals agree with the polarized charge",
-            all(row["polarized_charge"] == row["total"] for row in rows),
-        )
-    report.check(
-        "obstruction dimensions are additive for bundles trivial on the double locus",
-        all(
-            row.get("obstruction_dim") == sum(scenario.bundles[row["bundle"]].h2_end_dims)
-            for row in rows
-            if "obstruction_dim" in row
-        ),
-    )
-
-
-def cmd_neck(scenario: Scenario, args, report: Report) -> None:
-    from .neck import (
-        antidiagonal_quotient_over_fibre,
-        character_quotient,
-        kn_fixed_phase_bundle,
-        lens_space_of,
-        raw_fibre_pairing,
-        restrict_to_curve,
-        restrict_to_ruling_fibre_bundle,
-    )
-    from .quadric import Bidegree
-
-    decoration = scenario.decoration
-    if args.decorate is not None:
-        decoration = read_json(args.decorate, decoration_from_dict)
-    bundle = kn_fixed_phase_bundle()
-    fibre = restrict_to_ruling_fibre_bundle(bundle)
-    report.results["fixed_phase_c1_bw"] = list(bundle.c1_class.coeffs_bw())
-    report.results["fibre_restriction"] = {
-        "raw": raw_fibre_pairing(bundle),
-        "oriented": fibre.c1_int,
-        "total_space": lens_space_of(fibre.c1_int),
-    }
-    character = tuple(args.character) if args.character else (1, 1)
-    chern_vector = (fibre.c1_int, 1)
-    quotient_c1 = character_quotient(chern_vector, character)
-    report.results["character_quotient"] = {
-        "chern_vector": list(chern_vector),
-        "character": list(character),
-        "c1": quotient_c1,
-        "total_space": lens_space_of(quotient_c1),
-    }
-    if args.curve:
-        a, b = args.curve
-        restricted = restrict_to_curve(bundle, Bidegree(a, b))
-        report.results["curve_restriction"] = {
-            "bidegree": [a, b],
-            "c1": restricted.c1_int,
-        }
-    report.check(
-        "fibre restriction has magnitude one and oriented value +1",
-        abs(raw_fibre_pairing(bundle)) == 1 and fibre.c1_int == 1,
-    )
-    report.check(
-        "anti-diagonal character gives the lens space of class 2",
-        antidiagonal_quotient_over_fibre() == "RP3",
-    )
-    report.check(
-        "diagonal character gives the trivial bundle over the sphere",
-        antidiagonal_quotient_over_fibre(character=(1, -1)) == "S2xS1",
-    )
-    if decoration:
-        report.results["decoration"] = decoration.to_json_dict()
-        report.check(
-            "decoration phase pairs satisfy rho1 * rho2 = theta",
-            all(pair.rho1 * pair.rho2 == decoration.theta_unit for _, pair in decoration.points),
-        )
-
-
-def _point_str(p: QuadricPoint) -> str:
-    return f"([{p.z[0]} : {p.z[1]}], [{p.w[0]} : {p.w[1]}])"
-
-
-def cmd_real(scenario: Scenario, args, report: Report) -> None:
-    import random
-
-    from .gaussian import GaussianScalar
-    from .realstruct import (
-        BASEPOINT,
-        base_locus,
-        evaluate_section,
-        invariant_section_from_reals,
-        is_fixed_point,
-        is_invariant_section,
-        pairs_projectively_equal,
-        pencil_value,
-        point,
-        real_structure,
-    )
-
-    locus = base_locus()
-    report.results["base_locus"] = [_point_str(p) for p in locus]
-    report.results["base_locus_exact"] = [p.to_json() for p in locus]
-    basis = [
-        invariant_section_from_reals(*params)
-        for params in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    ]
-    report.results["fixed_space_dimension"] = len(basis)
-    sample_section = invariant_section_from_reals(2, -1, 3, 5)
-
-    report.check("base locus consists of two points", len(locus) == 2)
-    report.check(
-        "involution swaps the two base points",
-        real_structure(locus[0]).projectively_equal(locus[1])
-        and real_structure(locus[1]).projectively_equal(locus[0]),
-    )
-    report.check(
-        "fixed-space basis sections are invariant",
-        all(is_invariant_section(s) for s in (*basis, sample_section)),
-    )
-
-    rng = random.Random(20240817)
-    def random_scalar() -> GaussianScalar:
-        return GaussianScalar.of(rng.randint(-6, 6), rng.randint(-6, 6))
-
-    fixed_free = True
-    equivariant = True
-    samples_done = 0
-    while samples_done < args.samples:
-        try:
-            p = point(random_scalar(), random_scalar(), random_scalar(), random_scalar())
-        except ValueError:
-            continue
-        samples_done += 1
-        if is_fixed_point(p):
-            fixed_free = False
-        value = pencil_value(p)
-        image = pencil_value(real_structure(p))
-        if value is BASEPOINT or image is BASEPOINT:
-            continue
-        conjugated = (value[0].conjugate(), value[1].conjugate())
-        if not pairs_projectively_equal(image, conjugated):
-            equivariant = False
-    report.results["samples"] = samples_done
-    report.check("involution is fixed-point free on all samples", fixed_free)
-    report.check("pencil is equivariant: value at the image is the conjugate", equivariant)
-    report.check(
-        "pencil vanishes exactly on the base locus",
-        all(pencil_value(p) is BASEPOINT for p in locus),
-    )
-    report.check(
-        "invariant sections have involution-stable zero sets (spot check)",
-        evaluate_section(sample_section, locus[0]).is_zero()
-        == evaluate_section(sample_section, real_structure(locus[0])).is_zero(),
-    )
-
-
-# -- entry point ------------------------------------------------------------------
-
-
 # flags that buy work are bounded: surfaces compares 4 * dmax**2 pairs of traces,
 # and real needs at least one sample for its sampled identities to mean anything;
 # neck's results are linear in each entry of --curve and --character, so their bound
@@ -515,16 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "ring-show": cmd_ring_show,
-    "equalizer": cmd_equalizer,
-    "surfaces": cmd_surfaces,
-    "charge": cmd_charge,
-    "neck": cmd_neck,
-    "real": cmd_real,
-}
-
-
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse arguments, execute one command, and return (exit code, output)."""
     parser = build_parser()
@@ -546,7 +188,8 @@ def run(argv: list[str]) -> tuple[int, str]:
     args.scenario = args.scenario_path if args.scenario is None else args.scenario
     try:
         scenario = default_scenario() if args.scenario is None else load_scenario(args.scenario)
-        _HANDLERS[args.command](scenario, args, report)
+        handler = import_module(f".cmd_{args.command.replace('-', '_')}", __package__)
+        handler.handle(scenario, args, report)
         output = report.to_json() if args.json else report.to_text()
     except (ValueError, OSError) as exc:
         return 2, f"error: {exc}"

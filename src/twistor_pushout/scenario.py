@@ -11,14 +11,16 @@ a boolean, a label, id or name a string, and a vector has its declared length; a
 integer list or ``mult`` entry is read in one pass.  A refusal names the JSON path:
 ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
-The pair unit of a document is ``branch1``, ``branch2`` and the ``bundles`` and
-``polarization`` blocks, whose vectors are read against the pair's ranks.  It is
-decoded and built on its first read, for a file as for the default scenario, so a
-command that never reads it never builds it; a file's refusal then still names the
-file.  The ``surfaces``, ``decoration`` and ``assumption_DEF`` blocks are decoded at
-load, so every command refuses a malformed one.  Decoding loads only what the
-document holds: ``pushout`` (and ``charges`` for bundles) when the pair is read,
-``surfaces`` for a surface block and ``neck`` with ``gaussian`` for a decoration.
+The pair of a document is ``branch1`` and ``branch2``.  It is decoded and built on
+its first read, for a file as for the default scenario, so a command that never
+reads it never builds it; a file's refusal then still names the file.  The
+``bundles`` and ``polarization`` blocks, whose vectors are read against the pair's
+ranks, are decoded on their own first read, after the pair, so a command that reads
+the pair but not them (``ring-show``, ``equalizer``) ignores their faults.  The
+``surfaces``, ``decoration`` and ``assumption_DEF`` blocks are decoded at load, so
+every command refuses a malformed one.  Decoding loads only what the document
+holds: ``pushout`` when the pair is read, ``charges`` when bundles are, ``surfaces``
+for a surface block and ``neck`` with ``gaussian`` for a decoration.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ if TYPE_CHECKING:
     from .rings import GradedRing
     from .surfaces import SurfaceData
 
-    PairUnit = tuple[PushoutPair, tuple[GluedBundleData, ...], ComponentPair | None]
+    Blocks = tuple[tuple[GluedBundleData, ...], ComponentPair | None]
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
@@ -51,23 +53,29 @@ MAX_DOCUMENT_RANK = 40
 class Scenario(Value):
     """A glued pair and its optional blocks.
 
-    ``build`` returns the pair unit ``(geometry, bundles, polarization)``.  It runs
-    once, on the first read of any of the three, so a command that reads none of them
-    never builds the pair.  The other blocks are fields, decoded with the scenario.
+    ``build`` returns the pair ``geometry`` and the decoder of the blocks read against
+    it, which returns ``(bundles, polarization)``.  Each runs once: ``build`` on the
+    first read of any of the three, the decoder on the first read of either block, so a
+    command that reads no block never decodes them.  The other blocks are fields,
+    decoded with the scenario.
     """
 
-    build: Callable[[], PairUnit]
+    build: Callable[[], tuple[PushoutPair, Callable[[], Blocks]]]
     surfaces: tuple[SurfaceData, ...] = ()
     decoration: PhaseDecoration | None = None
     assumption_def: bool = False
 
     @cached_property
-    def _unit(self) -> PairUnit:
+    def _built(self) -> tuple[PushoutPair, Callable[[], Blocks]]:
         return self.build()
 
-    geometry = property(lambda self: self._unit[0])
-    bundles = property(lambda self: self._unit[1])
-    polarization = property(lambda self: self._unit[2])
+    @cached_property
+    def _decoded(self) -> Blocks:
+        return self._built[1]()
+
+    geometry = property(lambda self: self._built[0])
+    bundles = property(lambda self: self._decoded[0])
+    polarization = property(lambda self: self._decoded[1])
 
 
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
@@ -235,15 +243,19 @@ def decoration_from_dict(doc) -> PhaseDecoration:
     )
 
 
-def _pair_unit(doc: _Json) -> PairUnit:
-    """The two blown-up branches, then the ``bundles`` and ``polarization`` read against them."""
+def _branches(doc: _Json) -> PushoutPair:
+    """The pair of the two blown-up branches."""
     from .pushout import PushoutPair, blow_up, builtin_base
 
     bases = [
         builtin_base(b["builtin"].read(str)) if "builtin" in b else twistor_base_from_dict(b)
         for b in (doc["branch1"], doc["branch2"])
     ]
-    geometry = PushoutPair(*map(blow_up, bases))
+    return PushoutPair(*map(blow_up, bases))
+
+
+def _bundle_blocks(doc: _Json, geometry: PushoutPair) -> Blocks:
+    """The ``bundles`` and ``polarization`` blocks, read against the pair's ranks."""
     bundles = ()
     if "bundles" in doc:
         from .charges import GluedBundleData
@@ -261,26 +273,34 @@ def _pair_unit(doc: _Json) -> PairUnit:
             for block in doc["bundles"].items()
         )
     polarization = _pair(geometry, doc["polarization"], 1) if "polarization" in doc else None
-    return geometry, bundles, polarization
+    return bundles, polarization
 
 
 def scenario_from_dict(doc, path: str | Path | None = None) -> Scenario:
     """A scenario document: its ``surfaces``, ``decoration`` and ``assumption_DEF`` are
-    decoded now, its pair unit on first read, where a refusal names ``path`` if given."""
+    decoded now, its pair and then its bundle blocks on first read, where a refusal
+    names ``path`` if given."""
     doc = _Json.of(doc)
     blocks = {}
     if "surfaces" in doc:
         from .surfaces import SurfaceData
 
+        given = doc["surfaces"]
+        listed = given.items()
+        if not listed:  # an empty list would read as no block, so as the default surfaces
+            given.refuse("a non-empty list")
         blocks["surfaces"] = tuple(
-            s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool))
-            for s in doc["surfaces"].items()
+            s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool)) for s in listed
         )
     if "decoration" in doc:
         blocks["decoration"] = decoration_from_dict(doc["decoration"])
 
-    def build() -> PairUnit:
-        return _pair_unit(doc) if path is None else _naming(path, _pair_unit, doc)
+    def decode(read: Callable, *args):
+        return read(doc, *args) if path is None else _naming(path, read, doc, *args)
+
+    def build() -> tuple[PushoutPair, Callable[[], Blocks]]:
+        geometry = decode(_branches)
+        return geometry, lambda: decode(_bundle_blocks, geometry)
 
     return Scenario(build, assumption_def=doc.get("assumption_DEF", False).read(bool), **blocks)
 

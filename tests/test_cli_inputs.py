@@ -196,6 +196,11 @@ NAMED = {
         ["--scenario", "{}", "surfaces"],
         "surfaces[0]: twistor degree must be at least 1",
     ),
+    "surfaces-empty": (  # an empty list would otherwise read as the four default surfaces
+        mutated(_load("scenarios/p3_p3.json"), ("surfaces",), []),
+        ["--scenario", "{}", "surfaces"],
+        "surfaces must be a non-empty list, got []",
+    ),
     "bundle-rank-negative": (
         mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "rank"), -1),
         SCENARIO_ARGV,
@@ -400,6 +405,31 @@ def test_a_command_that_never_reads_the_pair_ignores_its_faults(argv, tmp_path):
     target.write_text(json.dumps(MALFORMED_PAIR), encoding="utf-8")
     code, out = run(["--scenario", str(target), *argv])
     assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
+
+
+# a fault in a block read only by charge: path -> replacement
+BLOCK_FAULTS = {
+    "bundle-rank-float": (("bundles", 0, "rank"), 1.5),
+    "bundle-c1-too-short": (("bundles", 1, "c1", "branch2"), [1]),
+    "bundles-not-a-list": (("bundles",), {}),
+    "polarization-without-branch1": (("polarization", "branch1"), DELETE),
+    "polarization-not-an-object": (("polarization",), "x"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize(
+    "argv", [["ring-show"], ["ring-show", "--branch", "quadric"], ["equalizer"]],
+    ids=["ring-show", "ring-show-quadric", "equalizer"],
+)
+def test_a_command_that_never_reads_the_bundle_blocks_ignores_their_faults(argv, fault, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(mutated(_load("scenarios/p3_p3.json"), *BLOCK_FAULTS[fault])), encoding="utf-8")
+    code, out = run(["--scenario", str(target), *argv])
+    assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
+    # charge reads the blocks after the pair, and refuses the fault naming the file
+    code, out = run(["--scenario", str(target), "charge"])
+    assert code == 2 and out.startswith(f"error: {target}: ")
 
 
 def test_an_all_zero_product_above_the_top_degree_is_accepted(tmp_path):

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SYNTHETIC = str(ROOT / "tests" / "data" / "synthetic_r7.json")
 P3_P3 = str(ROOT / "scenarios" / "p3_p3.json")
 FLAG_FLAG = str(ROOT / "scenarios" / "flag_flag.json")
+COMMANDS = ("ring-show", "equalizer", "surfaces", "charge", "neck", "real")
 
 # runs one command through cli.run and prints its exit code and the package modules loaded
 CHILD = """
@@ -64,16 +65,29 @@ def _fresh(*args: str) -> str:
         (["--scenario", FLAG_FLAG, "neck"], 0, {"pushout", "charges"}),
         (["--scenario", P3_P3, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
         (["--scenario", FLAG_FLAG, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
+        # the bundle and polarization blocks are decoded only by charge, which reads them
+        (["--scenario", P3_P3, "ring-show"], 0, {"charges", "realstruct"}),
+        (["--scenario", FLAG_FLAG, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        (["--scenario", P3_P3, "equalizer"], 0, {"charges", "realstruct"}),
+        (["--scenario", FLAG_FLAG, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        (["--scenario", P3_P3, "charge"], 0, {"realstruct"}),
     ],
     ids=[
         "real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7",
         "real-p3_p3", "real-flag_flag", "neck-p3_p3", "neck-flag_flag", "surfaces-p3_p3", "surfaces-flag_flag",
+        "ring-show-p3_p3", "ring-show-flag_flag", "equalizer-p3_p3", "equalizer-flag_flag", "charge-p3_p3",
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, code, absent):
     got, *loaded = _fresh("-c", CHILD, *argv).split()
     assert int(got) == code
     assert "cli" in loaded and not absent & set(loaded), loaded
+    # each command compiles its own handler module and no other command's
+    command = next(arg for arg in argv if arg in COMMANDS)
+    handlers = {module for module in loaded if module.startswith("cmd_")}
+    assert handlers == {"cmd_" + command.replace("-", "_")}, loaded
+    if code == 0 and command == "charge":
+        assert "charges" in loaded, loaded
 
 
 @pytest.mark.parametrize(

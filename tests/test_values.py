@@ -216,11 +216,21 @@ def test_repr_keeps_the_field_form():
 
 
 def test_scenario_caches_its_geometry():
-    # the pair unit (geometry, bundles, polarization) is built once, on the first read of any of them
+    # the geometry is built once, on the first read of it or of a block; the bundles and
+    # polarization are decoded once, after it, on the first read of either
     calls = []
-    built = scenario.Scenario(lambda: calls.append(1) or ("pair", ("bundle",), "polarization"))
-    assert built.bundles == ("bundle",) and built.geometry == "pair" and built.polarization == "polarization"
-    assert built.geometry == "pair" and calls == [1]
+
+    def build():
+        calls.append("geometry")
+        return "pair", lambda: calls.append("blocks") or (("bundle",), "polarization")
+
+    for first in ("geometry", "bundles", "polarization"):
+        calls.clear()
+        built = scenario.Scenario(build)
+        getattr(built, first)
+        assert calls == (["geometry"] if first == "geometry" else ["geometry", "blocks"])
+        assert built.bundles == ("bundle",) and built.geometry == "pair" and built.polarization == "polarization"
+        assert built.geometry == "pair" and built.bundles == ("bundle",) and calls == ["geometry", "blocks"]
 
 
 def test_construction_refusals_are_kept():
