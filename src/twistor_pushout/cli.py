@@ -10,12 +10,9 @@ fails and 2 on bad input, including a result past the interpreter's
 Each command's handler is ``handle`` in a module of its own, ``cmd_<command>``
 (``cmd_ring_show`` for ``ring-show``), which ``run`` imports when the command
 runs; a handler imports the modules it runs when it is called, and a scenario
-builds its pair only when a handler reads it, so one process compiles, loads and
-builds only what its subcommand uses.  ``ring-show``, ``equalizer`` and
-``charge`` read the pair, and so refuse a file whose branches are malformed;
-only ``charge`` reads the bundle and polarization blocks, and so refuses a file
-whose blocks are.  ``real``, ``neck`` and ``surfaces`` never build the pair,
-and ``real`` on the default scenario loads neither ``pushout`` nor ``neck``.
+decodes each block on its first read, so one process compiles, loads and builds
+only what its subcommand uses.  A scenario that is not a JSON object is refused
+at load, any other only for a fault in a block the subcommand reads.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ if TYPE_CHECKING:
 
 
 def handle(scenario: Scenario, args, report: Report) -> None:
-    # the default scenario has no blocks; a file's are decoded after its pair, which is built first
+    # the default scenario has no blocks; a file's bundle blocks are decoded here, after its pair
     if args.scenario is None or not scenario.bundles or scenario.polarization is None:
         where = "" if args.scenario is None else f"{args.scenario}: "
         raise ValueError(f"{where}charge needs bundle and polarization blocks in the scenario")

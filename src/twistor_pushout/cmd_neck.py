@@ -23,9 +23,9 @@ def handle(scenario: Scenario, args, report: Report) -> None:
     )
     from .quadric import Bidegree
 
-    decoration = scenario.decoration
-    if args.decorate is not None:
-        decoration = read_json(args.decorate, decoration_from_dict)
+    # a --decorate file replaces the scenario's decoration, which is then never decoded
+    decorate = args.decorate
+    decoration = scenario.decoration if decorate is None else read_json(decorate, decoration_from_dict)
     bundle = kn_fixed_phase_bundle()
     fibre = restrict_to_ruling_fibre_bundle(bundle)
     report.results["fixed_phase_c1_bw"] = list(bundle.c1_class.coeffs_bw())

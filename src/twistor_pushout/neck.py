@@ -160,6 +160,13 @@ class PhaseDecoration(Value):
     theta_unit: GaussianScalar
     points: tuple[tuple[str, PhasePair], ...]
 
+    def _check(self) -> None:
+        seen = set()
+        for point_id, _ in self.points:
+            if point_id in seen:
+                raise ValueError(f"point ids must be distinct, {point_id!r} repeats")
+            seen.add(point_id)
+
     def to_json_dict(self) -> dict:
         return {
             "theta": self.theta_unit.to_json_dict(),

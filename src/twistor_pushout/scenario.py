@@ -11,16 +11,10 @@ a boolean, a label, id or name a string, and a vector has its declared length; a
 integer list or ``mult`` entry is read in one pass.  A refusal names the JSON path:
 ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
-The pair of a document is ``branch1`` and ``branch2``.  It is decoded and built on
-its first read, for a file as for the default scenario, so a command that never
-reads it never builds it; a file's refusal then still names the file.  The
-``bundles`` and ``polarization`` blocks, whose vectors are read against the pair's
-ranks, are decoded on their own first read, after the pair, so a command that reads
-the pair but not them (``ring-show``, ``equalizer``) ignores their faults.  The
-``surfaces``, ``decoration`` and ``assumption_DEF`` blocks are decoded at load, so
-every command refuses a malformed one.  Decoding loads only what the document
-holds: ``pushout`` when the pair is read, ``charges`` when bundles are, ``surfaces``
-for a surface block and ``neck`` with ``gaussian`` for a decoration.
+Loading a scenario checks only that it is a JSON object.  Each block is decoded once, on
+its first read, where a file's refusal names the file, so a command ignores faults in
+blocks it never reads and loads only what those it reads need: ``pushout`` for the pair,
+``charges`` for bundles, ``surfaces`` for surfaces, ``neck`` and ``gaussian`` for a decoration.
 """
 
 from __future__ import annotations
@@ -31,8 +25,6 @@ from functools import cached_property
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, NoReturn
-
-from ._value import Value
 
 if TYPE_CHECKING:
     from .charges import GluedBundleData
@@ -50,32 +42,45 @@ if TYPE_CHECKING:
 MAX_DOCUMENT_RANK = 40
 
 
-class Scenario(Value):
-    """A glued pair and its optional blocks.
+class Scenario:
+    """A scenario document's blocks, each decoded on its first read.  ``geometry`` is the
+    pair, read first by ``bundles`` and ``polarization``, which are decoded together."""
 
-    ``build`` returns the pair ``geometry`` and the decoder of the blocks read against
-    it, which returns ``(bundles, polarization)``.  Each runs once: ``build`` on the
-    first read of any of the three, the decoder on the first read of either block, so a
-    command that reads no block never decodes them.  The other blocks are fields,
-    decoded with the scenario.
-    """
+    def __init__(self, doc: dict, path: str | Path | None = None) -> None:
+        self._doc, self._path = doc, path
 
-    build: Callable[[], tuple[PushoutPair, Callable[[], Blocks]]]
-    surfaces: tuple[SurfaceData, ...] = ()
-    decoration: PhaseDecoration | None = None
-    assumption_def: bool = False
+    def _decode(self, read: Callable, *args):
+        """``read(document, *args)``; a refusal names the file, if there is one."""
+        doc, path = _Json(self._doc), self._path
+        return read(doc, *args) if path is None else _naming(path, read, doc, *args)
 
     @cached_property
-    def _built(self) -> tuple[PushoutPair, Callable[[], Blocks]]:
-        return self.build()
+    def geometry(self) -> PushoutPair:
+        return self._decode(_branches)
 
     @cached_property
-    def _decoded(self) -> Blocks:
-        return self._built[1]()
+    def bundles(self) -> tuple[GluedBundleData, ...]:
+        bundles, self.polarization = self._decode(_bundle_blocks, self.geometry)
+        return bundles
 
-    geometry = property(lambda self: self._built[0])
-    bundles = property(lambda self: self._decoded[0])
-    polarization = property(lambda self: self._decoded[1])
+    @cached_property
+    def polarization(self) -> ComponentPair | None:
+        self.bundles  # decodes both blocks and stores this one
+        return vars(self)["polarization"]
+
+    @cached_property
+    def surfaces(self) -> tuple[SurfaceData, ...]:
+        return self._decode(_surfaces)
+
+    @cached_property
+    def decoration(self) -> PhaseDecoration | None:
+        return self._decode(
+            lambda doc: decoration_from_dict(doc["decoration"]) if "decoration" in doc else None
+        )
+
+    @cached_property
+    def assumption_def(self) -> bool:
+        return self._decode(lambda doc: doc.get("assumption_DEF", False).read(bool))
 
 
 _KINDS = {int: "an integer", bool: "a boolean", str: "a string", list: "a list", dict: "an object"}
@@ -236,7 +241,8 @@ def decoration_from_dict(doc) -> PhaseDecoration:
 
     doc = _Json.of(doc)
     points = doc.get("points", []).items()
-    return phase_decoration(
+    return doc.make(
+        phase_decoration,
         [p["id"].read(str) for p in points],
         scalar_from_dict(doc["theta"]),
         [scalar_from_dict(p["eta"]) for p in points],
@@ -276,33 +282,23 @@ def _bundle_blocks(doc: _Json, geometry: PushoutPair) -> Blocks:
     return bundles, polarization
 
 
+def _surfaces(doc: _Json) -> tuple[SurfaceData, ...]:
+    """The ``surfaces`` block, a non-empty list; ``()`` without one."""
+    if "surfaces" not in doc:
+        return ()
+    from .surfaces import SurfaceData
+
+    given = doc["surfaces"]
+    listed = given.items()
+    if not listed:  # an empty list would read as no block, so as the default surfaces
+        given.refuse("a non-empty list")
+    return tuple(s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool)) for s in listed)
+
+
 def scenario_from_dict(doc, path: str | Path | None = None) -> Scenario:
-    """A scenario document: its ``surfaces``, ``decoration`` and ``assumption_DEF`` are
-    decoded now, its pair and then its bundle blocks on first read, where a refusal
-    names ``path`` if given."""
-    doc = _Json.of(doc)
-    blocks = {}
-    if "surfaces" in doc:
-        from .surfaces import SurfaceData
-
-        given = doc["surfaces"]
-        listed = given.items()
-        if not listed:  # an empty list would read as no block, so as the default surfaces
-            given.refuse("a non-empty list")
-        blocks["surfaces"] = tuple(
-            s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool)) for s in listed
-        )
-    if "decoration" in doc:
-        blocks["decoration"] = decoration_from_dict(doc["decoration"])
-
-    def decode(read: Callable, *args):
-        return read(doc, *args) if path is None else _naming(path, read, doc, *args)
-
-    def build() -> tuple[PushoutPair, Callable[[], Blocks]]:
-        geometry = decode(_branches)
-        return geometry, lambda: decode(_bundle_blocks, geometry)
-
-    return Scenario(build, assumption_def=doc.get("assumption_DEF", False).read(bool), **blocks)
+    """A scenario document, which must be an object; its blocks are decoded on first
+    read, where a refusal names ``path`` if given."""
+    return Scenario(_Json.of(doc).read(dict), path)
 
 
 def _naming(path: str | Path, decode: Callable, *args):
@@ -323,7 +319,7 @@ def read_json(path: str | Path, decode: Callable):
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """The scenario file at ``path``; its pair is built, or refused naming ``path``, on first read."""
+    """The scenario file at ``path``; each block is decoded, or refused naming ``path``, on first read."""
     return read_json(path, lambda doc: scenario_from_dict(doc, path))
 
 
@@ -331,5 +327,5 @@ _DEFAULT = {"branch1": {"builtin": "p3"}, "branch2": {"builtin": "p3"}}
 
 
 def default_scenario() -> Scenario:
-    """The built-in p3/p3 pair with no blocks; the pair is built on first read."""
+    """The built-in p3/p3 pair with no other block; the pair is built on first read."""
     return scenario_from_dict(_DEFAULT)

@@ -7,8 +7,11 @@ same shape), and the dense synthetic scenario gets the deletion plus one
 replacement per value, cycling through the replacements.
 
 On the same paths, every integer, boolean or string value replaced by one of
-the wrong JSON type exits 2 with an error naming the file and that path, and
-named malformed inputs exit 2 with their exact error line.  A document nested
+the wrong JSON type exits 2 with an error naming the file and that path, under
+the command that reads its block, and named malformed inputs exit 2 with their
+exact error line.  A fault in one block of a scenario is met only by the
+command that reads that block; every other command runs as on the intact file.
+A scenario that is not a JSON object is refused by every command.  A document nested
 deeper than the interpreter's recursion limit exits 2 with one line naming the file.
 
 A result past the interpreter's 4,300-digit limit for printing an integer
@@ -346,6 +349,16 @@ NAMED = {
         ["neck", "--decorate", "{}"],
         "points[0].eta.im_den must be a nonzero integer, got 0",
     ),
+    "decoration-point-id-repeated": (  # one point given two phase pairs
+        {**DECORATION, "points": [*DECORATION["points"], {**DECORATION["points"][0], "eta": DECORATION["theta"]}]},
+        ["neck", "--decorate", "{}"],
+        "point ids must be distinct, 'p' repeats",
+    ),
+    "scenario-decoration-point-id-repeated": (
+        mutated(_load("scenarios/p3_p3.json"), ("decoration", "points", 1, "id"), "p1"),
+        ["--scenario", "{}", "neck"],
+        "decoration: point ids must be distinct, 'p1' repeats",
+    ),
 }
 
 
@@ -407,29 +420,58 @@ def test_a_command_that_never_reads_the_pair_ignores_its_faults(argv, tmp_path):
     assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
 
 
-# a fault in a block read only by charge: path -> replacement
+# argv key -> a command's argv; "{decorate}" is a valid --decorate file
+READERS = {
+    "ring-show": ["ring-show"],
+    "ring-show-quadric": ["ring-show", "--branch", "quadric"],
+    "equalizer": ["equalizer"],
+    "surfaces": ["surfaces", "--dmax", "3"],
+    "surfaces-pair": ["surfaces", "--pair", "1", "in", "1", "out"],
+    "charge": ["charge"],
+    "neck": ["neck"],
+    "neck-decorate": ["neck", "--decorate", "{decorate}"],
+    "real": ["real", "--samples", "3"],
+}
+# a fault in one block of p3_p3.json: name -> (path, replacement, the one argv key that reads the block)
 BLOCK_FAULTS = {
-    "bundle-rank-float": (("bundles", 0, "rank"), 1.5),
-    "bundle-c1-too-short": (("bundles", 1, "c1", "branch2"), [1]),
-    "bundles-not-a-list": (("bundles",), {}),
-    "polarization-without-branch1": (("polarization", "branch1"), DELETE),
-    "polarization-not-an-object": (("polarization",), "x"),
+    "bundle-rank-float": (("bundles", 0, "rank"), 1.5, "charge"),
+    "bundle-c1-too-short": (("bundles", 1, "c1", "branch2"), [1], "charge"),
+    "bundles-not-a-list": (("bundles",), {}, "charge"),
+    "polarization-without-branch1": (("polarization", "branch1"), DELETE, "charge"),
+    "polarization-not-an-object": (("polarization",), "x", "charge"),
+    "assumption-def-string": (("assumption_DEF",), "false", "charge"),
+    "surface-degree-bool": (("surfaces", 0, "degree"), True, "surfaces"),
+    "surfaces-empty": (("surfaces",), [], "surfaces"),
+    "decoration-theta-not-unit": (("decoration", "theta", "re_den"), 7, "neck"),
+    "decoration-point-id-integer": (("decoration", "points", 0, "id"), 0, "neck"),
 }
 
 
+@pytest.mark.parametrize("reader", sorted(READERS))
 @pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
-@pytest.mark.parametrize(
-    "argv", [["ring-show"], ["ring-show", "--branch", "quadric"], ["equalizer"]],
-    ids=["ring-show", "ring-show-quadric", "equalizer"],
-)
-def test_a_command_that_never_reads_the_bundle_blocks_ignores_their_faults(argv, fault, tmp_path):
-    target = tmp_path / "input.json"
-    target.write_text(json.dumps(mutated(_load("scenarios/p3_p3.json"), *BLOCK_FAULTS[fault])), encoding="utf-8")
+def test_a_command_that_never_reads_a_block_ignores_its_faults(fault, reader, tmp_path):
+    path, replacement, reads = BLOCK_FAULTS[fault]
+    target, decorate = tmp_path / "input.json", tmp_path / "decoration.json"
+    target.write_text(json.dumps(mutated(_load("scenarios/p3_p3.json"), path, replacement)), encoding="utf-8")
+    decorate.write_text(json.dumps(DECORATION), encoding="utf-8")
+    argv = [str(decorate) if arg == "{decorate}" else arg for arg in READERS[reader]]
     code, out = run(["--scenario", str(target), *argv])
-    assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
-    # charge reads the blocks after the pair, and refuses the fault naming the file
-    code, out = run(["--scenario", str(target), "charge"])
-    assert code == 2 and out.startswith(f"error: {target}: ")
+    if reader == reads:  # the one command that reads the block refuses the fault, naming the file
+        assert code == 2 and out.startswith(f"error: {target}: ")
+    else:
+        assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0
+
+
+NOT_OBJECTS = {"list": [1], "null": None, "string": "x", "integer": 3}
+
+
+@pytest.mark.parametrize("command", ["ring-show", "equalizer", "surfaces", "charge", "neck", "real"])
+@pytest.mark.parametrize("doc", sorted(NOT_OBJECTS))
+def test_a_scenario_that_is_not_an_object_is_refused_at_load(doc, command, tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps(NOT_OBJECTS[doc]), encoding="utf-8")
+    message = f"error: {target}: the document must be an object, got {json.dumps(NOT_OBJECTS[doc])}"
+    assert run(["--scenario", str(target), command]) == (2, message)
 
 
 def test_an_all_zero_product_above_the_top_degree_is_accepted(tmp_path):
@@ -485,7 +527,9 @@ def dotted(path) -> str:
 
 # a leaf's type -> values of a wrong JSON type for it (bool is tested before int)
 WRONG_TYPES = {bool: (0,), int: (1.5, True, "1"), str: (0,)}
-# input name -> (document, argv running it at {})
+# a scenario block -> the command that reads it, where that is not charge
+BLOCK_READER = {"surfaces": "surfaces", "decoration": "neck"}
+# input name -> (document, argv running it at {}; charge runs as the leaf's block's reader)
 TYPED = {
     "p3_p3-inline": (INLINE_P3, SCENARIO_ARGV),
     "synthetic_r7": (INPUTS["synthetic_r7"][0], ["--scenario", "{}", "equalizer"]),
@@ -504,7 +548,8 @@ def test_wrong_json_type_exits_2_naming_its_path(name, tmp_path):
             leaf = leaf[key]
         for wrong in WRONG_TYPES.get(type(leaf), ()):
             target.write_text(json.dumps(mutated(doc, path, wrong)), encoding="utf-8")
-            code, out = _run_at(argv, target)
+            reader = BLOCK_READER.get(path[0], "charge")
+            code, out = _run_at([reader if arg == "charge" else arg for arg in argv], target)
             if code != 2 or not out.startswith(f"error: {target}: {dotted(path)} "):
                 bad.append(f"{dotted(path)} set to {wrong!r}: exit {code}: {out[:120]!r}")
     assert not bad, "\n".join(bad)

@@ -58,19 +58,24 @@ def _fresh(*args: str) -> str:
         (["charge"], 2, {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", SYNTHETIC, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", SYNTHETIC, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        # a file's pair is built only by the commands that read it; its other blocks need no ring
-        (["--scenario", P3_P3, "real", "--samples", "5"], 0, {"pushout", "charges", "rings", "intlin", "quadric"}),
+        # a file's pair is built only by the commands that read it, and each other block is
+        # decoded only by the command that reads it
+        (
+            ["--scenario", P3_P3, "real", "--samples", "5"],
+            0,
+            {"pushout", "charges", "rings", "intlin", "quadric", "surfaces", "neck"},
+        ),
         (["--scenario", FLAG_FLAG, "real", "--samples", "5"], 0, {"pushout", "charges", "rings", "intlin", "quadric"}),
-        (["--scenario", P3_P3, "neck"], 0, {"pushout", "charges"}),
+        (["--scenario", P3_P3, "neck"], 0, {"pushout", "charges", "surfaces"}),
         (["--scenario", FLAG_FLAG, "neck"], 0, {"pushout", "charges"}),
-        (["--scenario", P3_P3, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
+        (["--scenario", P3_P3, "surfaces", "--dmax", "3"], 0, {"pushout", "charges", "neck", "gaussian"}),
         (["--scenario", FLAG_FLAG, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
         # the bundle and polarization blocks are decoded only by charge, which reads them
-        (["--scenario", P3_P3, "ring-show"], 0, {"charges", "realstruct"}),
+        (["--scenario", P3_P3, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", FLAG_FLAG, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        (["--scenario", P3_P3, "equalizer"], 0, {"charges", "realstruct"}),
+        (["--scenario", P3_P3, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", FLAG_FLAG, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        (["--scenario", P3_P3, "charge"], 0, {"realstruct"}),
+        (["--scenario", P3_P3, "charge"], 0, {"neck", "gaussian", "realstruct", "surfaces"}),
     ],
     ids=[
         "real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7",
@@ -99,7 +104,9 @@ def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
     assert not {"rings", "intlin"} & set(loaded), loaded
 
 
-@pytest.mark.parametrize("scenario", [[], ["--scenario", FLAG_FLAG]], ids=["default", "flag_flag"])
+@pytest.mark.parametrize(
+    "scenario", [[], ["--scenario", P3_P3], ["--scenario", FLAG_FLAG]], ids=["default", "p3_p3", "flag_flag"]
+)
 def test_real_stays_integer_only(scenario):
     # its samples are Gaussian integers; only a division or a decoration makes a Fraction
     got, *loaded = _fresh("-c", RATIONAL_CHILD, *scenario, "real", "--samples", "5").split()
@@ -107,7 +114,7 @@ def test_real_stays_integer_only(scenario):
     assert not loaded, loaded
 
 
-@pytest.mark.parametrize("scenario", [SYNTHETIC, FLAG_FLAG], ids=["synthetic_r7", "flag_flag"])
+@pytest.mark.parametrize("scenario", [SYNTHETIC, P3_P3, FLAG_FLAG], ids=["synthetic_r7", "p3_p3", "flag_flag"])
 @pytest.mark.parametrize("command", ["equalizer", "ring-show"])
 def test_ring_commands_stay_integer_only(scenario, command):
     # kernels, certificates and ring documents are read without rational arithmetic
@@ -148,7 +155,8 @@ def test_package_import_loads_no_module():
     ids=["ring-show", "equalizer", "surfaces", "surfaces-pair", "charge", "neck", "real"],
 )
 def test_no_command_loads_class_code_generation(scenario, argv):
-    # p3_p3's blocks load every module; charge on the default scenario is refused
+    # p3_p3 holds every block, each decoded by the command that reads it; charge on the
+    # default scenario is refused
     got, *loaded = _fresh("-c", CODEGEN_CHILD, *scenario, *argv).split()
     assert int(got) == (2 if argv == ["charge"] and not scenario else 0)
     assert not loaded, loaded

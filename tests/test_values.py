@@ -2,6 +2,7 @@
 
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +11,7 @@ from twistor_pushout._value import Value
 from twistor_pushout.gaussian import GaussianScalar
 
 ONE, I = GaussianScalar.one(), GaussianScalar.i()
-
-
-def _build():  # a scenario's pair builder; unused here
-    raise AssertionError
+P3_P3 = Path(__file__).resolve().parent.parent / "scenarios" / "p3_p3.json"
 
 
 def _samples():
@@ -69,12 +67,6 @@ def _samples():
             neck.PhaseDecoration(I, ()),
         ),
         (
-            scenario.Scenario,
-            ("build", "surfaces", "decoration", "assumption_def"),
-            scenario.Scenario(_build),
-            scenario.Scenario(_build, assumption_def=True),
-        ),
-        (
             surfaces.SurfaceData,
             ("twistor_degree", "contains_line"),
             surfaces.SurfaceData(2, False),
@@ -123,7 +115,7 @@ def _rebuilt(fields, value):
 
 
 def test_every_value_class_is_sampled():
-    assert len(SAMPLES) == 19
+    assert len(SAMPLES) == 18
     assert {cls for cls, *_ in SAMPLES} == set(Value.__subclasses__())
 
 
@@ -171,9 +163,6 @@ def test_keyword_construction_equals_positional_construction(cls, fields, value,
 
 def test_omitted_fields_take_their_defaults():
     assert neck.RestrictedBundle(3).curve is None
-    built = scenario.Scenario(_build)
-    assert built.surfaces == () and built.decoration is None and built.assumption_def is False
-    assert built == scenario.Scenario(build=_build) == scenario.Scenario(_build, (), None, False)
     assert neck.RestrictedBundle(3, curve=None) == neck.RestrictedBundle(c1_int=3)
 
 
@@ -201,8 +190,6 @@ def test_generic_constructor_messages():
         quadric.Bidegree(1, m=1)
     with pytest.raises(TypeError, match=r"^Bidegree\(\) missing argument 'n'$"):
         quadric.Bidegree(1)
-    with pytest.raises(TypeError, match=r"^Scenario\(\) missing argument 'build'$"):
-        scenario.Scenario(surfaces=())
     # only the annotated fields are keywords; any other name is refused
     with pytest.raises(TypeError, match=r"^EqualizerRing\(\) got an unexpected keyword argument '_members'$"):
         pushout.EqualizerRing(None, (), _members=())
@@ -215,22 +202,38 @@ def test_repr_keeps_the_field_form():
     assert repr(surfaces.SurfaceData(2, False)) == "SurfaceData(twistor_degree=2, contains_line=False)"
 
 
-def test_scenario_caches_its_geometry():
-    # the geometry is built once, on the first read of it or of a block; the bundles and
-    # polarization are decoded once, after it, on the first read of either
-    calls = []
+BLOCKS = ("geometry", "bundles", "polarization", "surfaces", "decoration", "assumption_def")
 
-    def build():
-        calls.append("geometry")
-        return "pair", lambda: calls.append("blocks") or (("bundle",), "polarization")
 
-    for first in ("geometry", "bundles", "polarization"):
-        calls.clear()
-        built = scenario.Scenario(build)
-        getattr(built, first)
-        assert calls == (["geometry"] if first == "geometry" else ["geometry", "blocks"])
-        assert built.bundles == ("bundle",) and built.geometry == "pair" and built.polarization == "polarization"
-        assert built.geometry == "pair" and built.bundles == ("bundle",) and calls == ["geometry", "blocks"]
+@pytest.mark.parametrize("first", BLOCKS)
+def test_scenario_decodes_each_block_once_on_its_first_read(first, monkeypatch):
+    # a scenario is not a value: it decodes its blocks lazily.  Loading decodes none;
+    # the first read of a block decodes it, the bundles and polarization together and
+    # after the pair, and no block is decoded twice
+    decoded = []
+    decode = scenario.Scenario._decode
+
+    def counted(self, read, *args):
+        decoded.append(read)
+        return decode(self, read, *args)
+
+    monkeypatch.setattr(scenario.Scenario, "_decode", counted)
+    loaded = scenario.load_scenario(P3_P3)
+    assert decoded == []
+    getattr(loaded, first)
+    pair, blocks = scenario._branches, scenario._bundle_blocks
+    if first == "geometry":
+        assert decoded == [pair]
+    elif first in ("bundles", "polarization"):
+        assert decoded == [pair, blocks]
+    else:
+        assert len(decoded) == 1 and decoded[0] not in (pair, blocks)
+    for name in BLOCKS * 2:
+        getattr(loaded, name)
+    assert len(decoded) == len(set(decoded)) == 5
+    assert decoded.index(pair) < decoded.index(blocks)
+    assert len(loaded.bundles) == 2 and loaded.polarization is not None and loaded.decoration is not None
+    assert len(loaded.surfaces) == 3 and loaded.assumption_def is True
 
 
 def test_construction_refusals_are_kept():
