@@ -27,10 +27,10 @@ def handle(scenario: Scenario, args, report: Report) -> None:
     decorate = args.decorate
     decoration = scenario.decoration if decorate is None else read_json(decorate, decoration_from_dict)
     bundle = kn_fixed_phase_bundle()
-    fibre = restrict_to_ruling_fibre_bundle(bundle)
+    raw, fibre = raw_fibre_pairing(bundle), restrict_to_ruling_fibre_bundle(bundle)
     report.results["fixed_phase_c1_bw"] = list(bundle.c1_class.coeffs_bw())
     report.results["fibre_restriction"] = {
-        "raw": raw_fibre_pairing(bundle),
+        "raw": raw,
         "oriented": fibre.c1_int,
         "total_space": lens_space_of(fibre.c1_int),
     }
@@ -52,7 +52,7 @@ def handle(scenario: Scenario, args, report: Report) -> None:
         }
     report.check(
         "fibre restriction has magnitude one and oriented value +1",
-        abs(raw_fibre_pairing(bundle)) == 1 and fibre.c1_int == 1,
+        abs(raw) == 1 and fibre.c1_int == 1,
     )
     report.check(
         "anti-diagonal character gives the lens space of class 2",

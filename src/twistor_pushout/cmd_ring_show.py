@@ -10,6 +10,7 @@ if TYPE_CHECKING:
 
 
 def handle(scenario: Scenario, args, report: Report) -> None:
+    from .quadric import hyperplane_class
     from .rings import format_vector
 
     geometry = scenario.geometry
@@ -34,13 +35,16 @@ def handle(scenario: Scenario, args, report: Report) -> None:
         report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
         return
 
-    # blow_up refuses (exit 2) a ring failing this or the projection formula below
-    report.check("pushforward of (b + w) equals the pulled-back line class", True)
+    report.check(
+        "pushforward of (b + w) equals the pulled-back line class",
+        blown.pushforward_from_quadric.apply(hyperplane_class().element) == blown.pulled_back_line(),
+    )
     exceptional = blown.exceptional_class()
     report.check(
         "exceptional divisor restricts to z = b - w",
         blown.restrict_to_quadric(exceptional).coeffs_bw() == (1, -1),
     )
+    # the one literal: blow_up checks the projection formula and refuses (exit 2) a ring failing it
     report.check("projection formula on all basis pairs", True)
     report.check(
         "exceptional self-intersection is 2 j.b - f.[line]",

@@ -28,9 +28,12 @@ if TYPE_CHECKING:
 
 
 def _part(value: RationalLike) -> int | Fraction:
-    """``value`` as an exact int when its denominator is 1, else as a Fraction."""
+    """``value`` as an exact int when its denominator is 1, else as a Fraction.  A float or a
+    bool is refused: ``Fraction`` would read 0.1 as its binary expansion and True as 1."""
     from fractions import Fraction
 
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"a Gaussian scalar part must be an int, a Fraction or a str, got {value!r}")
     value = value if isinstance(value, Fraction) else Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -79,9 +82,8 @@ class GaussianScalar(Value):
         """A random exact unit: a Pythagorean phase times a fourth root of unity."""
         m = rng.randint(1, max_parameter)
         n = rng.randint(0, max_parameter)
-        unit = cls.unit_from_triple(m, n) if (m, n) != (0, 0) else cls.one()
         rotation = rng.choice([cls.one(), cls.i(), -cls.one(), -cls.i()])
-        return unit * rotation
+        return cls.unit_from_triple(m, n) * rotation  # m >= 1, so (m, n) is never (0, 0)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -119,9 +121,6 @@ class GaussianScalar(Value):
 
     def conjugate(self) -> "GaussianScalar":
         return GaussianScalar(self.re, -self.im)
-
-    def inverse(self) -> "GaussianScalar":
-        return GaussianScalar.one() / self
 
     def norm_sq(self) -> int | Fraction:
         return self.re * self.re + self.im * self.im

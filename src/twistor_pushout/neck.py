@@ -9,7 +9,7 @@ the discussion in :mod:`twistor_pushout.pushout`).  Restricting to a fibre of
 the contraction gives the Hopf bundle, and character quotients of torus
 bundles produce the familiar lens-space tags.  A bundle over the quadric
 carries its class in the quadric ring; its restriction to a ruling fibre or
-to a curve carries an integer.
+to a curve is the integer that ``quadric.intersection_number`` reads off that ring.
 
 Phases are exact unit Gaussian rationals; moduli are carried as squared
 moduli so every identity is checked with exact equality.
@@ -50,8 +50,9 @@ def kn_fixed_phase_bundle() -> CircleBundleClass:
 
 def raw_fibre_pairing(bundle: CircleBundleClass) -> int:
     """Signed pairing of the bundle class with the contraction-fibre class b."""
-    b_coeff, w_coeff = bundle.c1_class.coeffs_bw()
-    return w_coeff  # (m*b + n*w) . b = n
+    from .quadric import class_b, intersection_number
+
+    return intersection_number(bundle.c1_class, class_b())
 
 
 def restrict_to_ruling_fibre_bundle(bundle: CircleBundleClass) -> RestrictedBundle:
@@ -63,8 +64,10 @@ def restrict_to_ruling_fibre_bundle(bundle: CircleBundleClass) -> RestrictedBund
 def restrict_to_curve(bundle: CircleBundleClass, curve: Bidegree) -> RestrictedBundle:
     """Restrict to a curve of the given bidegree; the class is the intersection
     pairing of the bundle class with a*b + b*w."""
-    m, n = bundle.c1_class.coeffs_bw()
-    return RestrictedBundle(m * curve.n + n * curve.m, curve)
+    from .quadric import QuadricClass, intersection_number
+
+    pairing = intersection_number(bundle.c1_class, QuadricClass.from_bw(curve.m, curve.n))
+    return RestrictedBundle(pairing, curve)
 
 
 def character_quotient(chern_vector: tuple[int, int], character: tuple[int, int]) -> int:
@@ -146,11 +149,7 @@ def neck_point(
         raise ValueError("squared modulus must be non-negative")
     if not theta_unit.is_unit() or not eta.is_unit():
         raise ValueError("neck_point requires unit phases")
-    u = BranchCoordinate(rho_sq, theta_unit / eta)
-    v = BranchCoordinate(rho_sq, eta)
-    if u.phase * v.phase != theta_unit:
-        raise AssertionError("phase product invariant violated")
-    return u, v
+    return BranchCoordinate(rho_sq, theta_unit / eta), BranchCoordinate(rho_sq, eta)
 
 
 class PhaseDecoration(Value):

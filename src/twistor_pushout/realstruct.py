@@ -15,11 +15,7 @@ from ._value import Value
 from .gaussian import GaussianScalar
 
 
-class _BasePointMarker:
-    """Sentinel returned where the pencil is undefined."""
-
-
-BASEPOINT = _BasePointMarker()
+BASEPOINT = object()  # returned where the pencil is undefined
 
 ProjectivePair = tuple[GaussianScalar, GaussianScalar]
 
@@ -121,8 +117,8 @@ def section_involution(s: Section11) -> Section11:
 
 
 def is_invariant_section(s: Section11) -> bool:
-    """Invariance amounts to d = conj(a) and c = -conj(b)."""
-    return s.d == s.a.conjugate() and s.c == -s.b.conjugate()
+    """Whether :func:`section_involution` fixes ``s``: d = conj(a) and c = -conj(b)."""
+    return section_involution(s) == s
 
 
 def invariant_section_from_reals(a1, a2, b1, b2) -> Section11:

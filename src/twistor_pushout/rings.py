@@ -482,6 +482,7 @@ class GradedMap:
     source basis).  Every source degree gets its stored matrix at
     construction: an omitted one is stored as the zero matrix, and one whose
     ``d + shift`` lies outside the target's range as ``()``, the zero group.
+    Each matrix is held once; :meth:`columns` reads its transpose when asked.
     """
 
     def __init__(
@@ -510,7 +511,6 @@ class GradedMap:
             if len(rows) != target.rank(td):
                 raise ValueError(f"matrix[{d}] must have {target.rank(td)} rows")
             self.matrices[d] = rows
-        self._columns = {d: tuple(zip(*rows)) or ((),) * source.rank(d) for d, rows in self.matrices.items()}
         self.is_ring_hom = bool(is_ring_hom)
         if self.is_ring_hom:
             self._check_ring_hom()
@@ -522,8 +522,8 @@ class GradedMap:
 
     def columns(self, degree: int) -> tuple[Vector, ...]:
         """Images of the degree-``degree`` basis elements, as degree ``degree + shift``
-        vectors (empty when that degree is outside the target)."""
-        return self._columns[degree]
+        vectors (empty when that degree is outside the target), read off ``matrices[degree]``."""
+        return tuple(zip(*self.matrices[degree])) or ((),) * self.source.rank(degree)
 
     def apply(self, x: RingElement) -> RingElement:
         if x.ring != self.source:
@@ -541,7 +541,8 @@ class GradedMap:
         # 1'.F(y) by F(1) = 1' and the unit rows.  Both tables are symmetric, so when d2 = d1 only
         # i2 >= i1 is checked: the mirror of a pair with i2 < i1 is the same identity and comes earlier.
         # Above the target's top degree both sides are (), so d2 stops at target.top_degree - d1.
-        source, target, columns = self.source, self.target, self._columns
+        source, target = self.source, self.target
+        columns = [self.columns(d) for d in range(source.top_degree + 1)]  # F(e_i), each transposed once
         for d1 in range(1, source.top_degree + 1):
             per_d2 = [
                 (d2, self.matrix(d1 + d2), source.product_table(d1, d2), target.multiplication(d1, d2))

@@ -40,6 +40,9 @@ if TYPE_CHECKING:
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
 # 0.19 s and equalizer about 0.17 s on a shared 2-vCPU host (README.md, same figures).
 MAX_DOCUMENT_RANK = 40
+# surfaces reports a glue check for each of the n(n + 1)/2 pairs of listed surfaces.  At 24, a
+# fresh --dmax 1 run costs less than surfaces --dmax 200 on p3_p3.json (README.md, same figures).
+MAX_SURFACES = 24
 
 
 class Scenario:
@@ -292,6 +295,8 @@ def _surfaces(doc: _Json) -> tuple[SurfaceData, ...]:
     listed = given.items()
     if not listed:  # an empty list would read as no block, so as the default surfaces
         given.refuse("a non-empty list")
+    if len(listed) > MAX_SURFACES:
+        raise ValueError(f"{given.path} lists {len(listed)} surfaces; at most {MAX_SURFACES} are accepted")
     return tuple(s.make(SurfaceData, s["degree"].read(int), s["contains_line"].read(bool)) for s in listed)
 
 

@@ -461,6 +461,9 @@ FALSIFIERS = {
     "exceptional self-intersection is 2 j.b - f.[line]": (
         ["ring-show"], "pushout.BlownUpChow", "pushed_fibre_class", lambda f: lambda blown: 2 * f(blown)
     ),
+    "pushforward of (b + w) equals the pulled-back line class": (
+        ["ring-show"], "pushout.BlownUpChow", "pulled_back_line", lambda f: lambda blown: 2 * f(blown)
+    ),
     "the two rulings intersect in a point": (
         QUADRIC, "rings.GradedRing", "basis_element", _quadric_w(lambda b, w: b)
     ),
@@ -535,14 +538,8 @@ FALSIFIERS = {
         REAL, "realstruct", "invariant_section_from_reals", _spot_check_on_a_section_vanishing_at_one_point
     ),
 }
-# ring-show records these as held: blow_up refuses a ring failing either, so the run exits 2
+# ring-show records this as held: blow_up refuses a ring failing it, so the run exits 2
 REFUSED_BY_BLOW_UP = {
-    "pushforward of (b + w) equals the pulled-back line class": (
-        "pushout.BlownUpChow",
-        "pulled_back_line",
-        lambda f: lambda blown: 2 * f(blown),
-        "error: pushforward of b + w must equal the pulled-back line class",
-    ),
     "projection formula on all basis pairs": (  # its right side, x . j_*(g), off by one
         "pushout",
         "combination",

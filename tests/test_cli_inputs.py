@@ -142,6 +142,10 @@ R11_LAST = len(R11["branch2"]["mult"]) - 1  # faults there are met after every o
 R11_ARGV = ["--scenario", "{}", "equalizer"]
 
 
+# one surface more than the cap
+SURFACES = [{"degree": 1 + n % 5, "contains_line": n % 2 == 1} for n in range(scenario.MAX_SURFACES + 1)]
+
+
 # case -> (document, argv running it at {}, the error after "error: <file>: ")
 NAMED = {
     "bundle-without-c1": (
@@ -203,6 +207,11 @@ NAMED = {
         mutated(_load("scenarios/p3_p3.json"), ("surfaces",), []),
         ["--scenario", "{}", "surfaces"],
         "surfaces must be a non-empty list, got []",
+    ),
+    "surfaces-over-the-cap": (  # each listed pair buys a glue check
+        mutated(_load("scenarios/p3_p3.json"), ("surfaces",), SURFACES),
+        ["--scenario", "{}", "surfaces"],
+        f"surfaces lists {scenario.MAX_SURFACES + 1} surfaces; at most {scenario.MAX_SURFACES} are accepted",
     ),
     "bundle-rank-negative": (
         mutated(_load("scenarios/p3_p3.json"), ("bundles", 0, "rank"), -1),
@@ -374,6 +383,13 @@ def test_malformed_input_exits_2_naming_the_file(case, tmp_path):
     code, out = _run_at(argv, target)
     assert code == 2
     assert out == f"error: {target}: {message}"
+
+
+def test_a_surface_list_at_the_cap_is_read(tmp_path):
+    target = tmp_path / "input.json"
+    target.write_text(json.dumps({**_load("scenarios/p3_p3.json"), "surfaces": SURFACES[:-1]}), encoding="utf-8")
+    code, out = run(["--json", "--scenario", str(target), "surfaces", "--dmax", "1"])
+    assert code == 0 and len(json.loads(out)["results"]["surfaces"]) == scenario.MAX_SURFACES
 
 
 # an empty path names no file: argv -> the flag its refusal names

@@ -59,13 +59,15 @@ def test_curve_restriction_values():
 
 
 def test_curve_restriction_is_the_ring_pairing():
+    # closed form of the quadric's pairing, b.b = w.w = 0 and b.w = 1:
+    # (m*b + n*w) . (a*b + c*w) = m*c + n*a, and against the fibre class b it is n
     rng = random.Random(3)
     for _ in range(50):
         m, n = rng.randint(-4, 4), rng.randint(-4, 4)
-        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        a, c = rng.randint(-4, 4), rng.randint(-4, 4)
         bundle = CircleBundleClass(QuadricClass.from_bw(m, n))
-        expected = intersection_number(QuadricClass.from_bw(m, n), QuadricClass.from_bw(a, b))
-        assert restrict_to_curve(bundle, Bidegree(a, b)).c1_int == expected
+        assert restrict_to_curve(bundle, Bidegree(a, c)).c1_int == m * c + n * a
+        assert raw_fibre_pairing(bundle) == n
 
 
 def test_character_quotient_values():
@@ -217,17 +219,15 @@ def test_pythagorean_units_are_units():
 
 # -- the integer case of GaussianScalar, against arithmetic done only in Fraction ----------
 
-# integers, Fractions with denominator 1 and booleans (which must come out as ints),
-# proper fractions, and exact binary floats (which must come out as ints or Fractions)
+# integers, Fractions with denominator 1 (which must come out as ints) and proper fractions;
+# a float or a bool part is refused (tests/test_values.py)
 _PARTS = st.one_of(
     st.integers(-40, 40),
     st.integers(-40, 40).map(Fraction),
-    st.booleans(),
     st.fractions(min_value=-40, max_value=40, max_denominator=12),
-    st.integers(-160, 160).map(lambda n: n / 4),
 )
 _SCALARS = st.tuples(_PARTS, _PARTS)
-_FACTORS = _PARTS.filter(lambda k: not isinstance(k, float))  # what `*` takes besides scalars
+_FACTORS = st.one_of(_PARTS, st.booleans())  # what `*` takes besides scalars
 
 
 def _reference_str(re: Fraction, im: Fraction) -> str:
@@ -276,5 +276,5 @@ def test_gaussian_integer_case_agrees_with_fraction_arithmetic(x, y, k):
     assume(c or d)
     n = c * c + d * d
     _assert_matches(z / w, (a * c + b * d) / n, (b * c - a * d) / n)
-    _assert_matches(w.inverse(), c / n, -d / n)
+    _assert_matches(GaussianScalar.one() / w, c / n, -d / n)
 

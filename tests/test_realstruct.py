@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistor_pushout.gaussian import GaussianScalar
 from twistor_pushout.realstruct import (
@@ -122,6 +124,18 @@ def test_invariance_predicate():
     assert is_invariant_section(section(1, 0, 0, 1))   # the first pencil generator
     assert not is_invariant_section(section(1, 0, 0, 0))
     assert is_invariant_section(section(0, 0, 0, 0))
+
+
+GAUSSIAN_INTEGERS = st.builds(GaussianScalar.of, st.integers(-6, 6), st.integers(-6, 6))
+
+
+@given(GAUSSIAN_INTEGERS, GAUSSIAN_INTEGERS, GAUSSIAN_INTEGERS, GAUSSIAN_INTEGERS, st.booleans(), st.booleans())
+def test_invariance_is_the_closed_form_condition(a, b, c, d, conjugate_a, conjugate_b):
+    # d = conj(a) and c = -conj(b), read off the coefficients rather than through the involution;
+    # each condition is forced or left to chance, so all four cases are drawn
+    d = a.conjugate() if conjugate_a else d
+    c = -b.conjugate() if conjugate_b else c
+    assert is_invariant_section(Section11(a, b, c, d)) == (d == a.conjugate() and c == -b.conjugate())
 
 
 def test_fixed_space_embedding_examples():

@@ -256,6 +256,14 @@ def test_construction_refusals_are_kept():
 
 
 def test_gaussian_parts_are_normalised_at_construction():
-    value = GaussianScalar(Fraction(4, 2), True)
+    value = GaussianScalar(Fraction(4, 2), Fraction(3, 3))
     assert type(value.re) is int and type(value.im) is int and value == GaussianScalar(2, 1)
     assert GaussianScalar.of("1/2").re == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("part", [0.1, 2.0, True, False])
+def test_gaussian_parts_refuse_floats_and_bools(part):
+    # Fraction(0.1) is 3602879701896397/36028797018963968 and Fraction(True) is 1
+    for args in ((part,), (0, part), (Fraction(1, 2), part)):
+        with pytest.raises(TypeError, match=re.escape(f"got {part!r}")):
+            GaussianScalar(*args)
