@@ -131,8 +131,8 @@ def branch_charge_degrees(
         raise ValueError("polarization must be a codimension-1 pair")
     g = bundle.geometry
     return (
-        g.branch1.zero_cycle_degree(bundle.c2_pair.first * polarization.first),
-        g.branch2.zero_cycle_degree(bundle.c2_pair.second * polarization.second),
+        g.branch1.ring.zero_cycle_degree(bundle.c2_pair.first * polarization.first),
+        g.branch2.ring.zero_cycle_degree(bundle.c2_pair.second * polarization.second),
     )
 
 

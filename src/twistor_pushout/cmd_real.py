@@ -41,7 +41,8 @@ def handle(scenario: Scenario, args, report: Report) -> None:
     report.results["fixed_space_dimension"] = len(basis)
     sample_section = invariant_section_from_reals(2, -1, 3, 5)
 
-    report.check("base locus consists of two points", len(locus) == 2)
+    two_points = len(locus) == 2 and not locus[0].projectively_equal(locus[1])
+    report.check("base locus consists of two points", two_points)
     report.check(
         "involution swaps the two base points",
         real_structure(locus[0]).projectively_equal(locus[1])

@@ -8,7 +8,9 @@ through, and every wrapped attribute must be restored on exit.  ``neck`` runs
 the circle-bundle probes; ``charge`` runs the render probe, which wraps the
 report's JSON rendering inside the CLI's error handling, and the scenario-load
 and charge probes; ``equalizer`` on ``flag_flag`` runs the ring-build,
-``blow_up``, ring-hom, projection-formula, closure and oracle probes.
+``blow_up``, ring-hom, closure and oracle probes; ``ring-show`` on
+``flag_flag``, the one command that checks the projection formula, runs the
+``blow_up`` and projection-formula probes.
 """
 
 import importlib.util
@@ -32,10 +34,13 @@ RUNS = {
             "rings.ring_build",
             "pushout.blow_up",
             "rings.hom_check",
-            "pushout.projection_formula",
             "pushout.closure",
             "pushout.oracle",
         ],
+    ),
+    "ring-show": (
+        ["--json", "ring-show", str(ROOT / "scenarios" / "flag_flag.json")],
+        ["pushout.blow_up", "pushout.projection_formula"],
     ),
 }
 

@@ -537,14 +537,8 @@ FALSIFIERS = {
     "invariant sections have involution-stable zero sets (spot check)": (
         REAL, "realstruct", "invariant_section_from_reals", _spot_check_on_a_section_vanishing_at_one_point
     ),
-}
-# ring-show records this as held: blow_up refuses a ring failing it, so the run exits 2
-REFUSED_BY_BLOW_UP = {
     "projection formula on all basis pairs": (  # its right side, x . j_*(g), off by one
-        "pushout",
-        "combination",
-        lambda f: lambda *args: tuple(c + 1 for c in f(*args)),
-        "error: projection formula fails on (1, 1)",
+        ["ring-show"], "pushout", "combination", lambda f: lambda *args: tuple(c + 1 for c in f(*args))
     ),
 }
 UNFALSIFIABLE = {
@@ -571,7 +565,7 @@ def test_every_reported_identity_has_a_falsifier_or_a_reason():
         for entry in json.loads(golden.read_text())["identities"]
     }
     assert len(names) == 26
-    listed = [*FALSIFIERS, *REFUSED_BY_BLOW_UP, *UNFALSIFIABLE]
+    listed = [*FALSIFIERS, *UNFALSIFIABLE]
     assert sorted(listed) == sorted(names | {"glue check is symmetric"})
 
 
@@ -607,13 +601,43 @@ def test_a_perturbed_section_evaluation_is_reported_not_raised(monkeypatch):
     assert code == 1 and "  [FAIL] pencil vanishes exactly on the base locus" in out.splitlines(), out
 
 
-@pytest.mark.parametrize("name", sorted(REFUSED_BY_BLOW_UP))
-def test_an_identity_ring_show_records_as_held_is_refused_by_blow_up(name, monkeypatch):
-    owner, attribute, falsify, error = REFUSED_BY_BLOW_UP[name]
-    owner = _owner(owner)
-    monkeypatch.setattr(owner, attribute, falsify(getattr(owner, attribute)))
-    for json_flag in ([], ["--json"]):
-        assert run([*json_flag, "ring-show"]) == (2, error)
+def test_a_base_locus_of_one_point_twice_is_not_two_points(monkeypatch):
+    from twistor_pushout import realstruct
+
+    base_locus = realstruct.base_locus
+    monkeypatch.setattr(realstruct, "base_locus", lambda: [base_locus()[0]] * 2)
+    code, out = run(REAL)
+    assert code == 1 and "  [FAIL] base locus consists of two points" in out.splitlines(), out
+
+
+def test_only_ring_show_on_a_branch_checks_the_projection_formula_once_on_that_branch(monkeypatch):
+    from twistor_pushout import pushout
+
+    pairs, checked = [], []
+    init, check = pushout.PushoutPair.__init__, pushout.BlownUpChow.check_projection_formula
+
+    def record_pair(pair, *branches):
+        init(pair, *branches)
+        pairs.append(pair)
+
+    def record_check(blown):
+        checked.append(blown)
+        check(blown)
+
+    monkeypatch.setattr(pushout.PushoutPair, "__init__", record_pair)
+    monkeypatch.setattr(pushout.BlownUpChow, "check_projection_formula", record_check)
+    for command, shown in (
+        (["ring-show", "--branch", "1"], "branch1"),
+        (["ring-show", "--branch", "2"], "branch2"),
+        (QUADRIC, None),
+        (["equalizer"], None),
+        (["charge"], None),
+    ):
+        pairs.clear()
+        checked.clear()
+        assert run([*P3_P3, *command])[0] == 0
+        expected = [] if shown is None else [getattr(pairs[-1], shown)]
+        assert len(checked) == len(expected) and all(a is b for a, b in zip(checked, expected)), command
 
 
 # -- random geometries against the benchmark's closed forms ------------------------------

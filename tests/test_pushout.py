@@ -66,7 +66,7 @@ def test_exceptional_normal_class_adjunction_oracle(blown_p3, blown_flag):
 def test_exceptional_cube_has_classical_degree(blown_p3):
     # deg E^3 = -(degree of the centre's normal bundle) = -2
     Q = blown_p3.exceptional_class()
-    assert blown_p3.zero_cycle_degree(Q * Q * Q) == -2
+    assert blown_p3.ring.zero_cycle_degree(Q * Q * Q) == -2
 
 
 # -- blow-up of P3 ------------------------------------------------------------------
@@ -89,7 +89,7 @@ def test_p3_blowup_products(blown_p3):
     assert fh * jb == ring.zero()
     assert (jb * jb).is_zero()
     assert fh * fh == fh2
-    assert blown_p3.zero_cycle_degree(fh * fh * fh) == 1
+    assert blown_p3.ring.zero_cycle_degree(fh * fh * fh) == 1
 
 
 def test_pushforward_identities(blown_p3):
@@ -147,6 +147,28 @@ def test_blow_up_rejects_inconsistent_twistor_degrees():
     doc["twistor_degrees"] = [2]
     with pytest.raises(ValueError):
         twistor_base_from_dict(doc)
+
+
+def test_blow_up_refuses_a_base_whose_line_times_h_is_not_the_point():
+    # A rank-2 top degree: h . line = p, but the point is p + q, of the same degree.  The
+    # projection formula on (f.h, w) says f*(h . line) = f*[point]; blow_up leaves that
+    # formula to ring-show and refuses the ring on the associativity of (f.h, Q, Q), which
+    # states the same identity.
+    doc = {
+        "top_degree": 3,
+        "basis": [["1"], ["h"], ["h2"], ["p", "q"]],
+        "mult": [
+            {"d1": 1, "d2": 1, "i1": 0, "i2": 0, "out": [1]},
+            {"d1": 1, "d2": 2, "i1": 0, "i2": 0, "out": [1, 0]},
+        ],
+        "degree_functional": [1, 0],
+        "line_class": [1],
+        "point_class": [1, 1],
+        "twistor_degrees": [1],
+    }
+    base = twistor_base_from_dict(doc)
+    with pytest.raises(ValueError, match=re.escape("associativity fails on (f.h, Q, Q)")):
+        blow_up(base)
 
 
 def test_builtin_lookup():

@@ -400,8 +400,8 @@ def _drawn_rewrite(base: TwistorChow, data) -> TwistorChow:
 @given(st.data())
 def test_blow_ups_of_random_bases_satisfy_the_projection_formula_and_closure(data):
     # Both branches of the rank-7 synthetic scenario, each in a random unimodular
-    # change of its degree-1 and degree-2 bases.  blow_up checks associativity,
-    # the ring homomorphism and the projection formula on the new tables.
+    # change of its degree-1 and degree-2 bases.  blow_up checks associativity and
+    # the ring homomorphism on the new tables, and the projection formula is run here.
     bases = _synthetic_r7_branches()
     blown = []
     for base in bases:
