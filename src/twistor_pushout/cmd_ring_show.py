@@ -10,12 +10,11 @@ if TYPE_CHECKING:
 
 
 def handle(scenario: Scenario, args, report: Report) -> None:
-    from .quadric import hyperplane_class
+    from .quadric import _RING, hyperplane_class
     from .rings import format_vector
 
-    geometry = scenario.geometry
-    blown = {"1": geometry.branch1, "2": geometry.branch2}.get(args.branch)
-    ring = geometry.quadric if blown is None else blown.ring
+    blown = None if args.branch == "quadric" else getattr(scenario, f"branch{args.branch}")
+    ring = _RING if blown is None else blown.ring
     report.results["name"] = ring.name
     report.results["ranks"] = [ring.rank(d) for d in range(ring.top_degree + 1)]
     report.results["basis"] = [list(labels) for labels in ring.basis_labels]
@@ -29,8 +28,7 @@ def handle(scenario: Scenario, args, report: Report) -> None:
                     table.append(f"{labels[d1][i1]} . {labels[d2][i2]} = {product}")
     report.results["products"] = table
     if blown is None:
-        b = ring.basis_element(1, 0)
-        w = ring.basis_element(1, 1)
+        b, w = ring.basis_element(1, 0), ring.basis_element(1, 1)
         report.check("the two rulings intersect in a point", b * w == ring.basis_element(2, 0))
         report.check("each ruling squares to zero", (b * b).is_zero() and (w * w).is_zero())
         return

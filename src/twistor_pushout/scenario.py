@@ -11,9 +11,9 @@ a boolean, a label, id or name a string, and a vector has its declared length; a
 integer list or ``mult`` entry is read in one pass.  A refusal names the JSON path:
 ``branch1.mult[3].out[1] must be an integer, got 1.5``.
 
-Loading a scenario checks only that it is a JSON object.  Each block is decoded once, on
-its first read, where a file's refusal names the file, so a command ignores faults in
-blocks it never reads and loads only what those it reads need: ``pushout`` for the pair,
+Loading a scenario checks only that it is a JSON object.  Each block, branches included, is
+decoded once, by its own property, on its first read, where a refusal names the file, so a command
+ignores faults in blocks it never reads and loads only what those need: ``pushout`` for a branch,
 ``charges`` for bundles, ``surfaces`` for surfaces, ``neck`` and ``gaussian`` for a decoration.
 """
 
@@ -30,11 +30,9 @@ if TYPE_CHECKING:
     from .charges import GluedBundleData
     from .gaussian import GaussianScalar
     from .neck import PhaseDecoration
-    from .pushout import ComponentPair, PushoutPair, TwistorChow
+    from .pushout import BlownUpChow, ComponentPair, PushoutPair, TwistorChow
     from .rings import GradedRing
     from .surfaces import SurfaceData
-
-    Blocks = tuple[tuple[GluedBundleData, ...], ComponentPair | None]
 
 # A document buys work at least cubic in its rank.  The synthetic benchmark
 # family peaks at rank 19; from a rank-40 pair, a fresh ring-show takes about
@@ -46,8 +44,8 @@ MAX_SURFACES = 24
 
 
 class Scenario:
-    """A scenario document's blocks, each decoded on its first read.  ``geometry`` is the
-    pair, read first by ``bundles`` and ``polarization``, which are decoded together."""
+    """A scenario document's blocks, each decoded once, by its own property, on its first read.
+    ``geometry`` glues ``branch1`` and ``branch2``; ``bundles`` and ``polarization`` read against it."""
 
     def __init__(self, doc: dict, path: str | Path | None = None) -> None:
         self._doc, self._path = doc, path
@@ -58,18 +56,28 @@ class Scenario:
         return read(doc, *args) if path is None else _naming(path, read, doc, *args)
 
     @cached_property
+    def branch1(self) -> BlownUpChow:
+        return self._decode(_branch, "branch1")
+
+    @cached_property
+    def branch2(self) -> BlownUpChow:
+        return self._decode(_branch, "branch2")
+
+    @cached_property
     def geometry(self) -> PushoutPair:
-        return self._decode(_branches)
+        from .pushout import PushoutPair
+
+        return PushoutPair(self.branch1, self.branch2)
 
     @cached_property
     def bundles(self) -> tuple[GluedBundleData, ...]:
-        bundles, self.polarization = self._decode(_bundle_blocks, self.geometry)
-        return bundles
+        return self._decode(_bundles, self.geometry)
 
     @cached_property
     def polarization(self) -> ComponentPair | None:
-        self.bundles  # decodes both blocks and stores this one
-        return vars(self)["polarization"]
+        if "polarization" not in self._doc:
+            return None
+        return self._decode(lambda doc, pair: _pair(pair, doc["polarization"], 1), self.geometry)
 
     @cached_property
     def surfaces(self) -> tuple[SurfaceData, ...]:
@@ -252,37 +260,37 @@ def decoration_from_dict(doc) -> PhaseDecoration:
     )
 
 
-def _branches(doc: _Json) -> PushoutPair:
-    """The pair of the two blown-up branches."""
-    from .pushout import PushoutPair, blow_up, builtin_base
+def _branch(doc: _Json, key: str) -> BlownUpChow:
+    """The branch ``key``, a built-in base or an inline ring document, blown up."""
+    from .pushout import BUILTIN_BASES, blow_up
 
-    bases = [
-        builtin_base(b["builtin"].read(str)) if "builtin" in b else twistor_base_from_dict(b)
-        for b in (doc["branch1"], doc["branch2"])
-    ]
-    return PushoutPair(*map(blow_up, bases))
+    block = doc[key]
+    if "builtin" not in block:
+        return block.make(blow_up, twistor_base_from_dict(block))
+    name = block["builtin"]
+    if name.read(str) not in BUILTIN_BASES:
+        name.refuse(f"one of {sorted(BUILTIN_BASES)}")
+    return block.make(blow_up, BUILTIN_BASES[name.value]())
 
 
-def _bundle_blocks(doc: _Json, geometry: PushoutPair) -> Blocks:
-    """The ``bundles`` and ``polarization`` blocks, read against the pair's ranks."""
-    bundles = ()
-    if "bundles" in doc:
-        from .charges import GluedBundleData
+def _bundles(doc: _Json, geometry: PushoutPair) -> tuple[GluedBundleData, ...]:
+    """The ``bundles`` block, read against the pair's ranks; ``()`` without one."""
+    if "bundles" not in doc:
+        return ()
+    from .charges import GluedBundleData
 
-        bundles = tuple(
-            block.make(
-                GluedBundleData,
-                geometry=geometry,
-                rank=block.get("rank", 2).read(int),
-                c1_pair=_pair(geometry, block["c1"], 1),
-                c2_pair=_pair(geometry, block["c2"], 2),
-                restriction_to_quadric_trivial=block.get("trivial_on_Q", False).read(bool),
-                h2_end_dims=tuple(block.get("h2_end", [0, 0]).integers(2)),
-            )
-            for block in doc["bundles"].items()
+    return tuple(
+        block.make(
+            GluedBundleData,
+            geometry=geometry,
+            rank=block.get("rank", 2).read(int),
+            c1_pair=_pair(geometry, block["c1"], 1),
+            c2_pair=_pair(geometry, block["c2"], 2),
+            restriction_to_quadric_trivial=block.get("trivial_on_Q", False).read(bool),
+            h2_end_dims=tuple(block.get("h2_end", [0, 0]).integers(2)),
         )
-    polarization = _pair(geometry, doc["polarization"], 1) if "polarization" in doc else None
-    return bundles, polarization
+        for block in doc["bundles"].items()
+    )
 
 
 def _surfaces(doc: _Json) -> tuple[SurfaceData, ...]:

@@ -610,34 +610,48 @@ def test_a_base_locus_of_one_point_twice_is_not_two_points(monkeypatch):
     assert code == 1 and "  [FAIL] base locus consists of two points" in out.splitlines(), out
 
 
-def test_only_ring_show_on_a_branch_checks_the_projection_formula_once_on_that_branch(monkeypatch):
+def test_only_ring_show_on_a_branch_checks_the_projection_formula_once_on_that_branch(monkeypatch, tmp_path):
+    # ring-show on a branch blows up that branch alone and builds no pair; the quadric view
+    # blows up none; equalizer and charge blow up each branch once and glue them once
     from twistor_pushout import pushout
 
-    pairs, checked = [], []
-    init, check = pushout.PushoutPair.__init__, pushout.BlownUpChow.check_projection_formula
+    blown, pairs, checked = [], [], []
+    blow_up, init = pushout.blow_up, pushout.PushoutPair.__init__
+    check = pushout.BlownUpChow.check_projection_formula
+
+    def record_blow_up(base):
+        blown.append(blow_up(base))
+        return blown[-1]
 
     def record_pair(pair, *branches):
         init(pair, *branches)
         pairs.append(pair)
 
-    def record_check(blown):
-        checked.append(blown)
-        check(blown)
+    def record_check(branch):
+        checked.append(branch)
+        check(branch)
 
+    monkeypatch.setattr(pushout, "blow_up", record_blow_up)
     monkeypatch.setattr(pushout.PushoutPair, "__init__", record_pair)
     monkeypatch.setattr(pushout.BlownUpChow, "check_projection_formula", record_check)
-    for command, shown in (
-        (["ring-show", "--branch", "1"], "branch1"),
-        (["ring-show", "--branch", "2"], "branch2"),
-        (QUADRIC, None),
-        (["equalizer"], None),
-        (["charge"], None),
+    mixed = tmp_path / "p3_flag.json"
+    mixed.write_text(json.dumps({"branch1": {"builtin": "p3"}, "branch2": {"builtin": "flag"}}), encoding="utf-8")
+    for argv, shown, blow_ups in (
+        (["--scenario", str(mixed), "ring-show", "--branch", "1"], "CH(P3)", 1),
+        (["--scenario", str(mixed), "ring-show", "--branch", "2"], "CH(Flag)", 1),
+        ([*P3_P3, *QUADRIC], None, 0),
+        ([*P3_P3, "equalizer"], None, 2),
+        ([*P3_P3, "charge"], None, 2),
     ):
+        blown.clear()
         pairs.clear()
         checked.clear()
-        assert run([*P3_P3, *command])[0] == 0
-        expected = [] if shown is None else [getattr(pairs[-1], shown)]
-        assert len(checked) == len(expected) and all(a is b for a, b in zip(checked, expected)), command
+        assert run(argv)[0] == 0
+        assert len(blown) == blow_ups and len(pairs) == (blow_ups == 2), argv
+        if shown is None:
+            assert checked == [], argv
+        else:
+            assert len(checked) == 1 and checked[0] is blown[0] and checked[0].base.ring.name == shown
 
 
 # -- random geometries against the benchmark's closed forms ------------------------------

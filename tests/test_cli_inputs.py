@@ -135,6 +135,20 @@ def _non_associative_flag() -> dict:
 
 # p3_p3.json with a malformed pair: only the commands that read the pair refuse it
 MALFORMED_PAIR = {**_load("scenarios/p3_p3.json"), "branch1": _non_associative_flag()}
+# an associative base whose line times h is not the point (test_pushout.py holds the same
+# witness): its blow-up fails associativity on (f.h, Q, Q)
+LINE_TIMES_H_NOT_THE_POINT = {
+    "top_degree": 3,
+    "basis": [["1"], ["h"], ["h2"], ["p", "q"]],
+    "mult": [
+        {"d1": 1, "d2": 1, "i1": 0, "i2": 0, "out": [1]},
+        {"d1": 1, "d2": 2, "i1": 0, "i2": 0, "out": [1, 0]},
+    ],
+    "degree_functional": [1, 0],
+    "line_class": [1],
+    "point_class": [1, 1],
+    "twistor_degrees": [1],
+}
 
 
 R11 = _load("tests/data/synthetic_r11.json")
@@ -333,6 +347,25 @@ NAMED = {
         )
         for command in ("ring-show", "equalizer", "charge")
     },
+    # a blow-up refusal names its branch, for each command that reads that branch
+    **{
+        f"blow-up-refused-in-{key}-{argv[0]}": (
+            {**_load("scenarios/p3_p3.json"), key: LINE_TIMES_H_NOT_THE_POINT},
+            ["--scenario", "{}", *argv],
+            f"{key}: associativity fails on (f.h, Q, Q)",
+        )
+        for key in ("branch1", "branch2")
+        for argv in (["equalizer"], ["ring-show", "--branch", key[-1]])
+    },
+    # an unknown built-in name is refused at its JSON path, echoed with at most 40 characters
+    **{
+        f"unknown-long-builtin-in-{key}": (
+            {**_load("scenarios/p3_p3.json"), key: {"builtin": "x" * 10_000}},
+            SCENARIO_ARGV,
+            f"{key}.builtin must be one of ['flag', 'p3'], got \"{'x' * 35} ...",
+        )
+        for key in ("branch1", "branch2")
+    },
     "decoration-without-theta": (
         mutated(DECORATION, ("theta",), DELETE),
         ["neck", "--decorate", "{}"],
@@ -439,6 +472,7 @@ def test_a_command_that_never_reads_the_pair_ignores_its_faults(argv, tmp_path):
 # argv key -> a command's argv; "{decorate}" is a valid --decorate file
 READERS = {
     "ring-show": ["ring-show"],
+    "ring-show-2": ["ring-show", "--branch", "2"],
     "ring-show-quadric": ["ring-show", "--branch", "quadric"],
     "equalizer": ["equalizer"],
     "surfaces": ["surfaces", "--dmax", "3"],
@@ -448,18 +482,23 @@ READERS = {
     "neck-decorate": ["neck", "--decorate", "{decorate}"],
     "real": ["real", "--samples", "3"],
 }
-# a fault in one block of p3_p3.json: name -> (path, replacement, the one argv key that reads the block)
+# a fault in one block of p3_p3.json: name -> (path, replacement, the argv keys that read the block)
+PAIR_READERS = {"equalizer", "charge"}
 BLOCK_FAULTS = {
-    "bundle-rank-float": (("bundles", 0, "rank"), 1.5, "charge"),
-    "bundle-c1-too-short": (("bundles", 1, "c1", "branch2"), [1], "charge"),
-    "bundles-not-a-list": (("bundles",), {}, "charge"),
-    "polarization-without-branch1": (("polarization", "branch1"), DELETE, "charge"),
-    "polarization-not-an-object": (("polarization",), "x", "charge"),
-    "assumption-def-string": (("assumption_DEF",), "false", "charge"),
-    "surface-degree-bool": (("surfaces", 0, "degree"), True, "surfaces"),
-    "surfaces-empty": (("surfaces",), [], "surfaces"),
-    "decoration-theta-not-unit": (("decoration", "theta", "re_den"), 7, "neck"),
-    "decoration-point-id-integer": (("decoration", "points", 0, "id"), 0, "neck"),
+    "branch1-missing": (("branch1",), DELETE, {"ring-show", *PAIR_READERS}),
+    "branch1-builtin-integer": (("branch1", "builtin"), 3, {"ring-show", *PAIR_READERS}),
+    "branch2-unknown-builtin": (("branch2", "builtin"), "nope", {"ring-show-2", *PAIR_READERS}),
+    "branch2-inline-without-fields": (("branch2", "builtin"), DELETE, {"ring-show-2", *PAIR_READERS}),
+    "bundle-rank-float": (("bundles", 0, "rank"), 1.5, {"charge"}),
+    "bundle-c1-too-short": (("bundles", 1, "c1", "branch2"), [1], {"charge"}),
+    "bundles-not-a-list": (("bundles",), {}, {"charge"}),
+    "polarization-without-branch1": (("polarization", "branch1"), DELETE, {"charge"}),
+    "polarization-not-an-object": (("polarization",), "x", {"charge"}),
+    "assumption-def-string": (("assumption_DEF",), "false", {"charge"}),
+    "surface-degree-bool": (("surfaces", 0, "degree"), True, {"surfaces"}),
+    "surfaces-empty": (("surfaces",), [], {"surfaces"}),
+    "decoration-theta-not-unit": (("decoration", "theta", "re_den"), 7, {"neck"}),
+    "decoration-point-id-integer": (("decoration", "points", 0, "id"), 0, {"neck"}),
 }
 
 
@@ -472,7 +511,7 @@ def test_a_command_that_never_reads_a_block_ignores_its_faults(fault, reader, tm
     decorate.write_text(json.dumps(DECORATION), encoding="utf-8")
     argv = [str(decorate) if arg == "{decorate}" else arg for arg in READERS[reader]]
     code, out = run(["--scenario", str(target), *argv])
-    if reader == reads:  # the one command that reads the block refuses the fault, naming the file
+    if reader in reads:  # each command that reads the block refuses the fault, naming the file
         assert code == 2 and out.startswith(f"error: {target}: ")
     else:
         assert (code, out) == run(["--scenario", str(P3_P3), *argv]) and code == 0

@@ -76,11 +76,18 @@ def _fresh(*args: str) -> str:
         (["--scenario", P3_P3, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", FLAG_FLAG, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", P3_P3, "charge"], 0, {"neck", "gaussian", "realstruct", "surfaces"}),
+        # the quadric view reads no block and shows the quadric module's ring
+        (
+            ["--scenario", P3_P3, "ring-show", "--branch", "quadric"],
+            0,
+            {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"},
+        ),
     ],
     ids=[
         "real", "neck", "surfaces", "surfaces-pair", "charge", "ring-show-r7", "equalizer-r7",
         "real-p3_p3", "real-flag_flag", "neck-p3_p3", "neck-flag_flag", "surfaces-p3_p3", "surfaces-flag_flag",
         "ring-show-p3_p3", "ring-show-flag_flag", "equalizer-p3_p3", "equalizer-flag_flag", "charge-p3_p3",
+        "ring-show-quadric-p3_p3",
     ],
 )
 def test_a_command_loads_only_what_it_runs(argv, code, absent):

@@ -202,38 +202,44 @@ def test_repr_keeps_the_field_form():
     assert repr(surfaces.SurfaceData(2, False)) == "SurfaceData(twistor_degree=2, contains_line=False)"
 
 
-BLOCKS = ("geometry", "bundles", "polarization", "surfaces", "decoration", "assumption_def")
+BLOCKS = ("branch1", "branch2", "geometry", "bundles", "polarization", "surfaces", "decoration", "assumption_def")
+PAIR = ("branch1", "branch2", "geometry")
 
 
 @pytest.mark.parametrize("first", BLOCKS)
 def test_scenario_decodes_each_block_once_on_its_first_read(first, monkeypatch):
-    # a scenario is not a value: it decodes its blocks lazily.  Loading decodes none;
-    # the first read of a block decodes it, the bundles and polarization together and
-    # after the pair, and no block is decoded twice
+    # a scenario is not a value: it decodes its blocks lazily.  Loading decodes none; the
+    # first read of a block decodes that block alone, after the two branches if it is read
+    # against the pair, caches only what it read, and no block is decoded twice
     decoded = []
     decode = scenario.Scenario._decode
 
     def counted(self, read, *args):
-        decoded.append(read)
+        decoded.append(args[0] if read is scenario._branch else read)  # a branch by its key
         return decode(self, read, *args)
 
     monkeypatch.setattr(scenario.Scenario, "_decode", counted)
     loaded = scenario.load_scenario(P3_P3)
     assert decoded == []
     getattr(loaded, first)
-    pair, blocks = scenario._branches, scenario._bundle_blocks
-    if first == "geometry":
-        assert decoded == [pair]
+    if first in ("branch1", "branch2"):
+        assert decoded == [first] and set(vars(loaded)) == {"_doc", "_path", first}
+    elif first == "geometry":
+        assert decoded == ["branch1", "branch2"] and set(vars(loaded)) == {"_doc", "_path", *PAIR}
     elif first in ("bundles", "polarization"):
-        assert decoded == [pair, blocks]
+        assert decoded[:2] == ["branch1", "branch2"] and len(decoded) == 3
+        assert (decoded[2] is scenario._bundles) == (first == "bundles")
+        assert set(vars(loaded)) == {"_doc", "_path", *PAIR, first}
     else:
-        assert len(decoded) == 1 and decoded[0] not in (pair, blocks)
+        assert len(decoded) == 1 and decoded[0] not in ("branch1", "branch2", scenario._bundles)
+        assert set(vars(loaded)) == {"_doc", "_path", first}
     for name in BLOCKS * 2:
         getattr(loaded, name)
-    assert len(decoded) == len(set(decoded)) == 5
-    assert decoded.index(pair) < decoded.index(blocks)
+    assert len(decoded) == len(set(decoded)) == 7
+    assert max(decoded.index("branch1"), decoded.index("branch2")) < decoded.index(scenario._bundles)
     assert len(loaded.bundles) == 2 and loaded.polarization is not None and loaded.decoration is not None
     assert len(loaded.surfaces) == 3 and loaded.assumption_def is True
+    assert loaded.geometry.branch1 is loaded.branch1 and loaded.geometry.branch2 is loaded.branch2
 
 
 def test_construction_refusals_are_kept():
