@@ -29,6 +29,7 @@ _MODULES = {
         "specialize",
     ),
     "gaussian": ("GaussianScalar",),
+    "intlin": ("kernel_lattice", "lattice_membership"),
     "neck": ("kn_fixed_phase_bundle", "lens_space_of", "phase_decoration", "phase_solve"),
     "pushout": (
         "BlownUpChow",
@@ -42,7 +43,7 @@ _MODULES = {
         "projective_space_base",
     ),
     "quadric": ("Bidegree", "QuadricClass", "quadric_ring"),
-    "rings": ("GradedMap", "GradedRing", "RingElement", "kernel_lattice", "lattice_membership"),
+    "rings": ("GradedMap", "GradedRing", "RingElement"),
     "surfaces": ("SurfaceData", "classify_all", "glue_check", "trace_class"),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

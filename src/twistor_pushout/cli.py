@@ -103,8 +103,8 @@ def _render_value(value, indent: int) -> list[str]:
 # neck's results are linear in each entry of --curve and --character, so their bound
 # keeps every printed integer far inside the interpreter's digit limit
 DMAX_BOUND, SAMPLES_BOUND, NECK_BOUND = 200, 10_000, 10**6
-# equalizer runs its brute-force oracle when every degree's rank sum is at most this;
-# at 6 (flag_flag) the oracle costs about 5 ms in process on a 2-vCPU host
+# equalizer runs its brute-force oracle when every degree's rank sum is at most this; at 6
+# (flag_flag) its four degrees take 4.8 ms, first call in process (median of 21, 2-vCPU host)
 ORACLE_GATE = 6
 FLAG_BOUNDS = (
     ("dmax", 1, DMAX_BOUND),

@@ -1,22 +1,20 @@
-"""Exact integer linear algebra.
+"""Exact integer lattice algebra; of the commands, only ``equalizer`` loads it.
 
 Hermite-style row reduction of integer matrices with unimodular row operations
 gives canonical lattice bases.  Membership reduces a vector against a basis's
 rows as given when they are in echelon form, else against their Hermite form.
 A saturated kernel whose Hermite pivots are all 1 is read off one sweep of the
 matrix's columns, by Cramer's rule; any other kernel takes the row reduction.
-Everything is over unbounded Python integers.  No floating point or rational
-arithmetic is used.
+Everything is exact over unbounded integers.  ``pushout`` imports each function
+where the equalizer's kernels, membership, certificate or oracle call it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from operator import mul
 
-Vector = tuple[int, ...]
-Matrix = tuple[Vector, ...]
+from .rings import DegreeError, GradedMap, Vector, dot
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -222,19 +220,11 @@ def lattice_contains(basis: Sequence[Sequence[int]], vec: Sequence[int]) -> bool
     return not any(v)
 
 
-def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    """Sum of the products of corresponding entries (no length check)."""
-    return sum(map(mul, a, b))
+lattice_membership = lattice_contains  # True iff ``vec`` is in the integer span of ``basis``
 
 
-def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
-    if matrix and len(matrix[0]) != len(vec):
-        raise ValueError("dimension mismatch")
-    return tuple(dot(row, vec) for row in matrix)
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("dimension mismatch")
-    columns = tuple(zip(*b))
-    return tuple(tuple(dot(row, column) for column in columns) for row in a)
+def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:
+    """Saturated basis of the integer kernel of ``f`` in one source degree."""
+    if not 0 <= degree <= f.source.top_degree:
+        raise DegreeError(f"degree {degree} is out of range for the source ring")
+    return kernel_basis(f.matrix(degree), ncols=f.source.rank(degree))

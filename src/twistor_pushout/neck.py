@@ -11,19 +11,20 @@ bundles produce the familiar lens-space tags.  A bundle over the quadric
 carries its class in the quadric ring; its restriction to a ruling fibre or
 to a curve is the integer that ``quadric.intersection_number`` reads off that ring.
 
-Phases are exact unit Gaussian rationals; moduli are carried as squared
-moduli so every identity is checked with exact equality.
+Phases are exact unit Gaussian rationals and moduli are carried squared, so every
+identity is exact; a neck with no decoration loads neither ``gaussian`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from ._value import Value
-from .gaussian import GaussianScalar
 
-if TYPE_CHECKING:  # the quadric is imported where it is used, so a decoration loads no ring module
+if TYPE_CHECKING:  # imported where used: a decoration loads no ring module, a bare neck no Gaussian
+    from fractions import Fraction
+
+    from .gaussian import GaussianScalar
     from .quadric import Bidegree, QuadricClass
 
 
@@ -144,6 +145,8 @@ def neck_point(
     The phases do not depend on rho: the neck retracts onto the fixed-phase
     circle without moving them.
     """
+    from fractions import Fraction
+
     rho_sq = Fraction(rho_sq)
     if rho_sq < 0:
         raise ValueError("squared modulus must be non-negative")

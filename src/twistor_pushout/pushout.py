@@ -33,16 +33,6 @@ them all.  A lattice that cannot be certified has each product formed instead.
 from __future__ import annotations
 
 from ._value import Value
-from .intlin import (
-    Vector,
-    dot,
-    hermite_row_basis,
-    kernel_basis,
-    kernel_certificate,
-    lattice_contains,
-    mat_mul,
-    mat_vec,
-)
 from .quadric import _RING, _SWAP, QuadricClass
 from .rings import (
     DegreeError,
@@ -50,7 +40,11 @@ from .rings import (
     GradedRing,
     RingElement,
     RingMismatchError,
+    Vector,
     combination,
+    dot,
+    mat_mul,
+    mat_vec,
 )
 
 TWISTOR_TOP = 3
@@ -400,12 +394,11 @@ class PushoutPair:
         return [list(j1[r]) + [-c for c in swapped[r]] for r in range(self.quadric.rank(degree))]
 
     def equalizer(self) -> "EqualizerRing":
-        lattices = []
-        for degree in range(TWISTOR_TOP + 1):
-            n1 = self.branch1.ring.rank(degree)
-            n2 = self.branch2.ring.rank(degree)
-            lattices.append(tuple(kernel_basis(self.matching_matrix(degree), ncols=n1 + n2)))
-        return EqualizerRing(self, tuple(lattices))
+        from .intlin import kernel_basis
+
+        ncols = [self.branch1.ring.rank(d) + self.branch2.ring.rank(d) for d in range(TWISTOR_TOP + 1)]
+        lattices = (kernel_basis(self.matching_matrix(d), ncols=n) for d, n in enumerate(ncols))
+        return EqualizerRing(self, tuple(map(tuple, lattices)))
 
 
 class EqualizerRing(Value):
@@ -431,17 +424,14 @@ class EqualizerRing(Value):
             self.geometry.branch2.ring.homogeneous(degree, vec[n1:]),
         )
 
-    def _concat(self, degree: int, pair: ComponentPair) -> Vector:
-        return tuple(pair.first.degree_part(degree)) + tuple(pair.second.degree_part(degree))
-
     def basis_pairs(self, degree: int) -> list[ComponentPair]:
         return [self._split(degree, vec) for vec in self.lattices[degree]]
 
     def contains(self, pair: ComponentPair) -> bool:
-        return all(
-            lattice_contains(self.lattices[degree], self._concat(degree, pair))
-            for degree in pair.supported_degrees()
-        )
+        from .intlin import lattice_contains
+
+        first, second, lattices = pair.first.degree_part, pair.second.degree_part, self.lattices
+        return all(lattice_contains(lattices[d], (*first(d), *second(d))) for d in pair.supported_degrees())
 
     def product(self, a: ComponentPair, b: ComponentPair) -> ComponentPair:
         return ComponentPair(a.first * b.first, a.second * b.second)
@@ -469,6 +459,8 @@ class EqualizerRing(Value):
 
     def _closure_is_derived(self) -> bool:
         """Whether closure follows without forming a product; see :meth:`check_product_closure`."""
+        from .intlin import kernel_certificate
+
         geometry, quad = self.geometry, self.geometry.quadric
         branches = (geometry.branch1, geometry.branch2)
         maps = [branch.restriction_to_quadric_map for branch in branches] + [geometry.swap]
@@ -522,6 +514,8 @@ def _matched_lattice_in_box(matrix: list[list[int]], n: int, bound: int) -> list
     result is the basis of the span of every solution in the box.
     """
     from itertools import product as iter_product
+
+    from .intlin import hermite_row_basis
 
     half = n // 2
     box = range(-bound, bound + 1)

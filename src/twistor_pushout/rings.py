@@ -38,8 +38,8 @@ so the base is a subring by construction and a pair of pulled-back classes is
 summed only against the exceptional z, as the base's own check proves the
 rest.  Every identity still follows; none is sampled.
 
-All values are immutable after construction and all operations are pure, so
-the module is safe for unrestricted concurrent read-only use.
+Values are immutable and operations pure, so concurrent reads are safe.  Every
+command that builds a ring loads this module; it loads no lattice code (``intlin``).
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from itertools import chain, compress, cycle, product, repeat
 from operator import index, lshift, mul
 
 from ._value import Value
-from .intlin import Vector, dot, kernel_basis, lattice_contains, mat_vec
 
+Vector = tuple[int, ...]
+Matrix = tuple[Vector, ...]
 TableKey = tuple[int, int, int, int]
 
 
@@ -373,6 +374,24 @@ class GradedRing:
         return doc
 
 
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    """Sum of the products of corresponding entries (no length check)."""
+    return sum(map(mul, a, b))
+
+
+def mat_vec(matrix: Sequence[Sequence[int]], vec: Sequence[int]) -> Vector:
+    if matrix and len(matrix[0]) != len(vec):
+        raise ValueError("dimension mismatch")
+    return tuple(dot(row, vec) for row in matrix)
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    if a and b and len(a[0]) != len(b):
+        raise ValueError("dimension mismatch")
+    columns = tuple(zip(*b))
+    return tuple(tuple(dot(row, column) for column in columns) for row in a)
+
+
 def combination(weights: Sequence[int], vectors: Sequence[Vector], length: int) -> Vector:
     """``sum_m weights[m] vectors[m]`` as a ``length`` vector, skipping the zero weights."""
     out: Sequence[int] = (0,) * length
@@ -559,13 +578,3 @@ class GradedMap:
                                 f"({self.source.basis_labels[d1][i1]}, "
                                 f"{self.source.basis_labels[d2][i2]})"
                             )
-
-
-def kernel_lattice(f: GradedMap, degree: int) -> list[Vector]:
-    """Saturated basis of the integer kernel of ``f`` in one source degree."""
-    if not 0 <= degree <= f.source.top_degree:
-        raise DegreeError(f"degree {degree} is out of range for the source ring")
-    return kernel_basis(f.matrix(degree), ncols=f.source.rank(degree))
-
-
-lattice_membership = lattice_contains  # True iff ``vec`` is in the integer span of ``basis``

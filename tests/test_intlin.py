@@ -10,15 +10,13 @@ from hypothesis import strategies as st
 
 from twistor_pushout import intlin
 from twistor_pushout.intlin import (
-    dot,
     hermite_row_basis,
     kernel_basis,
     kernel_certificate,
     lattice_contains,
-    mat_mul,
-    mat_vec,
     xgcd,
 )
+from twistor_pushout.rings import dot, mat_mul, mat_vec
 
 
 def rational_kernel(rows, ncols):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistor_pushout import intlin
-from twistor_pushout.intlin import hermite_row_basis
+from twistor_pushout.intlin import hermite_row_basis, kernel_lattice
 from twistor_pushout.pushout import (
     BlownUpChow,
     ComponentPair,
@@ -24,7 +24,7 @@ from twistor_pushout.pushout import (
     projective_space_base,
 )
 from twistor_pushout.quadric import QuadricClass, canonical_class
-from twistor_pushout.rings import DegreeError, GradedMap, RingMismatchError, kernel_lattice
+from twistor_pushout.rings import DegreeError, GradedMap, RingMismatchError
 from twistor_pushout.scenario import load_scenario, twistor_base_from_dict
 
 

@@ -8,16 +8,10 @@ from hypothesis import strategies as st
 
 import twistor_pushout
 from twistor_pushout import intlin
+from twistor_pushout.intlin import kernel_lattice, lattice_membership
 from twistor_pushout.pushout import projective_space_base
 from twistor_pushout.quadric import quadric_ring, ruling_swap_map
-from twistor_pushout.rings import (
-    DegreeError,
-    GradedMap,
-    GradedRing,
-    RingMismatchError,
-    kernel_lattice,
-    lattice_membership,
-)
+from twistor_pushout.rings import DegreeError, GradedMap, GradedRing, RingMismatchError
 from twistor_pushout.scenario import twistor_base_from_dict
 
 

@@ -52,11 +52,17 @@ def _fresh(*args: str) -> str:
     "argv, code, absent",
     [
         (["real", "--samples", "5"], 0, {"pushout", "charges", "neck", "surfaces"}),
-        (["neck"], 0, {"pushout", "charges", "surfaces", "realstruct"}),
-        (["surfaces", "--dmax", "3"], 0, {"pushout", "charges", "neck", "gaussian", "realstruct"}),
-        (["surfaces", "--pair", "1", "in", "1", "out"], 0, {"pushout", "charges", "neck", "gaussian"}),
+        # a neck with no decoration is integer arithmetic on the quadric ring
+        (["neck"], 0, {"pushout", "charges", "surfaces", "realstruct", "intlin", "gaussian"}),
+        (["surfaces", "--dmax", "3"], 0, {"pushout", "charges", "neck", "gaussian", "realstruct", "intlin"}),
+        (["surfaces", "--pair", "1", "in", "1", "out"], 0, {"pushout", "charges", "neck", "gaussian", "intlin"}),
         (["charge"], 2, {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        (["--scenario", SYNTHETIC, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        # only the equalizer's kernels, membership, certificate and oracle load the lattice code
+        (
+            ["--scenario", SYNTHETIC, "ring-show"],
+            0,
+            {"charges", "neck", "gaussian", "realstruct", "surfaces", "intlin"},
+        ),
         (["--scenario", SYNTHETIC, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         # a file's pair is built only by the commands that read it, and each other block is
         # decoded only by the command that reads it
@@ -66,21 +72,33 @@ def _fresh(*args: str) -> str:
             {"pushout", "charges", "rings", "intlin", "quadric", "surfaces", "neck"},
         ),
         (["--scenario", FLAG_FLAG, "real", "--samples", "5"], 0, {"pushout", "charges", "rings", "intlin", "quadric"}),
-        (["--scenario", P3_P3, "neck"], 0, {"pushout", "charges", "surfaces"}),
-        (["--scenario", FLAG_FLAG, "neck"], 0, {"pushout", "charges"}),
-        (["--scenario", P3_P3, "surfaces", "--dmax", "3"], 0, {"pushout", "charges", "neck", "gaussian"}),
-        (["--scenario", FLAG_FLAG, "surfaces", "--dmax", "3"], 0, {"pushout", "charges"}),
+        (["--scenario", P3_P3, "neck"], 0, {"pushout", "charges", "surfaces", "intlin"}),
+        (["--scenario", FLAG_FLAG, "neck"], 0, {"pushout", "charges", "intlin", "gaussian"}),
+        (
+            ["--scenario", P3_P3, "surfaces", "--dmax", "3"],
+            0,
+            {"pushout", "charges", "neck", "gaussian", "intlin"},
+        ),
+        (["--scenario", FLAG_FLAG, "surfaces", "--dmax", "3"], 0, {"pushout", "charges", "intlin"}),
         # the bundle and polarization blocks are decoded only by charge, which reads them
-        (["--scenario", P3_P3, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        (["--scenario", FLAG_FLAG, "ring-show"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
+        (
+            ["--scenario", P3_P3, "ring-show"],
+            0,
+            {"charges", "neck", "gaussian", "realstruct", "surfaces", "intlin"},
+        ),
+        (
+            ["--scenario", FLAG_FLAG, "ring-show"],
+            0,
+            {"charges", "neck", "gaussian", "realstruct", "surfaces", "intlin"},
+        ),
         (["--scenario", P3_P3, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
         (["--scenario", FLAG_FLAG, "equalizer"], 0, {"charges", "neck", "gaussian", "realstruct", "surfaces"}),
-        (["--scenario", P3_P3, "charge"], 0, {"neck", "gaussian", "realstruct", "surfaces"}),
+        (["--scenario", P3_P3, "charge"], 0, {"neck", "gaussian", "realstruct", "surfaces", "intlin"}),
         # the quadric view reads no block and shows the quadric module's ring
         (
             ["--scenario", P3_P3, "ring-show", "--branch", "quadric"],
             0,
-            {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces"},
+            {"pushout", "charges", "neck", "gaussian", "realstruct", "surfaces", "intlin"},
         ),
     ],
     ids=[
@@ -103,6 +121,25 @@ def test_a_command_loads_only_what_it_runs(argv, code, absent):
 
 
 @pytest.mark.parametrize(
+    "argv, modules, rational",
+    [
+        (["equalizer"], {"intlin"}, set()),
+        (["--scenario", P3_P3, "equalizer"], {"intlin"}, set()),
+        (["--scenario", P3_P3, "neck"], {"gaussian"}, {"fractions", "decimal"}),
+    ],
+    ids=["equalizer", "equalizer-p3_p3", "neck-p3_p3"],
+)
+def test_a_command_that_uses_a_deferred_module_loads_it(argv, modules, rational):
+    # the absent sets above hold because these modules are deferred, not because nothing
+    # loads them: the equalizer's kernels load intlin, and p3_p3's decoration has Gaussian
+    # rational phases
+    got, *loaded = _fresh("-c", CHILD, *argv).split()
+    assert int(got) == 0 and modules <= set(loaded), loaded
+    got, *loaded = _fresh("-c", RATIONAL_CHILD, *argv).split()
+    assert int(got) == 0 and rational <= set(loaded), loaded
+
+
+@pytest.mark.parametrize(
     "argv, code", [(["real", "--samples", "5"], 0), (["charge"], 2)], ids=["real", "charge"]
 )
 def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
@@ -117,6 +154,14 @@ def test_a_command_without_rings_loads_neither_rings_nor_intlin(argv, code):
 def test_real_stays_integer_only(scenario):
     # its samples are Gaussian integers; only a division or a decoration makes a Fraction
     got, *loaded = _fresh("-c", RATIONAL_CHILD, *scenario, "real", "--samples", "5").split()
+    assert int(got) == 0
+    assert not loaded, loaded
+
+
+@pytest.mark.parametrize("scenario", [[], ["--scenario", FLAG_FLAG]], ids=["default", "flag_flag"])
+def test_neck_without_a_decoration_stays_integer_only(scenario):
+    # the bundle classes and lens-space tags are integers; only a decoration's phases are rational
+    got, *loaded = _fresh("-c", RATIONAL_CHILD, *scenario, "neck").split()
     assert int(got) == 0
     assert not loaded, loaded
 
