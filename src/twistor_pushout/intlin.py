@@ -75,7 +75,7 @@ def hermite_row_basis(rows: Iterable[Sequence[int]]) -> list[Vector]:
     """
     basis: list[list[int]] = []
     pivots: list[int] = []
-    for row in rows:
+    for row in dict.fromkeys(map(tuple, rows)):  # a repeated row adds nothing to the span
         _accumulate(basis, pivots, list(row))
     for idx, p in enumerate(pivots):
         if basis[idx][p] < 0:

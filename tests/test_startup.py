@@ -212,3 +212,41 @@ def test_no_command_loads_class_code_generation(scenario, argv):
     got, *loaded = _fresh("-c", CODEGEN_CHILD, *scenario, *argv).split()
     assert int(got) == (2 if argv == ["charge"] and not scenario else 0)
     assert not loaded, loaded
+
+
+# runs one argv through cli.run, help and refusals included, and prints which argv modules loaded
+ARGV_CHILD = """
+import sys
+from twistor_pushout.cli import run
+try:
+    run(sys.argv[1:])
+except SystemExit:  # help, --version and usage errors exit inside argparse
+    pass
+print("loaded:", *sorted({"argparse", "gettext"} & set(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--json", "--scenario", P3_P3, "ring-show", "--branch", "2"],
+        ["--json", "--scenario", P3_P3, "equalizer", "--member", str(ROOT / "tests" / "data" / "member_p3.json")],
+        ["--json", "surfaces", "--pair", "1", "in", "2", "out"],
+        ["--json", "charge", FLAG_FLAG],
+        ["--json", "neck", "--curve", "3", "-1", "--character", "1", "-1"],
+        ["--json", "real", "--samples", "5"],
+    ],
+    ids=COMMANDS,
+)
+def test_a_canonical_command_line_loads_no_argparse(argv):
+    # the spelled-out form that the goldens and the benchmark run is read without argparse
+    assert _fresh("-c", ARGV_CHILD, *argv).splitlines()[-1] == "loaded:"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["real", "--samp", "5"], ["real", "--samples=5"], ["real", "--samples", "5x"]],
+    ids=["help", "abbreviation", "equals", "usage-error"],
+)
+def test_every_other_command_line_goes_to_argparse(argv):
+    assert _fresh("-c", ARGV_CHILD, *argv).splitlines()[-1] == "loaded: argparse gettext"
